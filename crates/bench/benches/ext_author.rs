@@ -3,13 +3,13 @@
 //! CMIFed's edit-while-playing loop re-schedules a document after every
 //! authoring gesture, so the cost that matters is *per edit*, not per
 //! document: an author inserting one caption into a 64-story broadcast
-//! should not pay a full constraint derivation plus Bellman–Ford over the
+//! should not pay a full constraint derivation plus relaxation of the
 //! whole event-point graph. This bench prices both paths on the same edit
 //! script — single-subtree insert/remove pairs rotating across stories —
 //! at 4/16/64 stories:
 //!
 //! * `incremental` — [`EditSession::apply`] (dirty-region re-derive plus
-//!   worklist fixpoint repair) followed by [`EditSession::solve_result`];
+//!   in-place fixpoint repair) followed by [`EditSession::solve_result`];
 //! * `full` — [`DocRevision::apply`] followed by a cold
 //!   [`ConstraintGraph::derive`] + `solve` of the edited document, the
 //!   only option before the revision plane existed.
@@ -18,8 +18,10 @@
 //! proptest pins that down; this bench asserts it once per size as a
 //! sanity check), so the ratio is pure efficiency. The banner prints
 //! edits/sec for both plus the speedup, and the probe is appended to
-//! `BENCH_ext_author.json` — the acceptance bar is incremental ≥ 5× full
-//! at 64 stories.
+//! `BENCH_ext_author.json`. Both paths relax on the shared constraint
+//! kernel, which is linear in the constraints, so the speedup is what
+//! skipping re-derivation saves net of the session's bookkeeping — below
+//! 1× on the smallest corpus, where there is little to skip.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -4,12 +4,13 @@
 //! engine's admission gate, so its cost is paid per document *before* any
 //! worker is spent. This bench prices the two sides of that bargain:
 //!
-//! * `check_clean` — the full 18-pass registry over lint-clean synthetic
+//! * `check_clean` — the full 19-pass registry over lint-clean synthetic
 //!   news documents at 4/16/64 stories. This is the admission overhead an
-//!   honest document pays. The structural passes are preorder walks, but
-//!   the timing passes relax the derived constraint graph (Bellman-Ford,
-//!   O(points × constraints)), so the envelope grows superlinearly — the
-//!   per-size figures keep that visible.
+//!   honest document pays. The structural passes are preorder walks and
+//!   the timing passes share one relaxation of the derived constraint
+//!   graph on the scheduler's kernel (each edge once in topological order,
+//!   a worklist only for cyclic regions), so the envelope should grow
+//!   linearly — the per-size figures keep any departure visible.
 //! * `check_broken` / `render_broken` — a parsed document with findings in
 //!   every code family (structure, timing, resources), checked and then
 //!   rendered rustc-style against its `SourceMap`. Rendering prices the

@@ -135,6 +135,11 @@ pub static REGISTRY: &[CodeInfo] = &[
         Severity::Deny,
     ),
     info(
+        "L105",
+        "an event time or window bound leaves the representable time range",
+        Severity::Deny,
+    ),
+    info(
         "L201",
         "a channel reference does not resolve",
         Severity::Deny,
@@ -183,6 +188,9 @@ pub mod codes {
     pub const UNRESOLVED_ARC_ENDPOINT: Code = Code("L103");
     /// L104: constraints on one event pair have no common window.
     pub const CONFLICTING_WINDOWS: Code = Code("L104");
+    /// L105: an event time or window bound leaves the representable time
+    /// range.
+    pub const TIME_OVERFLOW: Code = Code("L105");
     /// L201: a channel reference does not resolve.
     pub const UNKNOWN_CHANNEL: Code = Code("L201");
     /// L202: a file attribute names no descriptor in the catalog.

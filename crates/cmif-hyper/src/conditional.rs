@@ -152,7 +152,7 @@ impl ConditionalArc {
 
 /// Derives the document's constraints plus the conditional arcs whose guards
 /// hold in the given context. Feed the result to
-/// [`cmif_scheduler::solve_constraints`].
+/// [`ConstraintGraph::from_constraints`] and [`ConstraintGraph::solve`].
 ///
 /// This is the one-shot form: it re-derives the document's constraints on
 /// every call. A player that re-evaluates guards as the reader flips flags
@@ -208,7 +208,6 @@ pub fn apply_conditionals(
 mod tests {
     use super::*;
     use cmif_core::prelude::*;
-    use cmif_scheduler::solve_constraints;
 
     fn doc() -> Document {
         DocumentBuilder::new("cond")
@@ -275,7 +274,10 @@ mod tests {
         // The one-shot form agrees with the incremental graph.
         let constraints =
             constraints_with_conditionals(&d, &d.catalog, &options, &[conditional], &on).unwrap();
-        let one_shot = solve_constraints(&d, &d.catalog, constraints).unwrap();
+        let one_shot = ConstraintGraph::from_constraints(&d, constraints)
+            .unwrap()
+            .solve(&d, &d.catalog)
+            .unwrap();
         assert_eq!(
             one_shot.schedule.node_times[&subtitle],
             result.schedule.node_times[&subtitle]

@@ -14,7 +14,9 @@
 //!   plus unreachable-subtree detection;
 //! * **L1xx timing** — analyses over the *derived* constraint graph:
 //!   positive synchronization cycles with the offending arc path (L101),
-//!   invalid and mutually unsatisfiable delay windows;
+//!   invalid and mutually unsatisfiable delay windows, and times past the
+//!   representable range (L105, the condition solve reports as
+//!   `TimeOverflow`);
 //! * **L2xx channels and resources** — dangling channel and descriptor
 //!   references, static channel double-booking from declared durations, and
 //!   configurable depth/size ceilings ([`Limits`]).

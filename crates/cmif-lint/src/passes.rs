@@ -20,24 +20,26 @@ use cmif_core::error::CoreError;
 use cmif_core::node::{NodeId, NodeKind};
 use cmif_core::span::Span;
 use cmif_core::style::style_names;
-use cmif_core::time::TimeMs;
 use cmif_core::tree::{unassigned_channel, Document};
 use cmif_core::value::AttrValue;
+use cmif_scheduler::graph::{relax_traced, window_violations};
 use cmif_scheduler::{
     derive_constraints, Constraint, ConstraintOrigin, EventPoint, PointTimes, ScheduleOptions,
+    SchedulerError,
 };
 
 use crate::Limits;
 
 /// The relaxed ASAP fixpoint of one document revision's derived constraint
-/// set — or the positive cycle that prevents one.
+/// set — or the positive cycle or time overflow that prevents one.
 ///
-/// Computed at most once per lint run and shared by every timing pass
-/// (L101 consumes the cycle trace, L203 the event times), so no pass runs
-/// its own relaxation. The [`crate::Linter`] additionally caches entries
-/// per document revision, so re-linting an unchanged revision — the hot
-/// path of a live authoring loop, where every accepted edit triggers a
-/// fresh lint — skips relaxation entirely.
+/// Computed at most once per lint run by the scheduler's relaxation kernel
+/// (the one solve, playback and live edits use) and shared by every timing
+/// pass (L101 consumes the cycle trace, L105 the overflow, L203 the event
+/// times), so no pass runs its own relaxation. The [`crate::Linter`] additionally caches entries per
+/// document revision, so re-linting an unchanged revision — the hot path of
+/// a live authoring loop, where every accepted edit triggers a fresh lint —
+/// skips relaxation entirely.
 #[derive(Debug)]
 pub struct Fixpoint {
     /// The constraints the fixpoint was computed from, in derivation
@@ -45,119 +47,56 @@ pub struct Fixpoint {
     /// changed resolver or catalog changes the derived set even when the
     /// tree itself is untouched.
     constraints: Vec<Constraint>,
-    /// Event times at the fixpoint; empty when relaxation diverged.
+    /// Event times at the fixpoint; empty when relaxation failed.
     times: PointTimes,
     /// The recovered cycle when relaxation diverged.
     cycle: Option<CycleTrace>,
+    /// The point whose time or window bound leaves the `i64` range, when
+    /// the fixpoint (or solve's window check over it) overflows.
+    overflow: Option<EventPoint>,
 }
 
 /// The positive cycle recovered from a diverging relaxation: constraint
-/// indices along the loop, the point the loop closes on, and the size of
-/// the event-point graph (for the fallback message when recovery failed).
+/// indices along the loop (empty when recovery failed) and the size of the
+/// event-point graph (for the fallback message).
 #[derive(Debug)]
 struct CycleTrace {
     route: Vec<usize>,
-    start: Option<EventPoint>,
     points: usize,
 }
 
 impl Fixpoint {
-    /// Longest-path relaxation with predecessor tracking: a graph that is
-    /// still raising bounds after `|points| + 1` full passes contains a
-    /// positive cycle (Bellman–Ford), and the predecessor chain recovers
-    /// the arcs that form it.
+    /// Relaxes with predecessor tracking; on a positive cycle the kernel
+    /// recovers the arcs that form it. Windows are checked over the
+    /// fixpoint exactly as solve checks them, so an overflowing bound
+    /// surfaces here rather than in the solver.
     pub(crate) fn compute(doc: &Document, constraints: Vec<Constraint>) -> Fixpoint {
-        let nodes = doc.preorder();
-        let mut times: HashMap<EventPoint, i64> = HashMap::with_capacity(nodes.len() * 2);
-        for node in &nodes {
-            times.insert(EventPoint::begin(*node), 0);
-            times.insert(EventPoint::end(*node), 0);
-        }
-        let mut pred: HashMap<EventPoint, usize> = HashMap::new();
-        let mut last_raised = None;
-        let max_passes = times.len() + 1;
-        let mut converged = false;
-        for _ in 0..max_passes {
-            let mut changed = false;
-            for (i, constraint) in constraints.iter().enumerate() {
-                let Some(&source_time) = times.get(&constraint.source) else {
-                    continue;
-                };
-                let bound = source_time
-                    .saturating_add(constraint.offset_ms)
-                    .saturating_add(constraint.min_delay_ms);
-                let entry = times.entry(constraint.target).or_insert(0);
-                if bound > *entry {
-                    *entry = bound;
-                    pred.insert(constraint.target, i);
-                    last_raised = Some(constraint.target);
-                    changed = true;
-                }
+        let (relaxed, route) = relax_traced(doc, &constraints, "lint");
+        let checked = relaxed
+            .and_then(|times| window_violations(&constraints, &times, "lint").map(|_| times));
+        let (times, cycle, overflow) = match checked {
+            Ok(times) => (times, None, None),
+            Err(SchedulerError::ConstraintCycle { points, .. }) => (
+                PointTimes::default(),
+                Some(CycleTrace { route, points }),
+                None,
+            ),
+            Err(SchedulerError::TimeOverflow { point, .. }) => {
+                (PointTimes::default(), None, Some(point))
             }
-            if !changed {
-                converged = true; // reached the fixpoint: no positive cycle
-                break;
-            }
-        }
-        if converged {
-            let times = times
-                .into_iter()
-                .map(|(point, t)| (point, TimeMs::from_millis(t)))
-                .collect();
-            return Fixpoint {
-                constraints,
-                times,
-                cycle: None,
-            };
-        }
-
-        // Still diverging: walk the predecessor chain |points| steps back
-        // from the last raised point to land inside a cycle, then collect
-        // it.
-        let points = times.len();
-        let mut route: Vec<usize> = Vec::new();
-        let mut start = None;
-        if let Some(mut probe) = last_raised {
-            for _ in 0..points {
-                match pred.get(&probe) {
-                    Some(&i) => probe = constraints[i].source,
-                    None => break,
-                }
-            }
-            let anchor = probe;
-            let mut cursor = probe;
-            loop {
-                let Some(&i) = pred.get(&cursor) else {
-                    route.clear();
-                    break;
-                };
-                route.push(i);
-                cursor = constraints[i].source;
-                if cursor == anchor {
-                    break;
-                }
-                if route.len() > points {
-                    route.clear();
-                    break;
-                }
-            }
-            route.reverse();
-            start = Some(anchor);
-        }
+            Err(_) => (PointTimes::default(), None, None),
+        };
         Fixpoint {
             constraints,
-            times: PointTimes::new(),
-            cycle: Some(CycleTrace {
-                route,
-                start,
-                points,
-            }),
+            times,
+            cycle,
+            overflow,
         }
     }
 
-    /// The event times at the fixpoint; `None` when relaxation diverged.
+    /// The event times at the fixpoint; `None` when relaxation failed.
     pub(crate) fn times(&self) -> Option<&PointTimes> {
-        if self.cycle.is_some() {
+        if self.cycle.is_some() || self.overflow.is_some() {
             None
         } else {
             Some(&self.times)
@@ -413,6 +352,11 @@ static PASSES: &[Pass] = &[
         run: conflicting_windows,
     },
     Pass {
+        code: codes::TIME_OVERFLOW,
+        name: "time-overflow",
+        run: time_overflow,
+    },
+    Pass {
         code: codes::UNKNOWN_CHANNEL,
         name: "unknown-channels",
         run: unknown_channels,
@@ -666,14 +610,14 @@ fn arc_cycles(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         return; // reached the fixpoint: no positive cycle
     };
     let constraints = &fixpoint.constraints;
-    let mut diag = match &trace.start {
-        Some(start) if !trace.route.is_empty() => {
+    let mut diag = match trace.route.first() {
+        Some(&first) => {
             let mut route: Vec<String> = trace
                 .route
                 .iter()
                 .map(|&i| ctx.point_str(&constraints[i].source))
                 .collect();
-            route.push(ctx.point_str(start));
+            route.push(ctx.point_str(&constraints[first].source));
             let mut diag = Diagnostic::new(
                 codes::ARC_CYCLE,
                 format!(
@@ -694,7 +638,7 @@ fn arc_cycles(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
             }
             diag
         }
-        _ => Diagnostic::new(
+        None => Diagnostic::new(
             codes::ARC_CYCLE,
             format!(
                 "the derived synchronization constraints contain a positive cycle \
@@ -708,6 +652,29 @@ fn arc_cycles(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
          class 1); remove or relax one of the listed arcs",
     );
     out.push(diag);
+}
+
+/// Reports an event time or window bound the shared [`Fixpoint`] found
+/// outside the `i64` millisecond range — the condition solve reports as
+/// `SchedulerError::TimeOverflow`.
+fn time_overflow(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(point) = ctx.fixpoint().and_then(|fixpoint| fixpoint.overflow) else {
+        return;
+    };
+    out.push(
+        ctx.at_node(
+            Diagnostic::new(
+                codes::TIME_OVERFLOW,
+                format!(
+                    "the time of {} leaves the representable range: the offsets and delays \
+                     leading to it add up past i64 milliseconds",
+                    ctx.point_str(&point)
+                ),
+            )
+            .with_help("an offset or delay this large is almost certainly a unit mistake"),
+            point.node,
+        ),
+    );
 }
 
 fn invalid_delay_windows(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
@@ -770,17 +737,22 @@ fn conflicting_windows(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         // All windows in a group are relative to the same reference point, so
         // their intersection is directly comparable: the largest lower bound
         // against the smallest bounded upper bound.
-        let Some(lowest) = group.iter().max_by_key(|c| c.offset_ms + c.min_delay_ms) else {
+        // Summed exactly: an extreme offset is L105's report, not a panic.
+        let lower_of = |c: &Constraint| i128::from(c.offset_ms) + i128::from(c.min_delay_ms);
+        let Some(lowest) = group.iter().copied().max_by_key(|c| lower_of(c)) else {
             continue;
         };
         let highest = group
             .iter()
-            .filter_map(|c| c.max_delay_ms.map(|max| (c, c.offset_ms + max)))
+            .filter_map(|c| {
+                c.max_delay_ms
+                    .map(|max| (c, i128::from(c.offset_ms) + i128::from(max)))
+            })
             .min_by_key(|(_, upper)| *upper);
         let Some((tightest, upper)) = highest else {
             continue;
         };
-        let lower = lowest.offset_ms + lowest.min_delay_ms;
+        let lower = lower_of(lowest);
         if lower > upper {
             let (source, target) = key;
             out.push(

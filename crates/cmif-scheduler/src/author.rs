@@ -17,29 +17,30 @@
 //!    strong): if none was, no point time can decrease and the repair is
 //!    pure increase-only propagation from the dirty region. Only a
 //!    genuinely lost support triggers the **reset cone** — every point
-//!    downstream of a discarded constraint's target drops back to zero and
-//!    a worklist re-tightens exactly the constraints that can raise those
-//!    points again.
+//!    downstream of a discarded constraint's target drops back to zero.
+//!    Either way every point then sits at or below the new least
+//!    fixpoint, and one run of the shared
+//!    relaxation kernel ([`crate::graph`]) — one pass over the edges in
+//!    topological order — raises exactly the dirty region to it.
 //!
 //! The repaired vector equals the least fixpoint of the new constraint set,
 //! so [`EditSession::solve_result`] is *identical* to a cold
 //! [`crate::graph::ConstraintGraph::solve`] of the edited document — the
-//! equivalence the `edit_sessions` proptest pins down. The win is wall
-//! clock: a cold solve pays `O(constraints × depth)` passes over the whole
-//! document, the incremental repair touches only the dirty tail.
+//! equivalence the `edit_sessions` proptest pins down. The win over a cold
+//! re-solve is everything but the relaxation: only the dirty region is
+//! re-derived, and the fixpoint of the rest is kept.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use cmif_core::descriptor::DescriptorResolver;
 use cmif_core::edit::{DocRevision, Edit, EditDelta};
 use cmif_core::node::NodeId;
-use cmif_core::time::TimeMs;
 use cmif_core::tree::Document;
 
 use crate::defaults::{explicit_constraints, leaf_duration_constraint, shell_constraints};
-use crate::error::{Result, SchedulerError};
-use crate::graph::{relax_in_place, PointTimes};
-use crate::solver::{build_schedule, SolveResult, WindowViolation};
+use crate::error::Result;
+use crate::graph::{window_violations, ConstraintKernel, PointTimes};
+use crate::solver::{build_schedule, SolveResult};
 use crate::types::{Constraint, EventPoint, ScheduleOptions};
 
 /// Counters describing the last incremental repair, for telemetry and the
@@ -113,17 +114,13 @@ impl<'r> EditSession<'r> {
             structural,
             durations,
             explicit,
-            times: PointTimes::new(),
+            times: PointTimes::default(),
             stats: EditStats::default(),
         };
         let all = session.assemble();
         session.stats.constraints_total = all.len();
-        let mut times = PointTimes::new();
-        for node in doc.preorder() {
-            times.insert(EventPoint::begin(node), TimeMs::ZERO);
-            times.insert(EventPoint::end(node), TimeMs::ZERO);
-        }
-        relax_in_place(&mut times, &all, None, "edit")?;
+        let mut times = PointTimes::zeroed(&doc);
+        ConstraintKernel::build(&times, &all).relax(&mut times, "edit")?;
         session.times = times;
         Ok(session)
     }
@@ -148,8 +145,10 @@ impl<'r> EditSession<'r> {
     ///
     /// When the edit itself is invalid (removing the root, retiming a
     /// missing arc, …) the session is unchanged. When the *repair* fails —
-    /// the edit introduced a positive cycle ([`SchedulerError::ConstraintCycle`]
-    /// with phase `"edit"`) — the session must be discarded and reopened
+    /// the edit introduced a positive cycle
+    /// ([`crate::SchedulerError::ConstraintCycle`]) or a time past the
+    /// representable range ([`crate::SchedulerError::TimeOverflow`]), both
+    /// with phase `"edit"` — the session must be discarded and reopened
     /// with [`EditSession::begin`].
     pub fn apply(&mut self, edit: &Edit) -> Result<EditDelta> {
         let (next, delta) = self.revision.apply(edit)?;
@@ -158,14 +157,10 @@ impl<'r> EditSession<'r> {
 
         // ---- 1. Re-derive the dirty region's constraint groups. --------
         // Targets of every removed or replaced constraint seed the reset
-        // cone; freshly derived constraints join the initial worklist.
+        // cone.
         let mut seeds: Vec<EventPoint> = Vec::new();
         let mut replaced = 0usize;
         let mut added = 0usize;
-        // Nodes whose structural shell / duration constraint was re-derived
-        // this edit (their constraints enter the initial worklist).
-        let mut rebuilt_nodes: HashSet<NodeId> = HashSet::new();
-        let mut rebuilt_leaves: HashSet<NodeId> = HashSet::new();
         // The constraints an edit discards and the ones it derives, kept so
         // the repair below can prove point times cannot *decrease* and skip
         // the reset cone entirely (the common case for single-subtree edits).
@@ -196,7 +191,6 @@ impl<'r> EditSession<'r> {
             added += shell.len();
             fresh.extend(shell.iter().cloned());
             self.structural.insert(parent, shell);
-            rebuilt_nodes.insert(parent);
         }
         let mut inserted_points: Vec<EventPoint> = Vec::new();
         if let Some(subtree_root) = delta.inserted {
@@ -206,7 +200,6 @@ impl<'r> EditSession<'r> {
                 added += shell.len();
                 fresh.extend(shell.iter().cloned());
                 self.structural.insert(node, shell);
-                rebuilt_nodes.insert(node);
                 inserted_points.push(EventPoint::begin(node));
                 inserted_points.push(EventPoint::end(node));
             }
@@ -224,12 +217,10 @@ impl<'r> EditSession<'r> {
             added += 1;
             fresh.push(constraint.clone());
             self.durations.insert(leaf, constraint);
-            rebuilt_leaves.insert(leaf);
         }
         // Index-aligned positional diff of the explicit set: a retime
         // changes exactly one slot, a structural edit may shift or re-derive
         // many. Slots that compare equal cost nothing downstream.
-        let mut explicit_dirty: HashSet<usize> = HashSet::new();
         if delta.arcs_changed {
             let new_explicit = explicit_constraints(&doc, self.resolver)?;
             let slots = self.explicit.len().max(new_explicit.len());
@@ -245,7 +236,6 @@ impl<'r> EditSession<'r> {
                 if let Some(new) = new_explicit.get(i) {
                     added += 1;
                     fresh.push(new.clone());
-                    explicit_dirty.insert(i);
                 }
             }
             self.explicit = new_explicit;
@@ -271,19 +261,22 @@ impl<'r> EditSession<'r> {
             if removed_points.contains(&old.target) {
                 return false;
             }
-            let (Some(&source_time), Some(&target_time)) =
+            let (Some(source_time), Some(target_time)) =
                 (self.times.get(&old.source), self.times.get(&old.target))
             else {
                 return false;
             };
-            let bound = old.lower_bound(source_time);
+            // An out-of-range bound proves nothing: take the cone.
+            let Ok(bound) = old.lower_bound(source_time) else {
+                return true;
+            };
             if bound < target_time {
                 return false; // slack: never supported the target's value
             }
             !fresh.iter().any(|new| {
                 new.source == old.source
                     && new.target == old.target
-                    && new.lower_bound(source_time) >= bound
+                    && new.lower_bound(source_time).is_ok_and(|b| b >= bound)
             })
         });
 
@@ -293,125 +286,44 @@ impl<'r> EditSession<'r> {
             self.times.remove(&EventPoint::end(node));
         }
         for point in &inserted_points {
-            self.times.insert(*point, TimeMs::ZERO);
+            self.times.insert_zero(*point);
         }
 
-        // ---- 4. Reset cone + worklist repair. --------------------------
+        // ---- 4. Reset cone + repair. -----------------------------------
         let all = self.assemble();
-        let mut out_edges: HashMap<EventPoint, Vec<usize>> = HashMap::new();
-        for (i, constraint) in all.iter().enumerate() {
-            out_edges.entry(constraint.source).or_default().push(i);
-        }
+        let kernel = ConstraintKernel::build(&self.times, &all);
 
         // The reset cone: everything downstream (over the *new* edges) of a
         // removed constraint's target returns to zero. Values of points
         // outside the cone never depended on a removed constraint, so they
-        // are already at their new-fixpoint value and stay put. When step 2
-        // proved no support was lost, the cone is skipped outright — this
-        // is what keeps a single-subtree edit from re-relaxing the whole
-        // downstream half of the document.
+        // are already at most their new-fixpoint value. When step 2 proved
+        // no support was lost, the cone is skipped outright — this is what
+        // keeps a single-subtree edit from resetting the whole downstream
+        // half of the document.
         let mut reset: HashSet<EventPoint> = HashSet::new();
         if needs_cone {
             let mut frontier: VecDeque<EventPoint> = VecDeque::new();
             for seed in seeds {
-                if self.times.contains_key(&seed) && reset.insert(seed) {
+                if self.times.contains(&seed) && reset.insert(seed) {
                     frontier.push_back(seed);
                 }
             }
             while let Some(point) = frontier.pop_front() {
-                if let Some(edges) = out_edges.get(&point) {
-                    for &i in edges {
-                        let target = all[i].target;
-                        if self.times.contains_key(&target) && reset.insert(target) {
-                            frontier.push_back(target);
-                        }
+                for target in kernel.successors(&point) {
+                    if reset.insert(target) {
+                        frontier.push_back(target);
                     }
                 }
             }
             for point in &reset {
-                if let Some(value) = self.times.get_mut(point) {
-                    *value = TimeMs::ZERO;
-                }
+                self.times.insert_zero(*point);
             }
         }
 
-        // Initial worklist: every constraint that can raise a reset or new
-        // point, plus every freshly derived constraint.
-        let dirty_point = |p: &EventPoint| reset.contains(p) || inserted_points.contains(p);
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut queued = vec![false; all.len()];
-        let mut explicit_base = 0usize;
-        for node in doc.preorder() {
-            if let Some(shell) = self.structural.get(&node) {
-                if rebuilt_nodes.contains(&node) {
-                    for offset in 0..shell.len() {
-                        queue.push_back(explicit_base + offset);
-                    }
-                }
-                explicit_base += shell.len();
-            }
-        }
-        for leaf in doc.leaves() {
-            if self.durations.contains_key(&leaf) {
-                if rebuilt_leaves.contains(&leaf) {
-                    queue.push_back(explicit_base);
-                }
-                explicit_base += 1;
-            }
-        }
-        for i in 0..self.explicit.len() {
-            if explicit_dirty.contains(&i) {
-                queue.push_back(explicit_base + i);
-            }
-        }
-        for (i, constraint) in all.iter().enumerate() {
-            if dirty_point(&constraint.target) {
-                queue.push_back(i);
-            }
-        }
-        for &i in &queue {
-            queued[i] = true;
-        }
-
-        // Chaotic iteration over the worklist. Each pop either leaves the
-        // vector unchanged or raises one point toward the least fixpoint;
-        // an update budget of |points| × (|constraints| + 1) — the same
-        // envelope as the pass-based relaxation — converts a positive cycle
-        // into `ConstraintCycle` instead of divergence.
-        let cap = self
-            .times
-            .len()
-            .saturating_mul(all.len() + 1)
-            .saturating_add(all.len() + 1);
-        let mut updates = 0usize;
-        while let Some(i) = queue.pop_front() {
-            queued[i] = false;
-            let constraint = &all[i];
-            let source_time = match self.times.get(&constraint.source) {
-                Some(t) => *t,
-                None => continue,
-            };
-            let bound = constraint.lower_bound(source_time);
-            let entry = self.times.entry(constraint.target).or_insert(TimeMs::ZERO);
-            if bound > *entry {
-                *entry = bound;
-                updates += 1;
-                if updates > cap {
-                    return Err(SchedulerError::ConstraintCycle {
-                        phase: "edit",
-                        points: self.times.len(),
-                    });
-                }
-                if let Some(edges) = out_edges.get(&constraint.target) {
-                    for &j in edges {
-                        if !queued[j] {
-                            queued[j] = true;
-                            queue.push_back(j);
-                        }
-                    }
-                }
-            }
-        }
+        // Every point now sits at or below the new least fixpoint, so one
+        // kernel run from here lands exactly on it; only the dirty region
+        // actually rises.
+        let updates = kernel.relax(&mut self.times, "edit")?;
 
         self.stats.edits_applied += 1;
         self.stats.last_reset_points = reset.len();
@@ -429,21 +341,7 @@ impl<'r> EditSession<'r> {
     pub fn solve_result(&self) -> Result<SolveResult> {
         let doc = self.revision.doc();
         let constraints = self.assemble();
-        let mut violations = Vec::new();
-        for constraint in &constraints {
-            let source_time = self.times[&constraint.source];
-            let actual = self.times[&constraint.target];
-            if let Some(latest) = constraint.upper_bound(source_time) {
-                if actual > latest {
-                    violations.push(WindowViolation {
-                        constraint: constraint.clone(),
-                        reference: TimeMs(source_time.as_millis() + constraint.offset_ms),
-                        latest,
-                        actual,
-                    });
-                }
-            }
-        }
+        let violations = window_violations(&constraints, &self.times, "edit")?;
         let schedule = build_schedule(doc, self.resolver, &self.times)?;
         Ok(SolveResult {
             schedule,

@@ -13,6 +13,7 @@ use cmif_core::diag::Diagnostic;
 use cmif_core::error::CoreError;
 
 use crate::engine::{DocId, TenantId};
+use crate::types::EventPoint;
 
 /// Result alias used throughout `cmif-scheduler`.
 pub type Result<T> = std::result::Result<T, SchedulerError>;
@@ -29,6 +30,18 @@ pub enum SchedulerError {
         /// Number of event points in the graph when relaxation was
         /// abandoned.
         points: usize,
+    },
+    /// A time the computation needs — an event time, a window bound, a
+    /// window's reference point — lies outside the `i64` millisecond range.
+    /// Raised instead of wrapping (release) or panicking (debug); a positive
+    /// cycle takes precedence, so this means the least fixpoint itself is
+    /// too large.
+    TimeOverflow {
+        /// The computation that overflowed (`"solve"`, `"playback"`,
+        /// `"edit"`).
+        phase: &'static str,
+        /// The event point whose time (or bound) is out of range.
+        point: EventPoint,
     },
     /// A schedule or playback query referenced a node the solve result does
     /// not cover (e.g. seeking to a node of a different document).
@@ -97,6 +110,11 @@ impl fmt::Display for SchedulerError {
                 f,
                 "the synchronization constraints contain a cycle that forces events ever later \
                  (unsatisfiable specification): {phase} did not converge over {points} event points"
+            ),
+            SchedulerError::TimeOverflow { phase, point } => write!(
+                f,
+                "{phase}: the time of {point} leaves the representable range \
+                 (i64 milliseconds)"
             ),
             SchedulerError::UnscheduledNode { node, operation } => {
                 write!(
@@ -183,6 +201,17 @@ mod tests {
         assert!(text.contains("solve"));
         assert!(text.contains("42"));
         assert!(err.to_string().contains("cycle"));
+    }
+
+    #[test]
+    fn overflow_display_names_the_phase_and_point() {
+        let err = SchedulerError::TimeOverflow {
+            phase: "edit",
+            point: EventPoint::end(cmif_core::node::NodeId::from_index(3)),
+        };
+        let text = err.to_string();
+        assert!(text.contains("edit"), "{text}");
+        assert!(text.contains("end(#3)"), "{text}");
     }
 
     #[test]

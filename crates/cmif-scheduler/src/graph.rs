@@ -1,31 +1,43 @@
-//! The reusable constraint graph: derivation split from relaxation.
+//! The constraint graph and the one relaxation kernel behind every ASAP
+//! fixpoint in the workspace.
 //!
-//! The old one-shot `solve` entry point re-derived the
-//! document's constraint set and re-ran longest-path relaxation from zero on
-//! every call — and the playback simulator carried its own copy of the same
-//! relaxation loop. [`ConstraintGraph`] separates the two phases:
+//! [`ConstraintGraph`] separates **derivation** ([`ConstraintGraph::derive`]:
+//! structural arcs, leaf durations, explicit arcs) from **relaxation**
+//! ([`ConstraintGraph::relax`]): the fixpoint of the document-derived
+//! constraints is cached, and *injected* constraints (conditional arcs,
+//! reader choices) re-relax from it. The warm start is sound because
+//! relaxation is an inflationary monotone fixpoint over `max`: starting
+//! anywhere below the least fixpoint of base ∪ injected converges to
+//! exactly that fixpoint.
 //!
-//! * **derivation** ([`ConstraintGraph::derive`]) walks the document once
-//!   and records the structural arcs, leaf durations and explicit arcs;
-//! * **relaxation** ([`ConstraintGraph::relax`]) computes the ASAP fixpoint
-//!   over the current constraint set, caching the fixpoint of the *base*
-//!   (document-derived) constraints so that *injected* constraints — the
-//!   hypermedia extension's conditional arcs, for example — re-relax
-//!   incrementally from the cached fixpoint instead of re-deriving and
-//!   re-solving the whole document.
+//! `ConstraintKernel` is the relaxation itself, shared by solve, playback
+//! ([`crate::session::PlayerSession`]'s causal timeline, with per-leaf
+//! startup latencies), live-edit repair ([`crate::author::EditSession`]) and
+//! `cmif-lint`'s fixpoint ([`relax_traced`], which also recovers cycle
+//! routes):
 //!
-//! The warm start is sound because relaxation is an inflationary monotone
-//! fixpoint over `max`: the base fixpoint is pointwise ≤ the fixpoint of
-//! base ∪ injected, and iterating the combined update map from any point
-//! below the least fixpoint converges to exactly that least fixpoint.
-//!
-//! The same relaxation core ([`ConstraintGraph::relax_with_latencies`])
-//! drives the playback side: per-leaf startup latencies are folded into the
-//! lower bound of every constraint that targets a leaf's begin point, which
-//! is what [`crate::session::PlayerSession`] uses to compute the causal
-//! "what actually happened" timeline.
+//! * **Dense points.** An event point lives at slot `2·node.index() +
+//!   anchor` — arena ids are dense and stable across edits, so nothing is
+//!   interned and [`PointTimes`] is a flat vector.
+//! * **CSR adjacency.** One flat edge array grouped by source slot plus
+//!   per-slot offsets, built once per constraint set. Constraints with an
+//!   endpoint outside the document's points are ignored.
+//! * **Ordering.** Kahn's algorithm orders the acyclic part; each of its
+//!   edges is relaxed exactly once, in that order. Only points on or
+//!   downstream of a cycle fall back to a FIFO worklist processed in
+//!   rounds. Without a positive cycle every longest path is simple, so the
+//!   worklist drains within |points| rounds; a round beyond that means a
+//!   positive cycle, reported as [`SchedulerError::ConstraintCycle`] with
+//!   the caller's phase name. Zero-weight cycles never raise a point and so
+//!   converge.
+//! * **Overflow.** Bounds are summed exactly (`i128`) and range-checked
+//!   once the iteration has settled: a positive cycle takes precedence,
+//!   otherwise a least fixpoint beyond `i64` milliseconds is
+//!   [`SchedulerError::TimeOverflow`]. Window checks apply the same rule
+//!   through [`Constraint::lower_bound`]/[`Constraint::upper_bound`].
 
 use std::collections::HashMap;
+use std::ops::Index;
 
 use cmif_core::arc::Anchor;
 use cmif_core::descriptor::DescriptorResolver;
@@ -36,11 +48,457 @@ use cmif_core::tree::Document;
 use crate::defaults::derive_constraints;
 use crate::error::{Result, SchedulerError};
 use crate::solver::{build_schedule, SolveResult, WindowViolation};
-use crate::types::{Constraint, EventPoint, ScheduleOptions};
+use crate::types::{Constraint, EventPoint, OutOfRange, ScheduleOptions};
 
-/// The assignment of a time to every event point — the output of one
-/// relaxation run.
-pub type PointTimes = HashMap<EventPoint, TimeMs>;
+/// Marks a slot that is not an event point of the document.
+const ABSENT: TimeMs = TimeMs(i64::MIN);
+
+/// The dense slot of an event point.
+fn slot_of(point: &EventPoint) -> usize {
+    2 * point.node.index() + usize::from(point.anchor == Anchor::End)
+}
+
+/// The event point at a dense slot.
+fn point_at(slot: usize) -> EventPoint {
+    // Slots come from `slot_of` over `u32` node indices, so this fits.
+    let node = NodeId::from_index((slot / 2) as u32);
+    if slot % 2 == 0 {
+        EventPoint::begin(node)
+    } else {
+        EventPoint::end(node)
+    }
+}
+
+/// The assignment of a time to every event point of a document — the
+/// output of one relaxation run, stored densely by point slot (see the
+/// [module docs](self)).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PointTimes {
+    times: Vec<TimeMs>,
+    len: usize,
+}
+
+impl PointTimes {
+    /// Every event point of the document (begin and end of each node in
+    /// preorder) at time zero.
+    pub fn zeroed(doc: &Document) -> PointTimes {
+        let mut times = PointTimes {
+            times: vec![ABSENT; 2 * doc.node_count()],
+            len: 0,
+        };
+        for node in doc.preorder() {
+            times.insert_zero(EventPoint::begin(node));
+            times.insert_zero(EventPoint::end(node));
+        }
+        times
+    }
+
+    /// The time of a point, `None` when it is not a point of the document.
+    pub fn get(&self, point: &EventPoint) -> Option<TimeMs> {
+        self.times
+            .get(slot_of(point))
+            .copied()
+            .filter(|t| *t != ABSENT)
+    }
+
+    /// True when the point belongs to the document.
+    pub fn contains(&self, point: &EventPoint) -> bool {
+        self.get(point).is_some()
+    }
+
+    /// Number of event points.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there are no event points.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every event point with its time, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (EventPoint, TimeMs)> + '_ {
+        self.times
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| **t != ABSENT)
+            .map(|(slot, t)| (point_at(slot), *t))
+    }
+
+    /// Puts a point at time zero, adding it when it is new.
+    pub(crate) fn insert_zero(&mut self, point: EventPoint) {
+        let slot = slot_of(&point);
+        if slot >= self.times.len() {
+            self.times.resize(slot + 1, ABSENT);
+        }
+        if self.times[slot] == ABSENT {
+            self.len += 1;
+        }
+        self.times[slot] = TimeMs::ZERO;
+    }
+
+    /// Removes a point.
+    pub(crate) fn remove(&mut self, point: &EventPoint) {
+        if let Some(t) = self.times.get_mut(slot_of(point)) {
+            if *t != ABSENT {
+                *t = ABSENT;
+                self.len -= 1;
+            }
+        }
+    }
+
+    fn present(&self, slot: usize) -> bool {
+        self.times.get(slot).is_some_and(|t| *t != ABSENT)
+    }
+}
+
+impl Index<&EventPoint> for PointTimes {
+    type Output = TimeMs;
+
+    /// The time of a point; panics when it is not a point of the document,
+    /// like indexing a map with a missing key.
+    fn index(&self, point: &EventPoint) -> &TimeMs {
+        match self.times.get(slot_of(point)) {
+            Some(t) if *t != ABSENT => t,
+            _ => panic!("{point} is not an event point of the document"),
+        }
+    }
+}
+
+/// One CSR edge: a constraint from the slot whose range holds it.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    target: usize,
+    /// Index of the constraint in the set the kernel was built from.
+    constraint: usize,
+    /// `offset + min_delay`, exactly.
+    weight: i128,
+}
+
+/// Why a relaxation stopped short of a fixpoint.
+enum Stop {
+    /// A positive cycle; the slot was raised past the round budget.
+    Cycle(usize),
+    /// The least fixpoint puts this slot beyond `i64` milliseconds.
+    Overflow(usize),
+}
+
+/// The relaxation kernel of one constraint set: CSR adjacency over the
+/// dense point slots plus the set's topological split. See the
+/// [module docs](self) for the algorithm. Every relaxation runs over the
+/// point set the kernel was built from.
+#[derive(Debug, Clone)]
+pub(crate) struct ConstraintKernel {
+    /// `offsets[s]..offsets[s + 1]` is slot `s`'s range of `edges`.
+    offsets: Vec<usize>,
+    edges: Vec<Edge>,
+    /// Points whose every predecessor is acyclic, in Kahn order.
+    order: Vec<usize>,
+    /// Points on or downstream of a cycle, in slot order.
+    cyclic: Vec<usize>,
+    /// Number of event points (the round budget).
+    points: usize,
+}
+
+impl ConstraintKernel {
+    /// Builds the kernel of `constraints` over the points of `times`
+    /// (usually [`PointTimes::zeroed`]). Constraint indices — in the
+    /// traced route of a cycle — count positions in `constraints`.
+    pub(crate) fn build<'c>(
+        times: &PointTimes,
+        constraints: impl IntoIterator<Item = &'c Constraint>,
+    ) -> ConstraintKernel {
+        let slots = times.times.len();
+        let mut raw: Vec<(usize, Edge)> = Vec::new();
+        for (index, constraint) in constraints.into_iter().enumerate() {
+            let (source, target) = (slot_of(&constraint.source), slot_of(&constraint.target));
+            if times.present(source) && times.present(target) {
+                let weight = i128::from(constraint.offset_ms) + i128::from(constraint.min_delay_ms);
+                raw.push((
+                    source,
+                    Edge {
+                        target,
+                        constraint: index,
+                        weight,
+                    },
+                ));
+            }
+        }
+
+        // Group by source slot; the sort is stable, so each slot's edges
+        // keep constraint order.
+        raw.sort_by_key(|(source, _)| *source);
+        let mut offsets = vec![0usize; slots + 1];
+        let mut in_degree = vec![0usize; slots];
+        for (source, edge) in &raw {
+            offsets[source + 1] += 1;
+            in_degree[edge.target] += 1;
+        }
+        for slot in 0..slots {
+            offsets[slot + 1] += offsets[slot];
+        }
+        let edges: Vec<Edge> = raw.into_iter().map(|(_, edge)| edge).collect();
+
+        // Kahn: whatever never reaches in-degree zero is on or downstream
+        // of a cycle.
+        let mut order: Vec<usize> = (0..slots)
+            .filter(|&s| times.present(s) && in_degree[s] == 0)
+            .collect();
+        let mut next = 0;
+        while next < order.len() {
+            let slot = order[next];
+            next += 1;
+            for edge in &edges[offsets[slot]..offsets[slot + 1]] {
+                in_degree[edge.target] -= 1;
+                if in_degree[edge.target] == 0 {
+                    order.push(edge.target);
+                }
+            }
+        }
+        let cyclic = (0..slots)
+            .filter(|&s| times.present(s) && in_degree[s] > 0)
+            .collect();
+        ConstraintKernel {
+            offsets,
+            edges,
+            order,
+            cyclic,
+            points: times.len(),
+        }
+    }
+
+    /// Raises `times` to the least fixpoint above them and returns how many
+    /// times a point rose on the way.
+    pub(crate) fn relax(&self, times: &mut PointTimes, phase: &'static str) -> Result<usize> {
+        self.run(times, &[], None)
+            .map_err(|stop| self.error(stop, phase))
+    }
+
+    /// [`ConstraintKernel::relax`] with a per-leaf startup latency added to
+    /// every bound on that leaf's begin point (playback's causal timeline).
+    pub(crate) fn relax_with_latencies(
+        &self,
+        times: &mut PointTimes,
+        latencies: &HashMap<NodeId, i64>,
+        phase: &'static str,
+    ) -> Result<usize> {
+        let mut push = vec![0i64; times.times.len()];
+        for (node, latency) in latencies {
+            if let Some(slot) = push.get_mut(slot_of(&EventPoint::begin(*node))) {
+                *slot = *latency;
+            }
+        }
+        self.run(times, &push, None)
+            .map_err(|stop| self.error(stop, phase))
+    }
+
+    fn error(&self, stop: Stop, phase: &'static str) -> SchedulerError {
+        match stop {
+            Stop::Cycle(_) => SchedulerError::ConstraintCycle {
+                phase,
+                points: self.points,
+            },
+            Stop::Overflow(slot) => SchedulerError::TimeOverflow {
+                phase,
+                point: point_at(slot),
+            },
+        }
+    }
+
+    fn out(&self, slot: usize) -> &[Edge] {
+        &self.edges[self.offsets[slot]..self.offsets[slot + 1]]
+    }
+
+    /// The targets of the edges leaving a point.
+    pub(crate) fn successors(&self, point: &EventPoint) -> impl Iterator<Item = EventPoint> + '_ {
+        let slot = slot_of(point);
+        let edges = if slot + 1 < self.offsets.len() {
+            self.out(slot)
+        } else {
+            &[]
+        };
+        edges.iter().map(|edge| point_at(edge.target))
+    }
+
+    /// The kernel proper. `push` (empty, or one entry per slot) is added to
+    /// every bound on its slot; `preds` records, per slot, the source slot
+    /// and constraint index of the bound that last raised it.
+    fn run(
+        &self,
+        times: &mut PointTimes,
+        push: &[i64],
+        mut preds: Option<&mut [Option<(usize, usize)>]>,
+    ) -> std::result::Result<usize, Stop> {
+        let mut raises = 0;
+        let mut value: Vec<i128> = times.times.iter().map(|t| i128::from(t.0)).collect();
+
+        // The acyclic part: every edge once, sources final before use.
+        for &slot in &self.order {
+            for edge in self.out(slot) {
+                raises += usize::from(raise(&mut value, push, preds.as_deref_mut(), slot, edge));
+            }
+        }
+
+        // Points on or downstream of a cycle: FIFO rounds. Round r holds
+        // the points raised during round r - 1, each at most once.
+        if !self.cyclic.is_empty() {
+            let mut queued = vec![false; value.len()];
+            let mut round = self.cyclic.clone();
+            for &slot in &round {
+                queued[slot] = true;
+            }
+            let mut next = Vec::new();
+            let mut rounds = 0;
+            while let Some(&first) = round.first() {
+                rounds += 1;
+                if rounds > self.points {
+                    return Err(Stop::Cycle(first));
+                }
+                for &slot in &round {
+                    queued[slot] = false;
+                    for edge in self.out(slot) {
+                        if raise(&mut value, push, preds.as_deref_mut(), slot, edge) {
+                            raises += 1;
+                            if !queued[edge.target] {
+                                queued[edge.target] = true;
+                                next.push(edge.target);
+                            }
+                        }
+                    }
+                }
+                std::mem::swap(&mut round, &mut next);
+                next.clear();
+            }
+        }
+
+        // Values only ever rise from `i64` starting points, so the upper
+        // end of the range is the only one to check. Reporting the first
+        // offender in topological order names the cause, not a point
+        // downstream of it.
+        let overflowed = |slot: &&usize| value[**slot] > i128::from(i64::MAX);
+        if let Some(&slot) = self.order.iter().chain(&self.cyclic).find(overflowed) {
+            return Err(Stop::Overflow(slot));
+        }
+        for (time, exact) in times.times.iter_mut().zip(value) {
+            // In range: checked just above.
+            *time = TimeMs(exact as i64);
+        }
+        Ok(raises)
+    }
+
+    /// Walks the predecessor chain back from a point raised past the round
+    /// budget. After |points| steps the walk is on a cycle of the
+    /// predecessor graph (every chain into such a point is longer than any
+    /// simple path could justify), and that cycle is a positive one.
+    fn cycle_route(&self, preds: &[Option<(usize, usize)>], from: usize) -> Vec<usize> {
+        let mut probe = from;
+        for _ in 0..self.points {
+            match preds[probe] {
+                Some((source, _)) => probe = source,
+                None => return Vec::new(),
+            }
+        }
+        let anchor = probe;
+        let mut route = Vec::new();
+        let mut cursor = anchor;
+        loop {
+            let Some((source, constraint)) = preds[cursor] else {
+                return Vec::new();
+            };
+            route.push(constraint);
+            cursor = source;
+            if cursor == anchor {
+                break;
+            }
+            if route.len() > self.points {
+                return Vec::new();
+            }
+        }
+        route.reverse();
+        route
+    }
+}
+
+/// Relaxes `constraints` over the document's event points from zero and,
+/// on [`SchedulerError::ConstraintCycle`], recovers the cycle: the second
+/// value is its route as indices into `constraints`, in forward order (the
+/// first one's source closes the loop), or empty when none was recovered.
+/// This is `cmif-lint`'s entry to the kernel.
+pub fn relax_traced(
+    doc: &Document,
+    constraints: &[Constraint],
+    phase: &'static str,
+) -> (Result<PointTimes>, Vec<usize>) {
+    let mut times = PointTimes::zeroed(doc);
+    let kernel = ConstraintKernel::build(&times, constraints);
+    let mut preds = vec![None; times.times.len()];
+    let outcome = kernel.run(&mut times, &[], Some(&mut preds));
+    let route = match outcome {
+        Err(Stop::Cycle(slot)) => kernel.cycle_route(&preds, slot),
+        _ => Vec::new(),
+    };
+    (
+        outcome
+            .map(|_| times)
+            .map_err(|stop| kernel.error(stop, phase)),
+        route,
+    )
+}
+
+/// Applies one edge: raises its target to the edge's bound when that is
+/// higher, recording the predecessor. True when the target rose.
+fn raise(
+    value: &mut [i128],
+    push: &[i64],
+    preds: Option<&mut [Option<(usize, usize)>]>,
+    source: usize,
+    edge: &Edge,
+) -> bool {
+    let push = push.get(edge.target).copied().unwrap_or(0);
+    let bound = value[source] + edge.weight + i128::from(push);
+    if bound <= value[edge.target] {
+        return false;
+    }
+    value[edge.target] = bound;
+    if let Some(preds) = preds {
+        preds[edge.target] = Some((source, edge.constraint));
+    }
+    true
+}
+
+/// Checks every constraint's upper-bound window against solved times.
+///
+/// A bound, reference or window edge outside `i64` milliseconds is
+/// [`SchedulerError::TimeOverflow`] with the given phase.
+pub fn window_violations<'c>(
+    constraints: impl IntoIterator<Item = &'c Constraint>,
+    times: &PointTimes,
+    phase: &'static str,
+) -> Result<Vec<WindowViolation>> {
+    let mut violations = Vec::new();
+    for constraint in constraints {
+        let overflow = |OutOfRange| SchedulerError::TimeOverflow {
+            phase,
+            point: constraint.target,
+        };
+        let (Some(source_time), Some(actual)) =
+            (times.get(&constraint.source), times.get(&constraint.target))
+        else {
+            continue;
+        };
+        if let Some(latest) = constraint.upper_bound(source_time).map_err(overflow)? {
+            if actual > latest {
+                violations.push(WindowViolation {
+                    constraint: constraint.clone(),
+                    reference: constraint.reference(source_time).map_err(overflow)?,
+                    latest,
+                    actual,
+                });
+            }
+        }
+    }
+    Ok(violations)
+}
 
 /// A document's constraint set with cached relaxation state.
 ///
@@ -59,8 +517,8 @@ pub struct ConstraintGraph {
     /// Constraints injected after construction (conditional arcs, reader
     /// choices). Cleared by [`ConstraintGraph::retract_injected`].
     injected: Vec<Constraint>,
-    /// Every event point of the document (begin and end of each node).
-    points: Vec<EventPoint>,
+    /// Every event point of the document at time zero.
+    zero: PointTimes,
     /// Cached fixpoint over `base` alone, lazily computed.
     base_times: Option<PointTimes>,
 }
@@ -85,16 +543,10 @@ impl ConstraintGraph {
     ) -> Result<ConstraintGraph> {
         // `root()` also rejects empty documents up front.
         doc.root()?;
-        let nodes = doc.preorder();
-        let mut points = Vec::with_capacity(nodes.len() * 2);
-        for node in &nodes {
-            points.push(EventPoint::begin(*node));
-            points.push(EventPoint::end(*node));
-        }
         Ok(ConstraintGraph {
             base: constraints,
             injected: Vec::new(),
-            points,
+            zero: PointTimes::zeroed(doc),
             base_times: None,
         })
     }
@@ -143,68 +595,45 @@ impl ConstraintGraph {
 
     /// Number of event points in the graph.
     pub fn point_count(&self) -> usize {
-        self.points.len()
-    }
-
-    fn zero_times(&self) -> PointTimes {
-        let mut times = PointTimes::with_capacity(self.points.len());
-        for point in &self.points {
-            times.insert(*point, TimeMs::ZERO);
-        }
-        times
-    }
-
-    /// Computes (and caches) the ASAP fixpoint of the base constraints.
-    fn base_fixpoint(&mut self) -> Result<&PointTimes> {
-        if self.base_times.is_none() {
-            let mut times = self.zero_times();
-            relax_in_place(&mut times, &self.base, None, "solve")?;
-            self.base_times = Some(times);
-        }
-        Ok(self
-            .base_times
-            .as_ref()
-            // repo_lint: allow(assigned in the branch directly above)
-            .expect("base fixpoint was just computed"))
+        self.zero.len()
     }
 
     /// Relaxes the graph to its ASAP fixpoint.
     ///
     /// The fixpoint of the base constraints is computed once and cached;
     /// when constraints have been injected, relaxation warm-starts from the
-    /// cached fixpoint and only iterates the (small) remaining distance.
-    /// Returns [`SchedulerError::ConstraintCycle`] when the constraints
-    /// force events ever later.
+    /// cached fixpoint. Returns [`SchedulerError::ConstraintCycle`] when
+    /// the constraints force events ever later and
+    /// [`SchedulerError::TimeOverflow`] when they force one past the
+    /// representable range.
     pub fn relax(&mut self) -> Result<PointTimes> {
-        self.base_fixpoint()?;
-        let base = self
-            .base_times
-            .as_ref()
-            // repo_lint: allow(base_fixpoint() above populated the cache)
-            .expect("base fixpoint cached by base_fixpoint");
-        if self.injected.is_empty() {
-            return Ok(base.clone());
-        }
+        let base = match self.base_times.take() {
+            Some(times) => times,
+            None => {
+                let mut times = self.zero.clone();
+                ConstraintKernel::build(&times, &self.base).relax(&mut times, "solve")?;
+                times
+            }
+        };
+        let base = self.base_times.insert(base);
         let mut times = base.clone();
-        // The combined relaxation still iterates over every constraint (an
-        // injected bound can propagate through base constraints), but it
-        // starts at the base fixpoint instead of zero, so already-settled
-        // regions of the graph converge immediately.
-        let combined: Vec<&Constraint> = self.base.iter().chain(self.injected.iter()).collect();
-        relax_with(&mut times, &combined, None, "solve")?;
+        if !self.injected.is_empty() {
+            let combined = self.base.iter().chain(self.injected.iter());
+            ConstraintKernel::build(&times, combined).relax(&mut times, "solve")?;
+        }
         Ok(times)
     }
 
     /// Relaxes the graph with per-leaf startup latencies folded into every
     /// constraint that targets a leaf's begin point — the playback-side
-    /// twin of [`ConstraintGraph::relax`], sharing the same core loop.
+    /// twin of [`ConstraintGraph::relax`], on the same kernel.
     ///
     /// This always runs cold (latencies change the bounds themselves, so
     /// the cached fixpoint does not apply).
     pub fn relax_with_latencies(&self, latencies: &HashMap<NodeId, i64>) -> Result<PointTimes> {
-        let mut times = self.zero_times();
-        let combined: Vec<&Constraint> = self.base.iter().chain(self.injected.iter()).collect();
-        relax_with(&mut times, &combined, Some(latencies), "playback")?;
+        let mut times = self.zero.clone();
+        ConstraintKernel::build(&times, self.constraints())
+            .relax_with_latencies(&mut times, latencies, "playback")?;
         Ok(times)
     }
 
@@ -217,23 +646,7 @@ impl ConstraintGraph {
         resolver: &dyn DescriptorResolver,
     ) -> Result<SolveResult> {
         let times = self.relax()?;
-
-        let mut violations = Vec::new();
-        for constraint in self.constraints() {
-            let source_time = times[&constraint.source];
-            let actual = times[&constraint.target];
-            if let Some(latest) = constraint.upper_bound(source_time) {
-                if actual > latest {
-                    violations.push(WindowViolation {
-                        constraint: constraint.clone(),
-                        reference: TimeMs(source_time.as_millis() + constraint.offset_ms),
-                        latest,
-                        actual,
-                    });
-                }
-            }
-        }
-
+        let violations = window_violations(self.constraints(), &times, "solve")?;
         let schedule = build_schedule(doc, resolver, &times)?;
         Ok(SolveResult {
             schedule,
@@ -241,67 +654,6 @@ impl ConstraintGraph {
             constraints: self.constraints().cloned().collect(),
         })
     }
-}
-
-/// The single longest-path relaxation loop shared by the solver and the
-/// playback simulator (formerly duplicated between `solver.rs` and
-/// `player.rs`).
-///
-/// Repeatedly raises each constraint target to the constraint's lower bound
-/// until nothing changes. When `latencies` is given, every bound on a begin
-/// point is additionally pushed by that node's startup latency. A graph that
-/// is still changing after `|points| + 1` passes contains a positive cycle
-/// and is reported as [`SchedulerError::ConstraintCycle`] with the given
-/// phase name.
-pub(crate) fn relax_in_place(
-    times: &mut PointTimes,
-    constraints: &[Constraint],
-    latencies: Option<&HashMap<NodeId, i64>>,
-    phase: &'static str,
-) -> Result<()> {
-    let refs: Vec<&Constraint> = constraints.iter().collect();
-    relax_with(times, &refs, latencies, phase)
-}
-
-fn relax_with(
-    times: &mut PointTimes,
-    constraints: &[&Constraint],
-    latencies: Option<&HashMap<NodeId, i64>>,
-    phase: &'static str,
-) -> Result<()> {
-    let max_passes = times.len() + 1;
-    let mut changed = true;
-    let mut passes = 0;
-    while changed {
-        changed = false;
-        passes += 1;
-        if passes > max_passes {
-            return Err(SchedulerError::ConstraintCycle {
-                phase,
-                points: times.len(),
-            });
-        }
-        for constraint in constraints {
-            let source_time = match times.get(&constraint.source) {
-                Some(t) => *t,
-                None => continue,
-            };
-            let mut bound = constraint.lower_bound(source_time);
-            if let Some(latencies) = latencies {
-                if constraint.target.anchor == Anchor::Begin {
-                    if let Some(latency) = latencies.get(&constraint.target.node) {
-                        bound = TimeMs(bound.as_millis() + latency);
-                    }
-                }
-            }
-            let entry = times.entry(constraint.target).or_insert(TimeMs::ZERO);
-            if bound > *entry {
-                *entry = bound;
-                changed = true;
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

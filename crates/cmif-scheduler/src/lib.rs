@@ -93,6 +93,6 @@ pub use environment::{EnvironmentLimits, JitterModel, JitterSampler};
 pub use graph::{ConstraintGraph, PointTimes};
 pub use player::{must_satisfaction_rate, PlaybackReport, PlayedEvent};
 pub use session::{PlaybackEvent, PlayerSession, SessionState};
-pub use solver::{point_time, solve_constraints, SolveResult, WindowViolation};
+pub use solver::{point_time, SolveResult, WindowViolation};
 pub use timeline::{Schedule, TimelineEntry};
-pub use types::{Constraint, ConstraintOrigin, EventPoint, ScheduleOptions};
+pub use types::{Constraint, ConstraintOrigin, EventPoint, OutOfRange, ScheduleOptions};

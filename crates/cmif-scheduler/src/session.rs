@@ -26,11 +26,11 @@ use cmif_core::time::TimeMs;
 use cmif_core::tree::{unassigned_channel, Document};
 
 use crate::environment::{JitterModel, JitterSampler};
-use crate::error::Result;
-use crate::graph::{relax_in_place, PointTimes};
+use crate::error::{Result, SchedulerError};
+use crate::graph::{ConstraintKernel, PointTimes};
 use crate::player::{PlaybackReport, PlayedEvent};
 use crate::solver::SolveResult;
-use crate::types::{Constraint, EventPoint};
+use crate::types::{Constraint, EventPoint, OutOfRange};
 
 /// The lifecycle of a playback session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,37 +128,42 @@ enum Fate {
     Scheduled,
 }
 
-/// Zeroes every event point of the document and relaxes the causal
-/// ("what actually happened") timeline under the given startup latencies.
+/// Relaxes the causal ("what actually happened") timeline: every event
+/// point of the document from zero, with each leaf's startup latency added
+/// to the bounds on its begin point.
 fn causal_times(
     doc: &Document,
     constraints: &[Constraint],
     latencies: &HashMap<NodeId, i64>,
 ) -> Result<PointTimes> {
-    let mut actual: PointTimes = HashMap::new();
-    for node in doc.preorder() {
-        actual.insert(EventPoint::begin(node), TimeMs::ZERO);
-        actual.insert(EventPoint::end(node), TimeMs::ZERO);
-    }
-    relax_in_place(&mut actual, constraints, Some(latencies), "playback")?;
+    let mut actual = PointTimes::zeroed(doc);
+    ConstraintKernel::build(&actual, constraints).relax_with_latencies(
+        &mut actual,
+        latencies,
+        "playback",
+    )?;
     Ok(actual)
 }
 
 /// Counts (must, may) window violations of the constraints against the
 /// actual times.
-fn count_violations(constraints: &[Constraint], actual: &PointTimes) -> (usize, usize) {
+fn count_violations(constraints: &[Constraint], actual: &PointTimes) -> Result<(usize, usize)> {
     let mut must_violations = 0;
     let mut may_violations = 0;
     for constraint in constraints {
-        let source_time = match actual.get(&constraint.source) {
-            Some(t) => *t,
-            None => continue,
+        let (Some(source_time), Some(target_time)) = (
+            actual.get(&constraint.source),
+            actual.get(&constraint.target),
+        ) else {
+            continue;
         };
-        let target_time = match actual.get(&constraint.target) {
-            Some(t) => *t,
-            None => continue,
-        };
-        if !constraint.satisfied(source_time, target_time) {
+        let satisfied = constraint
+            .satisfied(source_time, target_time)
+            .map_err(|OutOfRange| SchedulerError::TimeOverflow {
+                phase: "playback",
+                point: constraint.target,
+            })?;
+        if !satisfied {
             if constraint.strictness == Strictness::Must {
                 must_violations += 1;
             } else {
@@ -166,7 +171,7 @@ fn count_violations(constraints: &[Constraint], actual: &PointTimes) -> (usize, 
             }
         }
     }
-    (must_violations, may_violations)
+    Ok((must_violations, may_violations))
 }
 
 /// Builds the report entry of one leaf from the causal times.
@@ -309,6 +314,12 @@ pub struct PlayerSession {
     latencies: HashMap<NodeId, i64>,
     /// Channel per leaf, as of the current revision.
     channels: HashMap<NodeId, Symbol>,
+    /// Leaves whose begin / end the cursor has passed (delivered, or
+    /// skipped by a forward seek) — the history a revision swap keeps. Kept
+    /// as session state because a swapped timeline holds only undelivered
+    /// items.
+    begun: HashSet<NodeId>,
+    ended: HashSet<NodeId>,
 }
 
 impl PlayerSession {
@@ -340,7 +351,7 @@ impl PlayerSession {
         // actually happened" timeline: a late controlling event pushes
         // everything it controls later, exactly like a slow device would.
         let actual = causal_times(doc, &result.constraints, &latencies)?;
-        let (must_violations, may_violations) = count_violations(&result.constraints, &actual);
+        let (must_violations, may_violations) = count_violations(&result.constraints, &actual)?;
 
         // Build the per-event report.
         let mut events = Vec::with_capacity(leaves.len());
@@ -376,6 +387,8 @@ impl PlayerSession {
             sampler,
             latencies,
             channels,
+            begun: HashSet::new(),
+            ended: HashSet::new(),
         })
     }
 
@@ -467,7 +480,13 @@ impl PlayerSession {
         let from = self.position;
         self.position = to;
         self.wall_origin = None;
-        self.cursor = self.timeline.partition_point(|item| item.at < to);
+        let cursor = self.timeline.partition_point(|item| item.at < to);
+        // Items a forward seek skips count as passed; a backward seek
+        // re-arms the ones it moves back over.
+        for index in cursor.min(self.cursor)..cursor.max(self.cursor) {
+            self.mark(index, cursor > self.cursor);
+        }
+        self.cursor = cursor;
         if self.state == SessionState::Finished {
             self.state = SessionState::Ready;
         }
@@ -495,6 +514,9 @@ impl PlayerSession {
     ///
     /// The rebuilt timeline holds only undelivered items, so replay-by-seek
     /// after a swap covers the unplayed suffix, not the rewritten history.
+    /// What counts as delivered is the session's own record of every item
+    /// its cursor passed, not that timeline, so history survives any number
+    /// of swaps.
     /// A [`PlaybackEvent::Revised`] marks the swap in the event stream.
     pub fn swap_revision(
         &mut self,
@@ -504,21 +526,9 @@ impl PlayerSession {
     ) -> Result<()> {
         let boundary = self.position;
 
-        // What was actually delivered so far (timeline items behind the
-        // cursor) — the history that must survive verbatim.
-        let mut begun: HashSet<NodeId> = HashSet::new();
-        let mut ended: HashSet<NodeId> = HashSet::new();
-        for item in &self.timeline[..self.cursor] {
-            let node = self.report.events[item.event].node;
-            match item.kind {
-                ItemKind::Begin => {
-                    begun.insert(node);
-                }
-                ItemKind::End => {
-                    ended.insert(node);
-                }
-            }
-        }
+        // What the cursor has passed so far, across every earlier swap —
+        // the history that must survive verbatim.
+        let (begun, ended) = (&self.begun, &self.ended);
 
         let leaves = doc.leaves();
         let leaf_set: HashSet<NodeId> = leaves.iter().copied().collect();
@@ -539,7 +549,7 @@ impl PlayerSession {
             .retain(|node, _| leaf_set.contains(node) || begun.contains(node));
 
         let actual = causal_times(doc, &result.constraints, &self.latencies)?;
-        let (must_violations, may_violations) = count_violations(&result.constraints, &actual);
+        let (must_violations, may_violations) = count_violations(&result.constraints, &actual)?;
 
         // Merge delivered history with the re-scheduled suffix.
         let mut merged: Vec<(PlayedEvent, Fate)> = Vec::new();
@@ -648,7 +658,7 @@ impl PlayerSession {
             }
         }
         let actual = causal_times(doc, &result.constraints, &self.latencies)?;
-        let (must_violations, may_violations) = count_violations(&result.constraints, &actual);
+        let (must_violations, may_violations) = count_violations(&result.constraints, &actual)?;
         let mut events = Vec::with_capacity(doc.leaves().len());
         for leaf in doc.leaves() {
             events.push(make_event(doc, result, &actual, &self.channels, leaf)?);
@@ -667,7 +677,12 @@ impl PlayerSession {
             freeze_frame_ms,
             total_duration,
         };
+        // The rebuilt timeline is complete again: the seek below re-marks
+        // its head as passed.
         self.timeline = full_timeline(&self.report.events);
+        self.cursor = 0;
+        self.begun.clear();
+        self.ended.clear();
         self.seek(to);
         Ok(())
     }
@@ -688,11 +703,29 @@ impl PlayerSession {
         self.report
     }
 
+    /// Records (or, with `passed == false`, forgets) that the cursor
+    /// passed the timeline item at `index`.
+    fn mark(&mut self, index: usize, passed: bool) {
+        let item = self.timeline[index];
+        let node = self.report.events[item.event].node;
+        let set = match item.kind {
+            ItemKind::Begin => &mut self.begun,
+            ItemKind::End => &mut self.ended,
+        };
+        if passed {
+            set.insert(node);
+        } else {
+            set.remove(&node);
+        }
+    }
+
     fn deliver_due(&mut self) {
         while let Some(item) = self.timeline.get(self.cursor) {
             if item.at > self.position {
                 break;
             }
+            let item = *item;
+            self.mark(self.cursor, true);
             let event = &self.report.events[item.event];
             self.pending.push(match item.kind {
                 ItemKind::Begin => PlaybackEvent::Started {

@@ -24,7 +24,7 @@ use cmif_core::node::NodeId;
 use cmif_core::time::TimeMs;
 use cmif_core::tree::Document;
 
-use crate::graph::ConstraintGraph;
+use crate::graph::PointTimes;
 use crate::timeline::{Schedule, TimelineEntry};
 use crate::types::{Constraint, EventPoint};
 
@@ -74,25 +74,10 @@ impl SolveResult {
     }
 }
 
-/// Solves a pre-built constraint set (lets callers inject extra constraints,
-/// e.g. the hypermedia extension's conditional arcs).
-///
-/// This is the one-shot form; callers that re-solve under changing injected
-/// constraints should hold a [`ConstraintGraph`] instead and use
-/// [`ConstraintGraph::inject`] + [`ConstraintGraph::solve`], which reuses
-/// the relaxation fixpoint of the document-derived constraints.
-pub fn solve_constraints(
-    doc: &Document,
-    resolver: &dyn DescriptorResolver,
-    constraints: Vec<Constraint>,
-) -> Result<SolveResult> {
-    ConstraintGraph::from_constraints(doc, constraints)?.solve(doc, resolver)
-}
-
 pub(crate) fn build_schedule(
     doc: &Document,
     resolver: &dyn DescriptorResolver,
-    times: &HashMap<EventPoint, TimeMs>,
+    times: &PointTimes,
 ) -> Result<Schedule> {
     let root = doc.root()?;
     let mut entries = Vec::new();
@@ -155,6 +140,7 @@ pub fn point_time(result: &SolveResult, node: NodeId, anchor: Anchor) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::ConstraintGraph;
     use crate::types::ScheduleOptions;
     use cmif_core::arc::SyncArc;
     use cmif_core::prelude::*;

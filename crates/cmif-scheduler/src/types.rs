@@ -94,29 +94,49 @@ pub struct Constraint {
     pub origin: ConstraintOrigin,
 }
 
+/// A time computation whose exact result leaves the `i64` millisecond range.
+///
+/// Bounds are summed exactly (in `i128`) and only then range-checked, so no
+/// intermediate step wraps; callers turn this into
+/// [`crate::SchedulerError::TimeOverflow`] with their phase name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfRange;
+
+/// `time + a + b`, exactly, when the result fits the `i64` millisecond range.
+pub(crate) fn shifted(time: TimeMs, a: i64, b: i64) -> Result<TimeMs, OutOfRange> {
+    let exact = i128::from(time.0) + i128::from(a) + i128::from(b);
+    i64::try_from(exact).map(TimeMs).map_err(|_| OutOfRange)
+}
+
 impl Constraint {
+    /// The reference time `t(source) + offset` of the constraint's window.
+    pub fn reference(&self, source_time: TimeMs) -> Result<TimeMs, OutOfRange> {
+        shifted(source_time, self.offset_ms, 0)
+    }
+
     /// The lower bound the constraint imposes on the target given a source
     /// time.
-    pub fn lower_bound(&self, source_time: TimeMs) -> TimeMs {
-        TimeMs(source_time.0 + self.offset_ms + self.min_delay_ms)
+    pub fn lower_bound(&self, source_time: TimeMs) -> Result<TimeMs, OutOfRange> {
+        shifted(source_time, self.offset_ms, self.min_delay_ms)
     }
 
     /// The upper bound the constraint imposes on the target given a source
     /// time, or `None` when unbounded.
-    pub fn upper_bound(&self, source_time: TimeMs) -> Option<TimeMs> {
+    pub fn upper_bound(&self, source_time: TimeMs) -> Result<Option<TimeMs>, OutOfRange> {
         self.max_delay_ms
-            .map(|max| TimeMs(source_time.0 + self.offset_ms + max))
+            .map(|max| shifted(source_time, self.offset_ms, max))
+            .transpose()
     }
 
     /// True when an actual target time satisfies the window.
-    pub fn satisfied(&self, source_time: TimeMs, target_time: TimeMs) -> bool {
-        if target_time < self.lower_bound(source_time) {
-            return false;
+    pub fn satisfied(&self, source_time: TimeMs, target_time: TimeMs) -> Result<bool, OutOfRange> {
+        if target_time < self.lower_bound(source_time)? {
+            return Ok(false);
         }
-        match self.upper_bound(source_time) {
+        Ok(match self.upper_bound(source_time)? {
             Some(upper) => target_time <= upper,
             None => true,
-        }
+        })
     }
 }
 
@@ -186,20 +206,38 @@ mod tests {
     fn bounds_are_source_plus_offset_plus_delay() {
         let c = constraint(-50, Some(200));
         let source = TimeMs::from_millis(1_000);
-        assert_eq!(c.lower_bound(source).as_millis(), 1_050);
-        assert_eq!(c.upper_bound(source).unwrap().as_millis(), 1_300);
+        assert_eq!(c.lower_bound(source).unwrap().as_millis(), 1_050);
+        assert_eq!(c.upper_bound(source).unwrap().unwrap().as_millis(), 1_300);
+        assert_eq!(c.reference(source).unwrap().as_millis(), 1_100);
+    }
+
+    #[test]
+    fn bounds_outside_the_time_range_are_errors_not_wraps() {
+        let mut c = constraint(-50, Some(i64::MAX));
+        c.offset_ms = i64::MAX;
+        // MAX + (-50) + 40 fits: the sum is exact, not stepwise.
+        assert_eq!(
+            c.lower_bound(TimeMs::from_millis(40)),
+            Ok(TimeMs(i64::MAX - 10))
+        );
+        assert_eq!(c.lower_bound(TimeMs::from_millis(60)), Err(OutOfRange));
+        assert_eq!(c.upper_bound(TimeMs::ZERO), Err(OutOfRange));
+        assert_eq!(c.satisfied(TimeMs::ZERO, TimeMs(i64::MAX)), Err(OutOfRange));
     }
 
     #[test]
     fn satisfied_checks_both_bounds() {
         let c = constraint(0, Some(100));
         let s = TimeMs::from_millis(0);
-        assert!(c.satisfied(s, TimeMs::from_millis(100)));
-        assert!(c.satisfied(s, TimeMs::from_millis(200)));
-        assert!(!c.satisfied(s, TimeMs::from_millis(99)));
-        assert!(!c.satisfied(s, TimeMs::from_millis(201)));
+        assert_eq!(c.satisfied(s, TimeMs::from_millis(100)), Ok(true));
+        assert_eq!(c.satisfied(s, TimeMs::from_millis(200)), Ok(true));
+        assert_eq!(c.satisfied(s, TimeMs::from_millis(99)), Ok(false));
+        assert_eq!(c.satisfied(s, TimeMs::from_millis(201)), Ok(false));
         let unbounded = constraint(0, None);
-        assert!(unbounded.satisfied(s, TimeMs::from_millis(10_000)));
+        assert_eq!(
+            unbounded.satisfied(s, TimeMs::from_millis(10_000)),
+            Ok(true)
+        );
     }
 
     #[test]

@@ -6,18 +6,23 @@
 //!    an [`EditSession`], the incrementally repaired fixpoint must assemble
 //!    the *identical* [`SolveResult`] a cold full re-solve of the edited
 //!    document produces — after every single edit, not just at the end.
-//! 2. **History is immutable.** A mid-playback revision swap
-//!    ([`PlayerSession::swap_revision`]) never rewrites already-fired
-//!    events: everything that finished before the swap boundary survives
-//!    verbatim, and everything that began keeps its begin times.
+//! 2. **History is immutable.** Mid-playback revision swaps
+//!    ([`PlayerSession::swap_revision`]), however many, never rewrite
+//!    already-fired events: everything that finished before a swap
+//!    boundary survives verbatim, and everything that began keeps its
+//!    begin times.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use cmif::core::edit::{DocRevision, Edit, NodeSpec};
+use cmif::core::node::NodeId;
+use cmif::core::time::TimeMs;
 use cmif::core::tree::Document;
 use cmif::core::Symbol;
 use cmif::scheduler::{
-    ConstraintGraph, EditSession, JitterModel, PlayerSession, ScheduleOptions, SolveResult,
+    ConstraintGraph, EditSession, JitterModel, PlaybackEvent, PlaybackReport, PlayerSession,
+    ScheduleOptions, SolveResult,
 };
 use cmif::synthetic::SyntheticNews;
 
@@ -101,6 +106,36 @@ fn random_edit(doc: &Document, rng: &mut Rng, serial: usize) -> Edit {
     }
 }
 
+/// Begin (and, once ended, end) time of every delivered leaf.
+type Delivered = HashMap<NodeId, (TimeMs, Option<TimeMs>)>;
+
+fn record(delivered: &mut Delivered, events: Vec<PlaybackEvent>) {
+    for event in events {
+        match event {
+            PlaybackEvent::Started { node, at, .. } => {
+                delivered.insert(node, (at, None));
+            }
+            PlaybackEvent::Ended { node, at } => {
+                if let Some(entry) = delivered.get_mut(&node) {
+                    entry.1 = Some(at);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// True when the report still shows every delivered time.
+fn keeps_history(report: &PlaybackReport, delivered: &Delivered) -> bool {
+    delivered.iter().all(|(node, (begin, end))| {
+        report.events.iter().any(|e| {
+            e.node == *node
+                && e.actual_begin == *begin
+                && end.map_or(true, |end| e.actual_end == end)
+        })
+    })
+}
+
 fn cold_solve(doc: &Document, resolver: &cmif::core::descriptor::DescriptorCatalog) -> SolveResult {
     ConstraintGraph::derive(doc, resolver, &ScheduleOptions::default())
         .unwrap()
@@ -149,7 +184,9 @@ proptest! {
 
     /// Invariant 2: a revision swap at a mid-playback boundary keeps every
     /// already-finished event byte-identical and never moves the begin
-    /// times of events that already started.
+    /// times of events that already started — and keeps doing so over
+    /// further tick → edit → swap rounds: every `Started`/`Ended` the
+    /// session ever delivered keeps its times in the report.
     #[test]
     fn a_revision_swap_never_rewrites_already_fired_events(
         stories in 1usize..4,
@@ -164,10 +201,12 @@ proptest! {
         let mut session = PlayerSession::new(&doc, &result, &catalog, &jitter).unwrap();
 
         // Anchor the wall clock, then advance to the swap boundary.
+        let mut delivered = HashMap::new();
         session.tick(0).unwrap();
         let total = session.total_duration().as_millis();
         let boundary = total * boundary_pct / 100;
         session.tick(boundary).unwrap();
+        record(&mut delivered, session.poll_events());
 
         // Snapshot the fired history (strict inequalities dodge the
         // delivered-at-exactly-the-boundary edge in either direction).
@@ -231,11 +270,44 @@ proptest! {
             );
         }
 
+        prop_assert!(keeps_history(after, &delivered), "round 1 rewrote history");
+
+        // Two more rounds: play on, edit, swap — history delivered before
+        // *any* earlier swap must survive each later one.
+        let mut now = boundary;
+        for round in 2..=3 {
+            now += (session.total_duration().as_millis() - now).max(0) / 3 + 1;
+            session.tick(now).unwrap();
+            record(&mut delivered, session.poll_events());
+            author
+                .apply(&Edit::InsertSubtree {
+                    parent: root,
+                    spec: NodeSpec::imm_text(format!("coda-{round}"), "still more")
+                        .on_channel("caption")
+                        .lasting_ms(2_000),
+                })
+                .unwrap();
+            let edit = random_edit(author.revision().doc(), &mut rng, round);
+            let _ = author.apply(&edit);
+            let revised = author.solve_result().unwrap();
+            session
+                .swap_revision(author.revision().doc(), &revised, &catalog)
+                .unwrap();
+            record(&mut delivered, session.poll_events());
+            prop_assert!(
+                keeps_history(session.report_preview(), &delivered),
+                "round {} rewrote history",
+                round
+            );
+        }
+
         // Playing the tail out never revisits the history either.
-        session.tick(total.max(boundary) + 60_000).unwrap();
+        session.tick(total.max(now) + 60_000).unwrap();
+        record(&mut delivered, session.poll_events());
         let final_report = session.report_preview();
         for event in &finished {
             prop_assert!(final_report.events.iter().any(|e| e == event));
         }
+        prop_assert!(keeps_history(final_report, &delivered), "the tail rewrote history");
     }
 }

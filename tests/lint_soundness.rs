@@ -132,3 +132,69 @@ fn the_cycle_diagnostic_lists_the_injected_arc_route() {
     assert!(arcs.iter().any(|r| r.message.contains("/banner")));
     assert!(arcs.iter().all(|r| r.span.is_some()));
 }
+
+/// Regression: two explicit arcs of 5·10¹⁸ ms chained along a `seq` put
+/// the third caption past `i64` milliseconds. Lint used to saturate and
+/// call the document clean while solve overflowed (a panic in debug
+/// builds, a wrapped total in release). Both sides now agree: lint denies
+/// it as L105 and solve, like a live-edit session, reports a typed
+/// `TimeOverflow`.
+#[test]
+fn a_time_overflow_is_denied_by_lint_and_typed_by_solve() {
+    use cmif::core::edit::DocRevision;
+    use cmif::scheduler::{EditSession, SchedulerError};
+    use std::sync::Arc;
+
+    let source = r#"(cmif
+  (channels
+    (channel caption text))
+  (seq (name crawl)
+    (imm (name caption-1) (channel caption) (duration 1000)
+      (data "first"))
+    (imm (name caption-2) (channel caption) (duration 1000)
+      (sync_arc begin must begin "../caption-1" 5000000000000000000 ms "" 0 inf)
+      (data "second"))
+    (imm (name caption-3) (channel caption) (duration 1000)
+      (sync_arc begin must begin "../caption-2" 5000000000000000000 ms "" 0 inf)
+      (data "third"))))
+"#;
+    let doc = parse_document_unvalidated(source).unwrap();
+
+    let report = Linter::new().check(&doc);
+    assert!(report.has_deny(), "{}", report.render(None));
+    let overflow = report
+        .diagnostics()
+        .iter()
+        .find(|d| d.code == codes::TIME_OVERFLOW)
+        .expect("the overflow is reported");
+    assert!(overflow.is_deny());
+    assert!(
+        overflow.message.contains("/caption-3"),
+        "{}",
+        overflow.message
+    );
+
+    let solved = ConstraintGraph::derive(&doc, &doc.catalog, &ScheduleOptions::default())
+        .and_then(|mut g| g.solve(&doc, &doc.catalog));
+    assert!(
+        matches!(
+            solved,
+            Err(SchedulerError::TimeOverflow { phase: "solve", .. })
+        ),
+        "{solved:?}"
+    );
+
+    let doc = Arc::new(doc);
+    let edits = EditSession::begin(
+        DocRevision::initial(Arc::clone(&doc)),
+        &doc.catalog,
+        ScheduleOptions::default(),
+    );
+    assert!(
+        matches!(
+            edits,
+            Err(SchedulerError::TimeOverflow { phase: "edit", .. })
+        ),
+        "the live-edit session applies the same rule"
+    );
+}
