@@ -71,6 +71,17 @@ pub enum PipelineError {
         /// Every diagnostic the lint run collected; at least one is deny.
         diagnostics: Vec<Diagnostic>,
     },
+    /// The storyboard would sample more frames than
+    /// [`crate::viewer::MAX_STORYBOARD_FRAMES`]: the document is too long
+    /// for the storyboard step. Raised before any frame is built.
+    TooManyFrames {
+        /// The pipeline stage that was running.
+        stage: &'static str,
+        /// The frames the document would take at the requested step.
+        frames: u64,
+        /// The limit that was crossed.
+        limit: usize,
+    },
 }
 
 impl PipelineError {
@@ -82,7 +93,8 @@ impl PipelineError {
             | PipelineError::Scheduler { stage, .. }
             | PipelineError::Format { stage, .. }
             | PipelineError::Distrib { stage, .. }
-            | PipelineError::Lint { stage, .. } => stage,
+            | PipelineError::Lint { stage, .. }
+            | PipelineError::TooManyFrames { stage, .. } => stage,
         }
     }
 
@@ -96,6 +108,11 @@ impl PipelineError {
             PipelineError::Format { source, .. } => PipelineError::Format { stage, source },
             PipelineError::Distrib { source, .. } => PipelineError::Distrib { stage, source },
             PipelineError::Lint { diagnostics, .. } => PipelineError::Lint { stage, diagnostics },
+            PipelineError::TooManyFrames { frames, limit, .. } => PipelineError::TooManyFrames {
+                stage,
+                frames,
+                limit,
+            },
         }
     }
 }
@@ -134,6 +151,15 @@ impl fmt::Display for PipelineError {
                 }
                 Ok(())
             }
+            PipelineError::TooManyFrames {
+                stage,
+                frames,
+                limit,
+            } => write!(
+                f,
+                "pipeline stage `{stage}`: the storyboard would take {frames} frames, \
+                 over the limit of {limit}; use a larger `storyboard_step_ms`"
+            ),
         }
     }
 }
@@ -146,7 +172,7 @@ impl std::error::Error for PipelineError {
             PipelineError::Scheduler { source, .. } => Some(source),
             PipelineError::Format { source, .. } => Some(source),
             PipelineError::Distrib { source, .. } => Some(source),
-            PipelineError::Lint { .. } => None,
+            PipelineError::Lint { .. } | PipelineError::TooManyFrames { .. } => None,
         }
     }
 }
@@ -217,6 +243,31 @@ mod tests {
         assert!(err.to_string().contains("d2"));
         let err = err.in_stage("viewing");
         assert_eq!(err.stage(), "viewing");
+    }
+
+    #[test]
+    fn too_many_frames_keeps_its_counts_across_stages() {
+        use std::error::Error;
+        let err = PipelineError::TooManyFrames {
+            stage: "viewing",
+            frames: 1_000_000_000,
+            limit: 1 << 17,
+        };
+        assert_eq!(err.stage(), "viewing");
+        assert!(err.source().is_none());
+        let text = err.to_string();
+        assert!(text.contains("1000000000 frames"), "{text}");
+        assert!(text.contains("131072"), "{text}");
+        assert!(text.contains("storyboard_step_ms"), "{text}");
+        let err = err.in_stage("playback");
+        assert_eq!(
+            err,
+            PipelineError::TooManyFrames {
+                stage: "playback",
+                frames: 1_000_000_000,
+                limit: 1 << 17,
+            }
+        );
     }
 
     #[test]

@@ -14,19 +14,33 @@
 //! * [`storyboard`] — the viewing view: what each channel shows at each
 //!   moment, combining the schedule, the presentation map and the filter
 //!   plan (dropped channels are marked rather than silently omitted).
+//!
+//! The storyboard is one sweep over the timeline: it costs
+//! O(entries · log entries + frames × active), where `active` is the number
+//! of entries playing at a sampled instant, and describes each entry once.
+//! A document that would sample more than [`MAX_STORYBOARD_FRAMES`] frames
+//! is refused with [`PipelineError::TooManyFrames`] before anything is
+//! allocated.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use crate::error::Result;
+use crate::error::{PipelineError, Result};
 use cmif_core::descriptor::DescriptorResolver;
 use cmif_core::node::NodeId;
 use cmif_core::symbol::Symbol;
 use cmif_core::time::TimeMs;
 use cmif_core::tree::Document;
-use cmif_scheduler::Schedule;
+use cmif_scheduler::{Schedule, TimelineEntry};
 
 use crate::constraint::FilterPlan;
 use crate::presentation::{Placement, PresentationMap};
+
+/// The most frames [`storyboard`] samples: enough for a 36-hour document at
+/// the default 1 s step. A longer document (or a finer step) is refused
+/// with [`PipelineError::TooManyFrames`] instead of building a frame per
+/// step of an arbitrarily long timeline.
+pub const MAX_STORYBOARD_FRAMES: usize = 1 << 17;
 
 /// Renders the reading view: an indented table of contents with node kinds,
 /// names and scheduled times.
@@ -44,16 +58,20 @@ fn render_toc(
     depth: usize,
     out: &mut String,
 ) -> Result<()> {
-    let indent = "  ".repeat(depth);
     let n = doc.node(node)?;
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
     let name = n.name().unwrap_or("(unnamed)");
-    let timing = schedule
-        .node_times
-        .get(&node)
-        .map(|(begin, end)| format!("{begin} .. {end}"))
-        .unwrap_or_else(|| "unscheduled".to_string());
-    let _ = writeln!(out, "{indent}{} {:<24} [{timing}]", n.kind.keyword(), name);
-    for child in n.children.clone() {
+    let _ = write!(out, "{} {:<24} [", n.kind.keyword(), name);
+    match schedule.node_times.get(&node) {
+        Some((begin, end)) => {
+            let _ = write!(out, "{begin} .. {end}");
+        }
+        None => out.push_str("unscheduled"),
+    }
+    out.push_str("]\n");
+    for &child in &n.children {
         render_toc(doc, schedule, child, depth + 1, out)?;
     }
     Ok(())
@@ -64,13 +82,24 @@ fn render_toc(
 pub struct StoryboardFrame {
     /// The instant described.
     pub at: TimeMs,
-    /// `(channel, description)` pairs, one per channel with activity.
-    pub lines: Vec<(Symbol, String)>,
+    /// `(channel, description)` pairs, one per channel with activity,
+    /// ordered by channel name, then description. A description is shared
+    /// by every frame its entry is active in.
+    pub lines: Vec<(Symbol, Arc<str>)>,
 }
 
 /// Renders the viewing view: samples the schedule every `step_ms`
-/// milliseconds and describes, for each channel, what is playing and where
-/// it appears in the virtual presentation space.
+/// milliseconds (at least 1) from 0 up to, not including, the total
+/// duration — one frame at 0 for an empty document — and describes, for
+/// each channel, what is playing and where it appears in the virtual
+/// presentation space.
+///
+/// The schedule is swept once in begin order: an entry joins the active
+/// set when the sweep passes its begin and leaves at its end, and its line
+/// is built the first time it is active at a sampled instant. Refuses with
+/// [`PipelineError::TooManyFrames`] when the document would take more than
+/// [`MAX_STORYBOARD_FRAMES`] frames; fails when an entry active at a
+/// sampled instant names a node the document cannot describe.
 pub fn storyboard(
     doc: &Document,
     schedule: &Schedule,
@@ -79,38 +108,82 @@ pub fn storyboard(
     step_ms: i64,
     resolver: &dyn DescriptorResolver,
 ) -> Result<Vec<StoryboardFrame>> {
-    let mut frames = Vec::new();
     let step = step_ms.max(1);
     let total = schedule.total_duration.as_millis();
-    let mut at = 0i64;
-    while at < total || (at == 0 && total == 0) {
-        let instant = TimeMs::from_millis(at);
-        let mut lines = Vec::new();
-        for entry in schedule.active_at(instant) {
-            let dropped = filter
-                .map(|plan| plan.dropped_channels.contains(&entry.channel))
-                .unwrap_or(false);
-            let place = match presentation.placement_symbol(entry.channel) {
-                Some(Placement::Screen(region)) => format!("screen {region}"),
-                Some(Placement::Speaker { slot }) => format!("speaker {slot}"),
-                None => "unplaced".to_string(),
-            };
-            let content = describe_content(doc, entry.node, resolver)?;
-            let description = if dropped {
-                format!("[dropped on this device] {content}")
-            } else {
-                format!("{place}: {content}")
-            };
-            lines.push((entry.channel, description));
+    let count = match total {
+        t if t < 0 => 0,
+        0 => 1,
+        t => t.unsigned_abs().div_ceil(step.unsigned_abs()),
+    };
+    if count > MAX_STORYBOARD_FRAMES as u64 {
+        return Err(PipelineError::TooManyFrames {
+            stage: "viewing",
+            frames: count,
+            limit: MAX_STORYBOARD_FRAMES,
+        });
+    }
+
+    let entries = &schedule.entries;
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    order.sort_by_key(|&i| entries[i].begin);
+    let mut pending = order.into_iter().peekable();
+    // `(end, line)` for every entry playing at the current instant, kept
+    // in line order so no frame needs sorting.
+    let mut active: Vec<(TimeMs, (Symbol, Arc<str>))> = Vec::new();
+    let mut fresh = Vec::new();
+    let mut frames = Vec::with_capacity(count as usize);
+    for k in 0..count as i64 {
+        // k < count, so k · step < total: no instant can overflow.
+        let at = TimeMs::from_millis(k * step);
+        active.retain(|(end, _)| at < *end);
+        while let Some(i) = pending.next_if(|&i| entries[i].begin <= at) {
+            if at < entries[i].end {
+                fresh.push(i);
+            }
         }
-        lines.sort_by(|a, b| (a.0.as_str(), &a.1).cmp(&(b.0.as_str(), &b.1)));
-        frames.push(StoryboardFrame { at: instant, lines });
-        at += step;
-        if total == 0 {
-            break;
+        // In schedule order, so an undescribable node fails with the same
+        // error a per-instant scan of the schedule would report first.
+        fresh.sort_unstable();
+        for i in fresh.drain(..) {
+            let entry = &entries[i];
+            let line = (
+                entry.channel,
+                describe_entry(doc, entry, presentation, filter, resolver)?,
+            );
+            let key = (line.0.as_str(), &*line.1);
+            let slot =
+                active.partition_point(|(_, (channel, text))| (channel.as_str(), &**text) <= key);
+            active.insert(slot, (entry.end, line));
         }
+        frames.push(StoryboardFrame {
+            at,
+            lines: active.iter().map(|(_, line)| line.clone()).collect(),
+        });
     }
     Ok(frames)
+}
+
+/// The storyboard line for one timeline entry: where its channel appears
+/// (or that the device dropped it) and what the entry presents.
+fn describe_entry(
+    doc: &Document,
+    entry: &TimelineEntry,
+    presentation: &PresentationMap,
+    filter: Option<&FilterPlan>,
+    resolver: &dyn DescriptorResolver,
+) -> Result<Arc<str>> {
+    let content = describe_content(doc, entry.node, resolver)?;
+    let dropped = filter.is_some_and(|plan| plan.dropped_channels.contains(&entry.channel));
+    let description = if dropped {
+        format!("[dropped on this device] {content}")
+    } else {
+        match presentation.placement_symbol(entry.channel) {
+            Some(Placement::Screen(region)) => format!("screen {region}: {content}"),
+            Some(Placement::Speaker { slot }) => format!("speaker {slot}: {content}"),
+            None => format!("unplaced: {content}"),
+        }
+    };
+    Ok(description.into())
 }
 
 /// Renders a storyboard as plain text.
@@ -273,5 +346,263 @@ mod tests {
         assert_eq!(human_size(12), "12 B");
         assert_eq!(human_size(2_300), "2.3 kB");
         assert_eq!(human_size(5_500_000), "5.5 MB");
+    }
+
+    /// The per-instant definition the sweep must reproduce: every sampled
+    /// instant scans the whole schedule and describes each active entry
+    /// afresh.
+    fn storyboard_reference(
+        doc: &Document,
+        schedule: &Schedule,
+        presentation: &PresentationMap,
+        filter: Option<&FilterPlan>,
+        step_ms: i64,
+        resolver: &dyn DescriptorResolver,
+    ) -> crate::error::Result<Vec<StoryboardFrame>> {
+        let mut frames = Vec::new();
+        let step = step_ms.max(1);
+        let total = schedule.total_duration.as_millis();
+        let mut at = 0i64;
+        while at < total || (at == 0 && total == 0) {
+            let instant = TimeMs::from_millis(at);
+            let mut lines = Vec::new();
+            for entry in schedule.active_at(instant) {
+                let dropped = filter
+                    .map(|plan| plan.dropped_channels.contains(&entry.channel))
+                    .unwrap_or(false);
+                let place = match presentation.placement_symbol(entry.channel) {
+                    Some(Placement::Screen(region)) => format!("screen {region}"),
+                    Some(Placement::Speaker { slot }) => format!("speaker {slot}"),
+                    None => "unplaced".to_string(),
+                };
+                let content = describe_content(doc, entry.node, resolver)?;
+                let description = if dropped {
+                    format!("[dropped on this device] {content}")
+                } else {
+                    format!("{place}: {content}")
+                };
+                lines.push((entry.channel, Arc::<str>::from(description)));
+            }
+            lines.sort_by(|a, b| (a.0.as_str(), &a.1).cmp(&(b.0.as_str(), &b.1)));
+            frames.push(StoryboardFrame { at: instant, lines });
+            at += step;
+            if total == 0 {
+                break;
+            }
+        }
+        Ok(frames)
+    }
+
+    /// Splitmix-style generator so every case derives from its seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+
+        fn millis(&mut self, n: i64) -> i64 {
+            self.below(n as usize) as i64
+        }
+    }
+
+    /// The fixture plus every other kind of line a storyboard shows:
+    /// unnamed leaves holding a caption longer than its preview, inline
+    /// bytes, and ext references with and without a descriptor.
+    fn varied_doc() -> Document {
+        let mut d = doc();
+        let root = d.root().unwrap();
+        let long = "a caption that runs on well past its thirty-two character preview";
+        let leaves = [
+            (d.add_imm_text(root, long).unwrap(), None),
+            (d.add_imm_binary(root, vec![7; 300]).unwrap(), None),
+            (d.add_ext(root).unwrap(), Some("speech")),
+            (d.add_ext(root).unwrap(), Some("nowhere")),
+        ];
+        for (leaf, file) in leaves {
+            d.set_attr(leaf, AttrName::Channel, AttrValue::Id("caption".into()))
+                .unwrap();
+            if let Some(file) = file {
+                d.set_attr(leaf, AttrName::File, AttrValue::Str(file.into()))
+                    .unwrap();
+            }
+        }
+        d
+    }
+
+    /// A random schedule over `nodes` (plus, rarely, one of two nodes the
+    /// document does not have), with a step and a filter plan to view it
+    /// with.
+    fn random_case(rng: &mut Rng, nodes: &[NodeId]) -> (Schedule, i64, Option<FilterPlan>) {
+        // Step ≤ 0 and step 1 both sample every millisecond, so they get
+        // short documents; steps of 4 s or more exceed every total.
+        let (step, span) = match rng.below(6) {
+            0 => (-rng.millis(3), 400),
+            1 => (1, 400),
+            2 => (4_000 + rng.millis(4_000), 3_000),
+            _ => (1 + rng.millis(1_500), 9_000),
+        };
+        let total = match rng.below(8) {
+            0 => 0,
+            1 => -1 - rng.millis(span),
+            _ => 1 + rng.millis(span),
+        };
+        let stride = step.max(1);
+        let instant = |rng: &mut Rng| rng.millis(span / stride + 2) * stride;
+        let channels = ["audio", "caption", "ghost"].map(Symbol::intern);
+        let mut entries = Vec::new();
+        for _ in 0..rng.below(20) {
+            let begin = match rng.below(5) {
+                0 => -rng.millis(span),
+                1 => total.max(0) + rng.millis(span),
+                2 => instant(rng),
+                _ => rng.millis(span),
+            };
+            let end = match rng.below(6) {
+                0 => begin,
+                1 => begin - 1 - rng.millis(span),
+                2 => instant(rng),
+                _ => begin + rng.millis(span),
+            };
+            let node = match rng.below(30) {
+                0 => NodeId::from_index((nodes.len() + rng.below(2)) as u32),
+                _ => nodes[rng.below(nodes.len())],
+            };
+            entries.push(TimelineEntry {
+                node,
+                name: Symbol::intern("entry"),
+                channel: channels[rng.below(channels.len())],
+                medium: MediaKind::Text,
+                begin: TimeMs::from_millis(begin),
+                end: TimeMs::from_millis(end),
+            });
+        }
+        let filter = match rng.below(3) {
+            0 => None,
+            1 => Some(FilterPlan::default()),
+            _ => Some(FilterPlan {
+                dropped_channels: vec![channels[rng.below(channels.len())]],
+                ..FilterPlan::default()
+            }),
+        };
+        let schedule = Schedule {
+            entries,
+            node_times: Default::default(),
+            total_duration: TimeMs::from_millis(total),
+        };
+        (schedule, step, filter)
+    }
+
+    #[test]
+    fn storyboard_sweep_matches_the_per_instant_reference() {
+        let d = varied_doc();
+        let map = map_presentation(&d).unwrap();
+        let nodes = d.preorder();
+        let (mut described, mut refused) = (0, 0);
+        for seed in 0..400 {
+            let mut rng = Rng(seed);
+            let (schedule, step, filter) = random_case(&mut rng, &nodes);
+            let filter = filter.as_ref();
+            let expected = storyboard_reference(&d, &schedule, &map, filter, step, &d.catalog);
+            let actual = storyboard(&d, &schedule, &map, filter, step, &d.catalog);
+            assert_eq!(actual, expected, "seed {seed}");
+            match (actual, expected) {
+                (Ok(actual), Ok(expected)) => {
+                    assert_eq!(
+                        render_storyboard(&actual),
+                        render_storyboard(&expected),
+                        "seed {seed}"
+                    );
+                    described += 1;
+                }
+                _ => refused += 1,
+            }
+        }
+        assert!(
+            described > 300 && refused > 0,
+            "{described} described, {refused} refused"
+        );
+    }
+
+    #[test]
+    fn storyboard_reports_the_undescribable_entry_the_reference_reports() {
+        let d = doc();
+        let map = map_presentation(&d).unwrap();
+        // Two missing nodes first sampled at the same instant, listed in
+        // the opposite order to their begins.
+        let mut schedule = empty_schedule(2_000);
+        for (index, begin) in [(90, 300), (91, 100)] {
+            schedule.entries.push(TimelineEntry {
+                node: NodeId::from_index(index),
+                name: Symbol::intern("missing"),
+                channel: Symbol::intern("caption"),
+                medium: MediaKind::Text,
+                begin: TimeMs::from_millis(begin),
+                end: TimeMs::from_millis(2_000),
+            });
+        }
+        let expected = storyboard_reference(&d, &schedule, &map, None, 1_000, &d.catalog);
+        assert!(expected.is_err());
+        assert_eq!(
+            storyboard(&d, &schedule, &map, None, 1_000, &d.catalog),
+            expected
+        );
+    }
+
+    fn empty_schedule(total_ms: i64) -> Schedule {
+        Schedule {
+            entries: Vec::new(),
+            node_times: Default::default(),
+            total_duration: TimeMs::from_millis(total_ms),
+        }
+    }
+
+    #[test]
+    fn storyboard_refuses_more_frames_than_the_limit() {
+        let d = doc();
+        let map = map_presentation(&d).unwrap();
+        let limit = MAX_STORYBOARD_FRAMES as i64;
+        let at_limit = storyboard(&d, &empty_schedule(limit), &map, None, 1, &d.catalog).unwrap();
+        assert_eq!(at_limit.len(), MAX_STORYBOARD_FRAMES);
+        let over = empty_schedule(limit + 1);
+        assert_eq!(
+            storyboard(&d, &over, &map, None, 1, &d.catalog),
+            Err(PipelineError::TooManyFrames {
+                stage: "viewing",
+                frames: limit as u64 + 1,
+                limit: MAX_STORYBOARD_FRAMES,
+            })
+        );
+        // A coarser step brings the same document back under the limit.
+        let coarse = storyboard(&d, &over, &map, None, 2, &d.catalog).unwrap();
+        assert_eq!(coarse.len(), MAX_STORYBOARD_FRAMES / 2 + 1);
+    }
+
+    #[test]
+    fn storyboard_instants_do_not_wrap_near_the_end_of_time() {
+        let d = doc();
+        let map = map_presentation(&d).unwrap();
+        let mut schedule = empty_schedule(i64::MAX);
+        schedule.entries.push(TimelineEntry {
+            node: d.find("/story-1/voice").unwrap(),
+            name: Symbol::intern("voice"),
+            channel: Symbol::intern("audio"),
+            medium: MediaKind::Audio,
+            begin: TimeMs::from_millis(0),
+            end: TimeMs::from_millis(i64::MAX),
+        });
+        let step = i64::MAX / 2;
+        let frames = storyboard(&d, &schedule, &map, None, step, &d.catalog).unwrap();
+        let instants: Vec<i64> = frames.iter().map(|f| f.at.as_millis()).collect();
+        assert_eq!(instants, [0, step, 2 * step]);
+        assert!(frames.iter().all(|f| f.lines.len() == 1));
     }
 }

@@ -78,6 +78,10 @@ impl Schedule {
     }
 
     /// The events active at a given instant.
+    ///
+    /// Each call scans every entry. A caller sampling many instants should
+    /// sweep the entries in begin order instead, as the pipeline's
+    /// storyboard does.
     pub fn active_at(&self, at: TimeMs) -> Vec<&TimelineEntry> {
         self.entries
             .iter()

@@ -13,6 +13,8 @@ use cmif::media::{index_store, MediaGenerator, Query};
 use cmif::news::{capture_news_media, evening_news};
 use cmif::pipeline::constraint::DeviceProfile;
 use cmif::pipeline::pipeline::PipelineBuilder;
+use cmif::pipeline::viewer::MAX_STORYBOARD_FRAMES;
+use cmif::pipeline::PipelineError;
 use cmif::scheduler::{ConstraintGraph, JitterModel, ScheduleOptions};
 
 #[test]
@@ -76,6 +78,31 @@ fn audio_kiosk_presents_the_narration_only() {
     assert!(dropped.contains("caption"));
     assert!(dropped.contains("label"));
     assert!(!dropped.contains("audio"));
+}
+
+#[test]
+fn an_endless_caption_is_refused_at_viewing_instead_of_sampled() {
+    // One lint-clean caption lasting 10^12 ms: at the default 1 s step the
+    // storyboard would need 10^9 frames.
+    let doc = cmif::core::DocumentBuilder::new("endless")
+        .channel("caption", MediaKind::Text)
+        .root_seq(|root| {
+            root.imm_text("line", "caption", "still going", 1_000_000_000_000);
+        })
+        .build()
+        .unwrap();
+    let bytes = cmif::format::write_document(&doc).unwrap();
+    let err = PipelineBuilder::new(DeviceProfile::workstation())
+        .run_wire(bytes.as_bytes(), &BlockStore::new())
+        .unwrap_err();
+    assert_eq!(
+        err,
+        PipelineError::TooManyFrames {
+            stage: "viewing",
+            frames: 1_000_000_000,
+            limit: MAX_STORYBOARD_FRAMES,
+        }
+    );
 }
 
 #[test]
