@@ -6,16 +6,17 @@
 //!
 //! * [`writer::write_document`] serializes a [`cmif_core::tree::Document`]
 //!   into a parenthesized, commented, diff-friendly text;
-//! * [`parser::parse_document`] reads it back, rebuilding the channel and
-//!   style dictionaries, the descriptor catalog, the node tree and the
-//!   synchronization arcs;
+//! * [`lexer::Lexer`] is a byte-level pull lexer over that text;
+//! * [`parser::parse_document`] reads it back in one pass over the lexer,
+//!   rebuilding the channel and style dictionaries, the descriptor catalog,
+//!   the node tree and the synchronization arcs as the tokens arrive — no
+//!   token vector or expression tree sits in between;
 //! * [`treeview`] renders the "conventional" and "embedded" tree views of
 //!   Figure 5 and the per-channel columns of Figures 3 and 10.
 //!
 //! The format is intentionally small: s-expressions with identifiers,
-//! numbers, strings and `&ref`s (see [`lexer`] and [`sexpr`]). Parsing a
-//! document never touches media data — exactly the transportability
-//! property the paper is after.
+//! numbers, strings and `&ref`s. Parsing a document never touches media
+//! data — exactly the transportability property the paper is after.
 //!
 //! Next to the text form lives the **binary wire form** ([`binary`]): a
 //! versioned, checksummed, length-prefixed encoding of the same document
@@ -49,7 +50,8 @@ pub mod binary;
 pub mod error;
 pub mod lexer;
 pub mod parser;
-pub mod sexpr;
+#[cfg(test)]
+mod text_decode;
 pub mod treeview;
 pub mod wire;
 pub mod writer;

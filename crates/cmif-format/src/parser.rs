@@ -8,6 +8,28 @@
 //! *not* run the full structural validator — callers decide whether a
 //! freshly transported document must already be presentable
 //! ([`parse_document`] vs [`parse_document_unvalidated`]).
+//!
+//! # One pass
+//!
+//! The parser is recursive descent over the pull [`Lexer`], one token at a
+//! time, and builds the document as the tokens arrive: each section goes
+//! straight into its dictionary, each node item becomes an `add_child`,
+//! `set_attr` or `add_arc` call, and attribute values are built from the
+//! tokens directly. No token vector or expression tree exists in between.
+//! Items the grammar ignores are still lexed, and every list — ignored
+//! ones and attribute values included — counts against
+//! [`crate::MAX_NESTING`].
+//!
+//! Errors rank as if the input were tokenized, then read as a tree, then
+//! interpreted: the first lexer error anywhere in the input wins, then the
+//! first structural one (unbalanced parentheses, nesting too deep,
+//! trailing content), then the error of meaning the parser met. So once
+//! the parser fails, it reads on to the end of the input to rank the error;
+//! a document that parses pays nothing for this.
+
+use std::any::type_name;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use cmif_core::arc::{Anchor, Strictness, SyncArc};
 use cmif_core::attr::{Attr, AttrName};
@@ -23,9 +45,10 @@ use cmif_core::tree::Document;
 use cmif_core::validate;
 use cmif_core::value::AttrValue;
 
-use crate::error::{FormatError, Result};
-use crate::sexpr::{read_one, SExpr, SExprKind};
+use crate::error::{FormatError, Position, Result, Span};
+use crate::lexer::{Lexer, Token, TokenKind};
 use crate::writer::hex_decode;
+use crate::MAX_NESTING;
 
 /// Parses a document and runs the structural validator on the result.
 pub fn parse_document(source: &str) -> Result<Document> {
@@ -40,383 +63,705 @@ pub fn parse_document(source: &str) -> Result<Document> {
 /// filter inspecting a document whose media channels the local device cannot
 /// support).
 pub fn parse_document_unvalidated(source: &str) -> Result<Document> {
-    let expr = read_one(source)?;
-    let (tag, body) = expr
-        .as_tagged()
-        .ok_or_else(|| expr.malformed("document", "expected a (cmif ...) expression"))?;
-    if tag != "cmif" {
-        return Err(expr.malformed("document", format!("expected tag `cmif`, found `{tag}`")));
+    let mut parser = Parser {
+        lexer: Lexer::new(source),
+        open: Vec::new(),
+        closed: Position::default(),
+        doc: Document::new(),
+        sources: SourceMap::new(source),
+    };
+    if let Err(error) = parser.document() {
+        return Err(parser.rank(error));
     }
-
-    let mut doc = Document::new();
-    let mut sources = SourceMap::new(source);
-    let mut root_expr = None;
-    for section in body {
-        let (section_tag, items) = section
-            .as_tagged()
-            .ok_or_else(|| section.malformed("section", "expected a tagged list"))?;
-        match section_tag {
-            "meta" => parse_meta(&mut doc, items)?,
-            "channels" => parse_channels(&mut doc, items)?,
-            "styles" => parse_styles(&mut doc, items)?,
-            "descriptors" => parse_descriptors(&mut doc, items)?,
-            "seq" | "par" | "ext" | "imm" => {
-                if root_expr.is_some() {
-                    return Err(section.malformed("document", "multiple root nodes"));
-                }
-                root_expr = Some(section);
-            }
-            other => return Err(section.malformed("section", format!("unknown section `{other}`"))),
-        }
-    }
-
-    let root_expr = root_expr.ok_or(FormatError::UnexpectedEof)?;
-    parse_node(&mut doc, &mut sources, None, root_expr)?;
-    doc.sources = Some(std::sync::Arc::new(sources));
+    let mut doc = parser.doc;
+    doc.sources = Some(Arc::new(parser.sources));
     Ok(doc)
 }
 
-fn parse_meta(doc: &mut Document, items: &[SExpr]) -> Result<()> {
-    for item in items {
-        let list = item
-            .as_list()
-            .ok_or_else(|| item.malformed("meta entry", "expected a (key value) pair"))?;
-        if list.len() != 2 {
-            return Err(item.malformed("meta entry", "expected exactly a key and a value"));
-        }
-        let key = list[0]
-            .as_text()
-            .ok_or_else(|| item.malformed("meta entry", "key must be an identifier"))?;
-        doc.meta.insert(key.to_string(), expr_to_value(&list[1]));
-    }
-    Ok(())
+/// How the errors of one kind of `(key value)` pair read.
+struct PairErrors {
+    context: &'static str,
+    not_a_list: &'static str,
+    wrong_length: &'static str,
+    bad_key: &'static str,
 }
 
-fn parse_channels(doc: &mut Document, items: &[SExpr]) -> Result<()> {
-    for item in items {
-        let (tag, body) = item
-            .as_tagged()
-            .ok_or_else(|| item.malformed("channel", "expected (channel name medium ...)"))?;
-        if tag != "channel" || body.len() < 2 {
-            return Err(item.malformed("channel", "expected (channel name medium ...)"));
+const META_ENTRY: PairErrors = PairErrors {
+    context: "meta entry",
+    not_a_list: "expected a (key value) pair",
+    wrong_length: "expected exactly a key and a value",
+    bad_key: "key must be an identifier",
+};
+
+const CHANNEL_EXTRA: PairErrors = PairErrors {
+    context: "channel",
+    not_a_list: "extras must be (key value) pairs",
+    wrong_length: "extras must be (key value) pairs",
+    bad_key: "extra key must be an identifier",
+};
+
+const DESCRIPTOR_EXTRA: PairErrors = PairErrors {
+    context: "descriptor",
+    not_a_list: "extra must be (key value) pairs",
+    wrong_length: "extra must be (key value) pairs",
+    bad_key: "extra key must be an identifier",
+};
+
+/// The decoder's state while it reads one document.
+///
+/// Lists are read with [`Parser::item`], which reads the next item of the
+/// innermost open list: a `(` it hands out has already been entered
+/// (counted against the nesting limit), and the `)` that ends a list leaves
+/// it and records where it ended in `closed`.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// Where each open list starts, innermost last.
+    open: Vec<Position>,
+    /// The end of the last `)` read: where the list that just closed ends.
+    closed: Position,
+    doc: Document,
+    sources: SourceMap,
+}
+
+impl<'a> Parser<'a> {
+    /// Reads the one `(cmif ...)` expression the source must hold.
+    fn document(&mut self) -> Result<()> {
+        let first = self.lexer.next_token()?.ok_or(FormatError::UnexpectedEof)?;
+        let open = first.span.start;
+        let not_a_document = || malformed(open, "document", "expected a (cmif ...) expression");
+        match first.kind {
+            TokenKind::LParen => self.enter(open)?,
+            TokenKind::RParen => return Err(FormatError::UnbalancedParens { at: open }),
+            _ => return Err(not_a_document()),
         }
-        let name = body[0]
-            .as_text()
-            .ok_or_else(|| item.malformed("channel", "channel name must be text"))?;
-        let medium_text = body[1]
-            .as_text()
-            .ok_or_else(|| item.malformed("channel", "channel medium must be an identifier"))?;
-        let medium = MediaKind::parse(medium_text)
-            .ok_or_else(|| item.malformed("channel", format!("unknown medium `{medium_text}`")))?;
-        let mut def = ChannelDef::new(name, medium);
-        for extra in &body[2..] {
-            let pair = extra
-                .as_list()
-                .ok_or_else(|| extra.malformed("channel", "extras must be (key value) pairs"))?;
-            if pair.len() != 2 {
-                return Err(extra.malformed("channel", "extras must be (key value) pairs"));
+        match self.tag(&first)? {
+            Some("cmif") => {}
+            Some(tag) => {
+                return Err(malformed(
+                    open,
+                    "document",
+                    format!("expected tag `cmif`, found `{tag}`"),
+                ))
             }
-            let key = pair[0]
-                .as_text()
-                .ok_or_else(|| extra.malformed("channel", "extra key must be an identifier"))?;
-            def = def.with_extra(Symbol::intern(key), expr_to_value(&pair[1]));
+            None => return Err(not_a_document()),
         }
-        doc.channels.define(def)?;
-    }
-    Ok(())
-}
 
-fn parse_styles(doc: &mut Document, items: &[SExpr]) -> Result<()> {
-    for item in items {
-        let (tag, body) = item
-            .as_tagged()
-            .ok_or_else(|| item.malformed("style", "expected (style name ...)"))?;
-        if tag != "style" || body.is_empty() {
-            return Err(item.malformed("style", "expected (style name ...)"));
-        }
-        let name = body[0]
-            .as_text()
-            .ok_or_else(|| item.malformed("style", "style name must be text"))?;
-        let mut def = StyleDef::new(name);
-        for part in &body[1..] {
-            let (part_tag, part_body) = part
-                .as_tagged()
-                .ok_or_else(|| part.malformed("style", "expected (parents ...) or (attrs ...)"))?;
-            match part_tag {
-                "parents" => {
-                    for parent in part_body {
-                        let parent_name = parent.as_text().ok_or_else(|| {
-                            parent.malformed("style", "parent names must be identifiers")
-                        })?;
-                        def = def.with_parent(parent_name);
+        let mut has_root = false;
+        while let Some(section) = self.item()? {
+            let at = section.span.start;
+            let tag = self
+                .tag(&section)?
+                .ok_or_else(|| malformed(at, "section", "expected a tagged list"))?;
+            match tag {
+                "meta" => self.meta()?,
+                "channels" => self.channels()?,
+                "styles" => self.styles()?,
+                "descriptors" => self.descriptors()?,
+                "seq" | "par" | "ext" | "imm" => {
+                    if has_root {
+                        return Err(malformed(at, "document", "multiple root nodes"));
                     }
-                }
-                "attrs" => {
-                    for attr_expr in part_body {
-                        let pair = attr_expr.as_list().ok_or_else(|| {
-                            attr_expr.malformed("style", "attrs must be (name value) pairs")
-                        })?;
-                        if pair.is_empty() {
-                            return Err(
-                                attr_expr.malformed("style", "attrs must be (name value) pairs")
-                            );
-                        }
-                        let attr_name = pair[0].as_text().ok_or_else(|| {
-                            attr_expr.malformed("style", "attribute name must be an identifier")
-                        })?;
-                        let value = tail_to_value(&pair[1..]);
-                        def = def.with_attr(Attr::new(AttrName::parse(attr_name), value));
-                    }
+                    self.node(None, at, tag)?;
+                    has_root = true;
                 }
                 other => {
-                    return Err(part.malformed("style", format!("unknown style part `{other}`")))
-                }
-            }
-        }
-        doc.styles.define(def)?;
-    }
-    Ok(())
-}
-
-fn parse_descriptors(doc: &mut Document, items: &[SExpr]) -> Result<()> {
-    for item in items {
-        let (tag, body) = item.as_tagged().ok_or_else(|| {
-            item.malformed("descriptor", "expected (descriptor key medium format ...)")
-        })?;
-        if tag != "descriptor" || body.len() < 3 {
-            return Err(item.malformed("descriptor", "expected (descriptor key medium format ...)"));
-        }
-        let key = body[0]
-            .as_text()
-            .ok_or_else(|| item.malformed("descriptor", "descriptor key must be text"))?;
-        let medium_text = body[1]
-            .as_text()
-            .ok_or_else(|| item.malformed("descriptor", "medium must be an identifier"))?;
-        let medium = MediaKind::parse(medium_text).ok_or_else(|| {
-            item.malformed("descriptor", format!("unknown medium `{medium_text}`"))
-        })?;
-        let format = body[2]
-            .as_text()
-            .ok_or_else(|| item.malformed("descriptor", "format must be text"))?;
-        let mut descriptor = DataDescriptor::new(key, medium, format);
-        let mut rates = RateInfo::NONE;
-        let mut resources = ResourceNeeds::default();
-        for field in &body[3..] {
-            let (field_tag, field_body) = field
-                .as_tagged()
-                .ok_or_else(|| field.malformed("descriptor", "fields must be tagged lists"))?;
-            match field_tag {
-                "size" => descriptor.size_bytes = number_at(field, field_body, 0)? as u64,
-                "duration" => {
-                    descriptor.duration =
-                        Some(TimeMs::from_millis(number_at(field, field_body, 0)?))
-                }
-                "resolution" => {
-                    descriptor.resolution = Some((
-                        number_at(field, field_body, 0)? as u32,
-                        number_at(field, field_body, 1)? as u32,
+                    return Err(malformed(
+                        at,
+                        "section",
+                        format!("unknown section `{other}`"),
                     ))
                 }
-                "color_depth" => {
-                    descriptor.color_depth = Some(number_at(field, field_body, 0)? as u8)
-                }
-                "fps" => {
-                    let value = field_body
-                        .first()
-                        .and_then(|e| match e.kind {
-                            SExprKind::Real(x) => Some(x),
-                            SExprKind::Number(n) => Some(n as f64),
-                            _ => None,
-                        })
-                        .ok_or_else(|| field.malformed("descriptor", "fps needs a number"))?;
-                    rates.frames_per_second = Some(value);
-                }
-                "sample_rate" => {
-                    rates.samples_per_second = Some(number_at(field, field_body, 0)? as u32)
-                }
-                "byte_rate" => {
-                    rates.bytes_per_second = Some(number_at(field, field_body, 0)? as u64)
-                }
-                "resources" => {
-                    resources = ResourceNeeds {
-                        bandwidth_bps: number_at(field, field_body, 0)? as u64,
-                        decode_cost: number_at(field, field_body, 1)? as u32,
-                        memory_bytes: number_at(field, field_body, 2)? as u64,
-                    }
-                }
-                "location" => {
-                    let text = field_body
-                        .first()
-                        .and_then(SExpr::as_text)
-                        .ok_or_else(|| field.malformed("descriptor", "location needs text"))?;
-                    descriptor.location = Some(text.to_string());
-                }
-                "extra" => {
-                    for pair_expr in field_body {
-                        let pair = pair_expr.as_list().ok_or_else(|| {
-                            pair_expr.malformed("descriptor", "extra must be (key value) pairs")
-                        })?;
-                        if pair.len() != 2 {
-                            return Err(pair_expr
-                                .malformed("descriptor", "extra must be (key value) pairs"));
-                        }
-                        let extra_key = pair[0].as_text().ok_or_else(|| {
-                            pair_expr.malformed("descriptor", "extra key must be an identifier")
-                        })?;
-                        descriptor
-                            .extra
-                            .insert(Symbol::intern(extra_key), expr_to_value(&pair[1]));
-                    }
-                }
-                other => {
-                    return Err(field.malformed("descriptor", format!("unknown field `{other}`")))
-                }
             }
         }
-        descriptor.rates = rates;
-        descriptor.resources = resources;
-        doc.catalog.register(descriptor)?;
+        // The document expression is closed: anything after it trails it.
+        self.skip_structure()?;
+        if !has_root {
+            return Err(FormatError::UnexpectedEof);
+        }
+        Ok(())
     }
-    Ok(())
-}
 
-fn parse_node(
-    doc: &mut Document,
-    sources: &mut SourceMap,
-    parent: Option<NodeId>,
-    expr: &SExpr,
-) -> Result<NodeId> {
-    let (tag, body) = expr
-        .as_tagged()
-        .ok_or_else(|| expr.malformed("node", "expected a (seq|par|ext|imm ...) list"))?;
+    fn meta(&mut self) -> Result<()> {
+        while let Some(item) = self.item()? {
+            let (key, value) = self.pair(item, &META_ENTRY)?;
+            self.doc.meta.insert(key.into_owned(), value);
+        }
+        Ok(())
+    }
 
-    // Immediate nodes need their payload before the node can be allocated,
-    // so scan for it first.
-    let kind = match tag {
-        "seq" => NodeKind::Seq,
-        "par" => NodeKind::Par,
-        "ext" => NodeKind::Ext,
-        "imm" => {
-            let mut data = cmif_core::node::ImmediateData::Text(String::new());
-            for item in body {
-                if let Some((item_tag, item_body)) = item.as_tagged() {
-                    match item_tag {
-                        "data" => {
-                            let text = item_body
-                                .first()
-                                .and_then(SExpr::as_text)
-                                .ok_or_else(|| item.malformed("imm node", "data needs text"))?;
-                            data = cmif_core::node::ImmediateData::Text(text.to_string());
-                        }
-                        "bindata" => {
-                            let text =
-                                item_body.first().and_then(SExpr::as_text).ok_or_else(|| {
-                                    item.malformed("imm node", "bindata needs a hex string")
-                                })?;
-                            let bytes = hex_decode(text).ok_or_else(|| {
-                                item.malformed("imm node", "bindata is not valid hex")
+    fn channels(&mut self) -> Result<()> {
+        while let Some(item) = self.item()? {
+            let at = item.span.start;
+            let shape = || malformed(at, "channel", "expected (channel name medium ...)");
+            if self.tag(&item)? != Some("channel") {
+                return Err(shape());
+            }
+            let name = self.element()?.ok_or_else(shape)?;
+            let medium = self.element()?.ok_or_else(shape)?;
+            let name = text_of(name)
+                .ok_or_else(|| malformed(at, "channel", "channel name must be text"))?;
+            let medium = medium_of(
+                medium,
+                at,
+                "channel",
+                "channel medium must be an identifier",
+            )?;
+            let mut def = ChannelDef::new(name, medium);
+            while let Some(extra) = self.item()? {
+                let (key, value) = self.pair(extra, &CHANNEL_EXTRA)?;
+                def = def.with_extra(key, value);
+            }
+            self.doc.channels.define(def)?;
+        }
+        Ok(())
+    }
+
+    fn styles(&mut self) -> Result<()> {
+        while let Some(item) = self.item()? {
+            let at = item.span.start;
+            let shape = || malformed(at, "style", "expected (style name ...)");
+            if self.tag(&item)? != Some("style") {
+                return Err(shape());
+            }
+            let name = self.element()?.ok_or_else(shape)?;
+            let name =
+                text_of(name).ok_or_else(|| malformed(at, "style", "style name must be text"))?;
+            let mut def = StyleDef::new(name);
+            while let Some(part) = self.item()? {
+                let part_at = part.span.start;
+                match self.tag(&part)? {
+                    Some("parents") => {
+                        while let Some(parent) = self.element()? {
+                            let parent_at = parent.span.start;
+                            let name = text_of(parent).ok_or_else(|| {
+                                malformed(parent_at, "style", "parent names must be identifiers")
                             })?;
-                            data = cmif_core::node::ImmediateData::Binary(bytes);
+                            def = def.with_parent(name);
                         }
-                        _ => {}
+                    }
+                    Some("attrs") => {
+                        while let Some(attr) = self.item()? {
+                            let attr_at = attr.span.start;
+                            let not_a_pair =
+                                || malformed(attr_at, "style", "attrs must be (name value) pairs");
+                            if !is_list(&attr) {
+                                return Err(not_a_pair());
+                            }
+                            let name = self.element()?.ok_or_else(not_a_pair)?;
+                            let name = text_of(name).ok_or_else(|| {
+                                malformed(attr_at, "style", "attribute name must be an identifier")
+                            })?;
+                            let value = self.tail_value()?;
+                            def = def.with_attr(Attr::new(AttrName::parse(&name), value));
+                        }
+                    }
+                    Some(other) => {
+                        return Err(malformed(
+                            part_at,
+                            "style",
+                            format!("unknown style part `{other}`"),
+                        ))
+                    }
+                    None => {
+                        return Err(malformed(
+                            part_at,
+                            "style",
+                            "expected (parents ...) or (attrs ...)",
+                        ))
                     }
                 }
             }
-            NodeKind::Imm(data)
+            self.doc.styles.define(def)?;
         }
-        other => return Err(expr.malformed("node", format!("unknown node kind `{other}`"))),
-    };
+        Ok(())
+    }
 
-    let id = match parent {
-        Some(parent) => doc.add_child(parent, kind)?,
-        None => doc.set_root(kind),
-    };
-    sources.set_node(id, expr.span);
+    fn descriptors(&mut self) -> Result<()> {
+        while let Some(item) = self.item()? {
+            let at = item.span.start;
+            let shape = || {
+                malformed(
+                    at,
+                    "descriptor",
+                    "expected (descriptor key medium format ...)",
+                )
+            };
+            if self.tag(&item)? != Some("descriptor") {
+                return Err(shape());
+            }
+            let key = self.element()?.ok_or_else(shape)?;
+            let medium = self.element()?.ok_or_else(shape)?;
+            let format = self.element()?.ok_or_else(shape)?;
+            let key = text_of(key)
+                .ok_or_else(|| malformed(at, "descriptor", "descriptor key must be text"))?;
+            let medium = medium_of(medium, at, "descriptor", "medium must be an identifier")?;
+            let format = text_of(format)
+                .ok_or_else(|| malformed(at, "descriptor", "format must be text"))?;
+            let mut descriptor = DataDescriptor::new(key, medium, format);
+            let mut rates = RateInfo::NONE;
+            let mut resources = ResourceNeeds::default();
+            while let Some(field) = self.item()? {
+                let field_at = field.span.start;
+                let tag = self.tag(&field)?.ok_or_else(|| {
+                    malformed(field_at, "descriptor", "fields must be tagged lists")
+                })?;
+                match tag {
+                    "size" => descriptor.size_bytes = self.field_number(field_at)?,
+                    "duration" => {
+                        descriptor.duration =
+                            Some(TimeMs::from_millis(self.field_number(field_at)?))
+                    }
+                    "resolution" => {
+                        descriptor.resolution =
+                            Some((self.field_number(field_at)?, self.field_number(field_at)?))
+                    }
+                    "color_depth" => descriptor.color_depth = Some(self.field_number(field_at)?),
+                    "fps" => {
+                        let value = match self.element()?.map(|t| t.kind) {
+                            Some(TokenKind::Real(x)) => x,
+                            Some(TokenKind::Number(n)) => n as f64,
+                            _ => {
+                                return Err(malformed(field_at, "descriptor", "fps needs a number"))
+                            }
+                        };
+                        rates.frames_per_second = Some(value);
+                    }
+                    "sample_rate" => rates.samples_per_second = Some(self.field_number(field_at)?),
+                    "byte_rate" => rates.bytes_per_second = Some(self.field_number(field_at)?),
+                    "resources" => {
+                        resources = ResourceNeeds {
+                            bandwidth_bps: self.field_number(field_at)?,
+                            decode_cost: self.field_number(field_at)?,
+                            memory_bytes: self.field_number(field_at)?,
+                        }
+                    }
+                    "location" => {
+                        let text = self.element()?.and_then(text_of).ok_or_else(|| {
+                            malformed(field_at, "descriptor", "location needs text")
+                        })?;
+                        descriptor.location = Some(text.into_owned());
+                    }
+                    "extra" => {
+                        while let Some(pair) = self.item()? {
+                            let (key, value) = self.pair(pair, &DESCRIPTOR_EXTRA)?;
+                            descriptor.extra.insert(Symbol::from(key), value);
+                        }
+                        // The loop read the field's `)`.
+                        continue;
+                    }
+                    other => {
+                        return Err(malformed(
+                            field_at,
+                            "descriptor",
+                            format!("unknown field `{other}`"),
+                        ))
+                    }
+                }
+                // Items past the ones a field uses are ignored.
+                self.skip_rest()?;
+            }
+            descriptor.rates = rates;
+            descriptor.resources = resources;
+            self.doc.catalog.register(descriptor)?;
+        }
+        Ok(())
+    }
 
-    for item in body {
-        let (item_tag, item_body) = item
-            .as_tagged()
-            .ok_or_else(|| item.malformed("node item", "expected a tagged list"))?;
-        match item_tag {
-            "seq" | "par" | "ext" | "imm" => {
-                parse_node(doc, sources, Some(id), item)?;
+    /// Reads the node list opened at `open` with tag `tag`, adding the node
+    /// under `parent` (or as the root) before its items.
+    fn node(&mut self, parent: Option<NodeId>, open: Position, tag: &str) -> Result<NodeId> {
+        let kind = match tag {
+            "seq" => NodeKind::Seq,
+            "par" => NodeKind::Par,
+            "ext" => NodeKind::Ext,
+            // The payload is filled in from the node's (data ...) item.
+            "imm" => NodeKind::Imm(cmif_core::node::ImmediateData::Text(String::new())),
+            other => {
+                return Err(malformed(
+                    open,
+                    "node",
+                    format!("unknown node kind `{other}`"),
+                ))
             }
-            "data" | "bindata" => {
-                // Already handled while determining the node kind.
+        };
+        let immediate = matches!(kind, NodeKind::Imm(_));
+        let id = match parent {
+            Some(parent) => self.doc.add_child(parent, kind)?,
+            None => self.doc.set_root(kind),
+        };
+
+        let mut payload = None;
+        while let Some(item) = self.item()? {
+            let at = item.span.start;
+            let tag = self
+                .tag(&item)?
+                .ok_or_else(|| malformed(at, "node item", "expected a tagged list"))?;
+            match tag {
+                "seq" | "par" | "ext" | "imm" => {
+                    self.node(Some(id), at, tag)?;
+                }
+                "data" | "bindata" if immediate => {
+                    // The last payload item wins.
+                    payload = Some(self.payload(at, tag)?);
+                    self.skip_rest()?;
+                }
+                // Only an immediate node carries a payload.
+                "data" | "bindata" => self.skip_rest()?,
+                "sync_arc" => {
+                    let arc = self.arc(at)?;
+                    self.doc.add_arc(id, arc)?;
+                    // Aligned with `doc.arcs()` order: one push per added arc.
+                    self.sources.push_arc(Span::new(at, self.closed));
+                }
+                name => {
+                    let value = self.tail_value()?;
+                    self.doc.set_attr(id, AttrName::parse(name), value)?;
+                }
             }
-            "sync_arc" => {
-                let arc = parse_arc(item, item_body)?;
-                doc.add_arc(id, arc)?;
-                // Aligned with `doc.arcs()` order: one push per added arc.
-                sources.push_arc(item.span);
+        }
+        self.sources.set_node(id, Span::new(open, self.closed));
+        if let Some(payload) = payload {
+            self.doc.node_mut(id)?.kind = NodeKind::Imm(payload);
+        }
+        Ok(id)
+    }
+
+    /// Reads the first item of a `(data ...)` or `(bindata ...)` item.
+    fn payload(&mut self, at: Position, tag: &str) -> Result<cmif_core::node::ImmediateData> {
+        let text = self.element()?.and_then(text_of);
+        if tag == "data" {
+            let text = text.ok_or_else(|| malformed(at, "imm node", "data needs text"))?;
+            return Ok(cmif_core::node::ImmediateData::Text(text.into_owned()));
+        }
+        let text = text.ok_or_else(|| malformed(at, "imm node", "bindata needs a hex string"))?;
+        let bytes = hex_decode(&text)
+            .ok_or_else(|| malformed(at, "imm node", "bindata is not valid hex"))?;
+        Ok(cmif_core::node::ImmediateData::Binary(bytes))
+    }
+
+    /// Reads the body of the `(sync_arc ...)` list opened at `open`.
+    fn arc(&mut self, open: Position) -> Result<SyncArc> {
+        let shape = || {
+            malformed(
+                open,
+                "sync_arc",
+                "expected anchor strictness source-anchor source offset unit destination min max",
+            )
+        };
+        // All nine fields are read before any is checked, as a list of the
+        // wrong length is reported before a bad field.
+        let mut field = || self.element()?.ok_or_else(shape);
+        let anchor = field()?;
+        let strictness = field()?;
+        let source_anchor = field()?;
+        let source = field()?;
+        let offset = field()?;
+        let unit = field()?;
+        let destination = field()?;
+        let min_delay = field()?;
+        let max_delay = field()?;
+        if self.element()?.is_some() {
+            return Err(shape());
+        }
+
+        let bad = |message: &str| malformed(open, "sync_arc", message);
+        let anchor_text = text_of(anchor).ok_or_else(|| bad("anchor must be begin or end"))?;
+        let anchor = Anchor::parse(&anchor_text)
+            .ok_or_else(|| bad(&format!("unknown anchor `{anchor_text}`")))?;
+        let strict_text =
+            text_of(strictness).ok_or_else(|| bad("strictness must be must or may"))?;
+        let strictness = Strictness::parse(&strict_text)
+            .ok_or_else(|| bad(&format!("unknown strictness `{strict_text}`")))?;
+        let source_anchor_text =
+            text_of(source_anchor).ok_or_else(|| bad("source anchor must be begin or end"))?;
+        let source_anchor = Anchor::parse(&source_anchor_text)
+            .ok_or_else(|| bad(&format!("unknown anchor `{source_anchor_text}`")))?;
+        let source = text_of(source).ok_or_else(|| bad("source must be a path"))?;
+        let offset_value = integer(&offset.kind).ok_or_else(|| bad("offset must be a number"))?;
+        let unit_text = text_of(unit).ok_or_else(|| bad("offset unit must be an identifier"))?;
+        let unit =
+            parse_unit(&unit_text).ok_or_else(|| bad(&format!("unknown unit `{unit_text}`")))?;
+        let destination = text_of(destination).ok_or_else(|| bad("destination must be a path"))?;
+        let min_delay =
+            integer(&min_delay.kind).ok_or_else(|| bad("min delay must be a number"))?;
+        let max_delay = match (&max_delay.kind, integer(&max_delay.kind)) {
+            (TokenKind::Ident("inf"), _) => MaxDelay::Unbounded,
+            (_, Some(ms)) => MaxDelay::Bounded(DelayMs::from_millis(ms)),
+            _ => return Err(bad("max delay must be a number or `inf`")),
+        };
+        Ok(SyncArc {
+            anchor,
+            strictness,
+            source_anchor,
+            source: NodePath::parse(&source),
+            offset: MediaTime {
+                value: offset_value,
+                unit,
+            },
+            destination: NodePath::parse(&destination),
+            min_delay: DelayMs::from_millis(min_delay),
+            max_delay,
+        })
+    }
+
+    /// Reads a `(key value)` pair whose `(` is `item`.
+    fn pair(&mut self, item: Token<'a>, errors: &PairErrors) -> Result<(Cow<'a, str>, AttrValue)> {
+        let at = item.span.start;
+        if !is_list(&item) {
+            return Err(malformed(at, errors.context, errors.not_a_list));
+        }
+        let wrong_length = || malformed(at, errors.context, errors.wrong_length);
+        let key = self.element()?.ok_or_else(wrong_length)?;
+        let value = self.item()?.ok_or_else(wrong_length)?;
+        let value = self.value(value)?;
+        if self.element()?.is_some() {
+            return Err(wrong_length());
+        }
+        let key = text_of(key).ok_or_else(|| malformed(at, errors.context, errors.bad_key))?;
+        Ok((key, value))
+    }
+
+    /// Reads the next item of the descriptor field opened at `field` as a
+    /// number of type `T`, refusing one that does not fit.
+    fn field_number<T: TryFrom<i64>>(&mut self, field: Position) -> Result<T> {
+        let token = self.element()?;
+        let (n, at) = token
+            .and_then(|t| Some((integer(&t.kind)?, t.span.start)))
+            .ok_or_else(|| malformed(field, "descriptor", "expected a numeric field"))?;
+        T::try_from(n).map_err(|_| {
+            malformed(
+                at,
+                "descriptor",
+                format!("{n} does not fit in {}", type_name::<T>()),
+            )
+        })
+    }
+
+    /// Builds an attribute value from `token`; a `(` builds a list from the
+    /// items up to its `)`.
+    fn value(&mut self, token: Token<'a>) -> Result<AttrValue> {
+        Ok(match token.kind {
+            TokenKind::Ident(s) => AttrValue::Id(Symbol::intern(s)),
+            TokenKind::Number(n) => AttrValue::Number(n),
+            TokenKind::Real(x) => AttrValue::Real(x),
+            TokenKind::Str(s) => AttrValue::Str(s.into_owned()),
+            TokenKind::Ref(s) => AttrValue::Ref(Symbol::intern(s)),
+            TokenKind::LParen => {
+                let mut items = Vec::new();
+                while let Some(item) = self.item()? {
+                    items.push(self.value(item)?);
+                }
+                AttrValue::List(items)
             }
-            attr_name => {
-                let value = tail_to_value(item_body);
-                doc.set_attr(id, AttrName::parse(attr_name), value)?;
+            // `item` never hands out a `)`.
+            TokenKind::RParen => {
+                return Err(FormatError::UnbalancedParens {
+                    at: token.span.start,
+                })
+            }
+        })
+    }
+
+    /// Reads the rest of the innermost open list as an attribute value: a
+    /// single item stays scalar, none or several become a list.
+    fn tail_value(&mut self) -> Result<AttrValue> {
+        let Some(first) = self.item()? else {
+            return Ok(AttrValue::List(Vec::new()));
+        };
+        let first = self.value(first)?;
+        let Some(second) = self.item()? else {
+            return Ok(first);
+        };
+        let mut items = vec![first, self.value(second)?];
+        while let Some(item) = self.item()? {
+            items.push(self.value(item)?);
+        }
+        Ok(AttrValue::List(items))
+    }
+
+    /// For `item`, a `(`, reads the identifier its list opens with: the tag
+    /// of a tagged list. `None` when `item` is not a list or its first item
+    /// is not an identifier.
+    fn tag(&mut self, item: &Token<'a>) -> Result<Option<&'a str>> {
+        if !is_list(item) {
+            return Ok(None);
+        }
+        Ok(match self.item()? {
+            Some(Token {
+                kind: TokenKind::Ident(tag),
+                ..
+            }) => Some(tag),
+            _ => None,
+        })
+    }
+
+    /// Reads the next item of the innermost open list, or `None` at its
+    /// `)`. A `(` comes back already entered.
+    fn item(&mut self) -> Result<Option<Token<'a>>> {
+        let Some(token) = self.lexer.next_token()? else {
+            return Err(match self.open.last() {
+                Some(&at) => FormatError::UnbalancedParens { at },
+                None => FormatError::UnexpectedEof,
+            });
+        };
+        match token.kind {
+            TokenKind::RParen => {
+                self.open.pop();
+                self.closed = token.span.end;
+                Ok(None)
+            }
+            TokenKind::LParen => {
+                self.enter(token.span.start)?;
+                Ok(Some(token))
+            }
+            _ => Ok(Some(token)),
+        }
+    }
+
+    /// Reads the next item of the innermost open list for a check made
+    /// later. A nested list is skipped and comes back as its `(`, which
+    /// fails every check an atom can pass.
+    fn element(&mut self) -> Result<Option<Token<'a>>> {
+        let token = self.item()?;
+        if token.as_ref().is_some_and(is_list) {
+            self.skip_rest()?;
+        }
+        Ok(token)
+    }
+
+    /// Skips the rest of the innermost open list. The skipped items are
+    /// still lexed, and their lists still count against the nesting limit.
+    fn skip_rest(&mut self) -> Result<()> {
+        while let Some(token) = self.item()? {
+            if is_list(&token) {
+                self.skip_rest()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Enters the list whose `(` is at `at`, refusing to nest deeper than
+    /// [`MAX_NESTING`]: a parenthesis bomb becomes a typed error, not a
+    /// stack overflow.
+    fn enter(&mut self, at: Position) -> Result<()> {
+        if self.open.len() >= MAX_NESTING {
+            return Err(FormatError::TooDeep {
+                at,
+                limit: MAX_NESTING,
+            });
+        }
+        self.open.push(at);
+        Ok(())
+    }
+
+    /// Reads the rest of the input for its structure alone: lists must
+    /// balance and stay within the nesting limit, and nothing may follow
+    /// the document expression.
+    fn skip_structure(&mut self) -> Result<()> {
+        while let Some(token) = self.lexer.next_token()? {
+            if self.open.is_empty() {
+                return Err(FormatError::TrailingContent {
+                    at: token.position(),
+                });
+            }
+            match token.kind {
+                TokenKind::LParen => self.enter(token.span.start)?,
+                TokenKind::RParen => {
+                    self.open.pop();
+                }
+                _ => {}
+            }
+        }
+        match self.open.last() {
+            Some(&at) => Err(FormatError::UnbalancedParens { at }),
+            None => Ok(()),
+        }
+    }
+
+    /// Ranks `error`, which stopped the parse, against what the rest of the
+    /// input holds: a lexer error anywhere outranks a structural error,
+    /// which outranks an error of meaning.
+    fn rank(&mut self, error: FormatError) -> FormatError {
+        // The lexer stops at the first bad token: all before it lexed.
+        if is_lexical(&error) {
+            return error;
+        }
+        let error = if is_structural(&error) {
+            error
+        } else {
+            match self.skip_structure() {
+                // The whole input was read without a lexer error.
+                Ok(()) => return error,
+                Err(found) => found,
+            }
+        };
+        if is_lexical(&error) {
+            return error;
+        }
+        loop {
+            match self.lexer.next_token() {
+                Ok(Some(_)) => {}
+                Ok(None) => return error,
+                Err(lexical) => return lexical,
             }
         }
     }
-    Ok(id)
 }
 
-fn parse_arc(expr: &SExpr, body: &[SExpr]) -> Result<SyncArc> {
-    if body.len() != 9 {
-        return Err(expr.malformed(
-            "sync_arc",
-            "expected anchor strictness source-anchor source offset unit destination min max",
-        ));
+fn is_lexical(error: &FormatError) -> bool {
+    matches!(
+        error,
+        FormatError::UnexpectedChar { .. }
+            | FormatError::UnterminatedString { .. }
+            | FormatError::BadNumber { .. }
+    )
+}
+
+fn is_structural(error: &FormatError) -> bool {
+    matches!(
+        error,
+        FormatError::UnbalancedParens { .. }
+            | FormatError::TooDeep { .. }
+            | FormatError::TrailingContent { .. }
+    )
+}
+
+fn is_list(token: &Token<'_>) -> bool {
+    matches!(token.kind, TokenKind::LParen)
+}
+
+/// The text of an identifier or string token.
+fn text_of(token: Token<'_>) -> Option<Cow<'_, str>> {
+    match token.kind {
+        TokenKind::Ident(s) => Some(Cow::Borrowed(s)),
+        TokenKind::Str(s) => Some(s),
+        _ => None,
     }
-    let anchor_text = body[0]
-        .as_text()
-        .ok_or_else(|| expr.malformed("sync_arc", "anchor must be begin or end"))?;
-    let anchor = Anchor::parse(anchor_text)
-        .ok_or_else(|| expr.malformed("sync_arc", format!("unknown anchor `{anchor_text}`")))?;
-    let strict_text = body[1]
-        .as_text()
-        .ok_or_else(|| expr.malformed("sync_arc", "strictness must be must or may"))?;
-    let strictness = Strictness::parse(strict_text)
-        .ok_or_else(|| expr.malformed("sync_arc", format!("unknown strictness `{strict_text}`")))?;
-    let source_anchor_text = body[2]
-        .as_text()
-        .ok_or_else(|| expr.malformed("sync_arc", "source anchor must be begin or end"))?;
-    let source_anchor = Anchor::parse(source_anchor_text).ok_or_else(|| {
-        expr.malformed("sync_arc", format!("unknown anchor `{source_anchor_text}`"))
-    })?;
-    let source = body[3]
-        .as_text()
-        .ok_or_else(|| expr.malformed("sync_arc", "source must be a path"))?;
-    let offset_value = body[4]
-        .as_number()
-        .ok_or_else(|| expr.malformed("sync_arc", "offset must be a number"))?;
-    let unit_text = body[5]
-        .as_text()
-        .ok_or_else(|| expr.malformed("sync_arc", "offset unit must be an identifier"))?;
-    let unit = parse_unit(unit_text)
-        .ok_or_else(|| expr.malformed("sync_arc", format!("unknown unit `{unit_text}`")))?;
-    let destination = body[6]
-        .as_text()
-        .ok_or_else(|| expr.malformed("sync_arc", "destination must be a path"))?;
-    let min_delay = body[7]
-        .as_number()
-        .ok_or_else(|| expr.malformed("sync_arc", "min delay must be a number"))?;
-    let max_delay = match (&body[8].kind, body[8].as_number()) {
-        (SExprKind::Ident(word), _) if *word == "inf" => MaxDelay::Unbounded,
-        (_, Some(ms)) => MaxDelay::Bounded(DelayMs::from_millis(ms)),
-        _ => return Err(expr.malformed("sync_arc", "max delay must be a number or `inf`")),
-    };
-    Ok(SyncArc {
-        anchor,
-        strictness,
-        source_anchor,
-        source: NodePath::parse(source),
-        offset: MediaTime {
-            value: offset_value,
-            unit,
-        },
-        destination: NodePath::parse(destination),
-        min_delay: DelayMs::from_millis(min_delay),
-        max_delay,
-    })
+}
+
+/// The medium a channel or descriptor names in `token`.
+fn medium_of(
+    token: Token<'_>,
+    at: Position,
+    context: &'static str,
+    not_text: &'static str,
+) -> Result<MediaKind> {
+    let text = text_of(token).ok_or_else(|| malformed(at, context, not_text))?;
+    MediaKind::parse(&text)
+        .ok_or_else(|| malformed(at, context, format!("unknown medium `{text}`")))
+}
+
+/// The integer a number token holds. A real counts only when it is
+/// integral and inside `i64`: an `as` cast would turn `1e300` into
+/// `i64::MAX`.
+fn integer(kind: &TokenKind<'_>) -> Option<i64> {
+    // 2^63, the first integral real past `i64::MAX`.
+    const LIMIT: f64 = 9_223_372_036_854_775_808.0;
+    match *kind {
+        TokenKind::Number(n) => Some(n),
+        TokenKind::Real(x) if x.fract() == 0.0 && (-LIMIT..LIMIT).contains(&x) => Some(x as i64),
+        _ => None,
+    }
 }
 
 fn parse_unit(text: &str) -> Option<MediaUnit> {
@@ -430,33 +775,11 @@ fn parse_unit(text: &str) -> Option<MediaUnit> {
     }
 }
 
-fn number_at(expr: &SExpr, body: &[SExpr], index: usize) -> Result<i64> {
-    body.get(index)
-        .and_then(SExpr::as_number)
-        .ok_or_else(|| expr.malformed("descriptor", "expected a numeric field"))
-}
-
-/// Converts a single expression into an attribute value. Identifiers and
-/// references intern straight from the borrowed source text — no
-/// intermediate `String` per token.
-fn expr_to_value(expr: &SExpr) -> AttrValue {
-    match &expr.kind {
-        SExprKind::Ident(s) => AttrValue::Id(Symbol::intern(s)),
-        SExprKind::Number(n) => AttrValue::Number(*n),
-        SExprKind::Real(x) => AttrValue::Real(*x),
-        SExprKind::Str(s) => AttrValue::Str(s.clone().into_owned()),
-        SExprKind::Ref(s) => AttrValue::Ref(Symbol::intern(s)),
-        SExprKind::List(items) => AttrValue::List(items.iter().map(expr_to_value).collect()),
-    }
-}
-
-/// Converts an attribute tail (everything after the name) into a value:
-/// a single expression stays scalar, several become a list.
-fn tail_to_value(tail: &[SExpr]) -> AttrValue {
-    match tail.len() {
-        0 => AttrValue::List(Vec::new()),
-        1 => expr_to_value(&tail[0]),
-        _ => AttrValue::List(tail.iter().map(expr_to_value).collect()),
+fn malformed(at: Position, context: &'static str, message: impl Into<String>) -> FormatError {
+    FormatError::Malformed {
+        context,
+        message: message.into(),
+        at,
     }
 }
 
@@ -661,5 +984,160 @@ mod tests {
         assert_eq!(parse_unit("samples"), Some(MediaUnit::Samples));
         assert_eq!(parse_unit("bytes"), Some(MediaUnit::Bytes));
         assert_eq!(parse_unit("furlongs"), None);
+    }
+
+    /// A document whose catalog holds one descriptor with `field`.
+    fn with_descriptor_field(field: &str) -> String {
+        format!(
+            "(cmif (channels (channel c text)) \
+             (descriptors (descriptor d text plain {field})) \
+             (seq (name root) (imm (name leaf) (channel c) (duration 1) (data \"t\"))))"
+        )
+    }
+
+    /// Parses a document whose one descriptor has `field`, expecting a
+    /// positioned `Malformed` error anchored on `literal`.
+    fn refused_field(field: &str, literal: &str) -> String {
+        let source = with_descriptor_field(field);
+        match parse_document(&source).unwrap_err() {
+            FormatError::Malformed { message, at, .. } => {
+                assert_eq!(at.offset, source.find(literal).unwrap(), "{message}");
+                message
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn descriptor_size_refuses_negative_values() {
+        // -1 must not wrap to 18446744073709551615.
+        assert!(refused_field("(size -1)", "-1").contains("u64"));
+        let doc = parse_document(&with_descriptor_field("(size 64000)")).unwrap();
+        assert_eq!(doc.catalog.get("d").unwrap().size_bytes, 64_000);
+    }
+
+    #[test]
+    fn descriptor_resolution_refuses_values_past_u32() {
+        // 4294967301 must not wrap to 5.
+        refused_field("(resolution 4294967301 2)", "4294967301");
+        refused_field("(resolution 640 -480)", "-480");
+    }
+
+    #[test]
+    fn descriptor_color_depth_refuses_values_past_u8() {
+        // 300 must not wrap to 44.
+        assert!(refused_field("(color_depth 300)", "300").contains("u8"));
+        let doc = parse_document(&with_descriptor_field("(color_depth 255)")).unwrap();
+        assert_eq!(doc.catalog.get("d").unwrap().color_depth, Some(255));
+    }
+
+    #[test]
+    fn descriptor_sample_rate_refuses_negative_values() {
+        // -8000 must not wrap to 4294959296.
+        refused_field("(sample_rate -8000)", "-8000");
+    }
+
+    #[test]
+    fn descriptor_byte_rate_refuses_negative_values() {
+        refused_field("(byte_rate -1)", "-1");
+    }
+
+    #[test]
+    fn descriptor_resources_refuse_values_their_fields_cannot_hold() {
+        refused_field("(resources -1 0 0)", "-1");
+        refused_field("(resources 1 4294967296 1)", "4294967296");
+        refused_field("(resources 1 2 -3)", "-3");
+        let doc = parse_document(&with_descriptor_field("(resources 1 2 3)")).unwrap();
+        assert_eq!(doc.catalog.get("d").unwrap().resources.decode_cost, 2);
+    }
+
+    /// A document with one arc whose offset, minimum and maximum delay are
+    /// the given literals.
+    fn with_arc(offset: &str, min: &str, max: &str) -> String {
+        format!(
+            "(cmif (channels (channel c text)) (seq (name root) \
+             (imm (name a) (channel c) (duration 1) (data \"t\")) \
+             (imm (name b) (channel c) (duration 1) (data \"t\") \
+               (sync_arc begin must begin \"../a\" {offset} ms \"\" {min} {max}))))"
+        )
+    }
+
+    fn arc_error(offset: &str, min: &str, max: &str) -> String {
+        match parse_document(&with_arc(offset, min, max)).unwrap_err() {
+            FormatError::Malformed { message, .. } => message,
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn arc_offsets_refuse_reals_outside_i64() {
+        // Neither may saturate to i64::MAX; the second does not fit in i64,
+        // so it lexes as a real.
+        assert!(arc_error("1e300", "0", "250").contains("offset"));
+        assert!(arc_error("99999999999999999999", "0", "250").contains("offset"));
+        // An integral real inside i64 still counts.
+        let doc = parse_document(&with_arc("2.0", "0", "250")).unwrap();
+        assert_eq!(doc.arcs()[0].1.offset.value, 2);
+    }
+
+    #[test]
+    fn delay_bounds_refuse_reals_outside_i64() {
+        assert!(arc_error("0", "-1e300", "250").contains("min delay"));
+        assert!(arc_error("0", "0", "1e300").contains("max delay"));
+        assert!(arc_error("0", "0", "99999999999999999999").contains("max delay"));
+    }
+
+    #[test]
+    fn descriptor_fields_refuse_reals_outside_i64() {
+        let source = with_descriptor_field("(size 1e300)");
+        assert!(matches!(
+            parse_document(&source).unwrap_err(),
+            FormatError::Malformed { .. }
+        ));
+    }
+
+    #[test]
+    fn rejects_depth_bombs_with_a_typed_error() {
+        // One level under the limit still reads (and then fails on meaning)...
+        let deep = format!(
+            "{}a{}",
+            "(".repeat(crate::MAX_NESTING),
+            ")".repeat(crate::MAX_NESTING)
+        );
+        assert!(matches!(
+            parse_document(&deep).unwrap_err(),
+            FormatError::Malformed { .. }
+        ));
+        // ...one over stops with TooDeep where the limit is crossed, even
+        // though an error of meaning comes first in the text.
+        let bomb = format!("{}a{}", "(".repeat(100_000), ")".repeat(100_000));
+        match parse_document(&bomb).unwrap_err() {
+            FormatError::TooDeep { limit, at } => {
+                assert_eq!(limit, crate::MAX_NESTING);
+                assert_eq!(at.offset, crate::MAX_NESTING);
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn errors_rank_lexical_then_structural_then_meaning() {
+        // The unknown section comes first, but a bad number anywhere wins...
+        let source = "(cmif (bogus) (seq (name x) (duration 1.2.3)) (((";
+        assert!(matches!(
+            parse_document(source).unwrap_err(),
+            FormatError::BadNumber { .. }
+        ));
+        // ...and without it, the unclosed list does.
+        let source = "(cmif (bogus) (seq (name x) (duration 1)) (((";
+        match parse_document(source).unwrap_err() {
+            FormatError::UnbalancedParens { at } => assert_eq!(at.offset, source.len() - 1),
+            other => panic!("unexpected error {other:?}"),
+        }
+        // Trailing content outranks a missing root.
+        assert!(matches!(
+            parse_document("(cmif (channels)) (more)").unwrap_err(),
+            FormatError::TrailingContent { .. }
+        ));
     }
 }
