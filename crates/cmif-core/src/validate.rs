@@ -9,10 +9,52 @@
 
 use crate::attr::AttrName;
 use crate::error::{CoreError, Result};
-use crate::node::NodeKind;
+use crate::node::{NodeId, NodeKind};
 use crate::style::style_names;
+use crate::symbol::Symbol;
 use crate::tree::Document;
 use crate::value::AttrValue;
+
+/// Finds the children that repeat an earlier sibling's name (§5.1: sibling
+/// names must be unique), for one composite at a time.
+///
+/// The check sorts `(name, position)` pairs instead of comparing every
+/// child with every earlier sibling, so a composite with `n` children costs
+/// `O(n log n)` rather than `O(n²)`. Its buffers are kept between calls:
+/// reuse one `SiblingNames` across a document's composites and the scan
+/// allocates nothing per composite.
+#[derive(Debug, Default)]
+pub struct SiblingNames {
+    named: Vec<(Symbol, usize)>,
+    repeats: Vec<(usize, Symbol)>,
+}
+
+impl SiblingNames {
+    /// Every child of `children` whose name an earlier sibling already
+    /// carries, as `(position, name)`: one entry per later duplicate, in
+    /// child order. Unnamed children, and ids that are not nodes of `doc`,
+    /// never match.
+    pub fn repeats(&mut self, doc: &Document, children: &[NodeId]) -> &[(usize, Symbol)] {
+        self.named.clear();
+        self.named
+            .extend(children.iter().enumerate().filter_map(|(position, child)| {
+                let name = doc.node(*child).ok()?.name_symbol()?;
+                Some((name, position))
+            }));
+        // Within a run of equal names the first position is the original;
+        // every later one is a repeat.
+        self.named.sort_unstable();
+        self.repeats.clear();
+        self.repeats.extend(
+            self.named
+                .windows(2)
+                .filter(|pair| pair[0].0 == pair[1].0)
+                .map(|pair| (pair[1].1, pair[1].0)),
+        );
+        self.repeats.sort_unstable_by_key(|(position, _)| *position);
+        &self.repeats
+    }
+}
 
 /// Validates a document, returning the first violation found.
 pub fn validate(doc: &Document) -> Result<()> {
@@ -35,6 +77,7 @@ pub fn validate_all(doc: &Document) -> Vec<CoreError> {
         problems.push(e);
     }
 
+    let mut sibling_names = SiblingNames::default();
     for id in doc.preorder() {
         let node = match doc.node(id) {
             Ok(node) => node,
@@ -59,24 +102,18 @@ pub fn validate_all(doc: &Document) -> Vec<CoreError> {
             }
         }
 
-        // Sibling name uniqueness.
+        // Sibling name uniqueness, reported in child order alongside any
+        // child that is not a node.
         if node.kind.is_composite() {
-            let children = node.children.clone();
-            for (i, child) in children.iter().enumerate() {
-                let name = match doc.node(*child) {
-                    Ok(n) => n.name_symbol(),
-                    Err(e) => {
-                        problems.push(e);
-                        continue;
-                    }
-                };
-                if let Some(name) = name {
-                    let duplicate = children[..i].iter().any(|other| {
-                        doc.node(*other).ok().and_then(|n| n.name_symbol()) == Some(name)
+            let mut repeats = sibling_names.repeats(doc, &node.children).iter().peekable();
+            for (position, child) in node.children.iter().enumerate() {
+                if let Err(e) = doc.node(*child) {
+                    problems.push(e);
+                } else if let Some((_, name)) = repeats.next_if(|(at, _)| *at == position) {
+                    problems.push(CoreError::DuplicateSiblingName {
+                        parent: id,
+                        name: *name,
                     });
-                    if duplicate {
-                        problems.push(CoreError::DuplicateSiblingName { parent: id, name });
-                    }
                 }
             }
         }
@@ -300,6 +337,88 @@ mod tests {
         assert!(problems
             .iter()
             .any(|p| matches!(p, CoreError::UnresolvedArcEndpoint { .. })));
+    }
+
+    /// The pairwise scan [`SiblingNames`] replaced: every named child
+    /// against every earlier sibling.
+    fn repeats_by_pairwise_scan(doc: &Document, children: &[NodeId]) -> Vec<(usize, Symbol)> {
+        let name_of = |id: &NodeId| doc.node(*id).ok().and_then(|n| n.name_symbol());
+        children
+            .iter()
+            .enumerate()
+            .filter_map(|(position, child)| {
+                let name = name_of(child)?;
+                children[..position]
+                    .iter()
+                    .any(|other| name_of(other) == Some(name))
+                    .then_some((position, name))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sibling_name_repeats_match_the_pairwise_scan() {
+        // SplitMix64, so every case replays from the seed.
+        let mut state = 0x0c1f_5eed_u64;
+        let mut below = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let mut names = SiblingNames::default();
+        for case in 0..300 {
+            // A root seq whose children — leaves and pars, some unnamed —
+            // draw names from a small pool, and whose pars hold children
+            // of their own, so one `SiblingNames` serves many composites.
+            let mut doc = Document::with_root(NodeKind::Seq);
+            let root = doc.root().unwrap();
+            let pool = 1 + below(6);
+            let mut parents = vec![root];
+            for _ in 0..below(48) {
+                let parent = parents[below(parents.len() as u64) as usize];
+                let child = if below(4) == 0 {
+                    let par = doc.add_par(parent).unwrap();
+                    parents.push(par);
+                    par
+                } else {
+                    doc.add_imm_text(parent, "x").unwrap()
+                };
+                if below(5) != 0 {
+                    let name = format!("n{}", below(pool));
+                    doc.set_attr(child, AttrName::Name, AttrValue::Id(name.into()))
+                        .unwrap();
+                }
+            }
+
+            let mut expected = Vec::new();
+            for parent in doc.preorder() {
+                let children = doc.children(parent).unwrap().to_vec();
+                let scanned = repeats_by_pairwise_scan(&doc, &children);
+                assert_eq!(names.repeats(&doc, &children), scanned, "case {case}");
+                expected.extend(scanned.into_iter().map(|(_, name)| (parent, name)));
+            }
+            let reported: Vec<(NodeId, Symbol)> = validate_all(&doc)
+                .into_iter()
+                .filter_map(|problem| match problem {
+                    CoreError::DuplicateSiblingName { parent, name } => Some((parent, name)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(reported, expected, "case {case}");
+        }
+
+        // An id outside the arena is never a repeat.
+        let doc = valid_doc();
+        let voice = doc.find("/voice").unwrap();
+        let stray = NodeId::from_index(10_000);
+        let children = [voice, stray, voice, stray];
+        assert_eq!(
+            names.repeats(&doc, &children),
+            repeats_by_pairwise_scan(&doc, &children)
+        );
+        assert_eq!(names.repeats(&doc, &children).len(), 1);
     }
 
     #[test]

@@ -21,6 +21,14 @@
 //!   references, static channel double-booking from declared durations, and
 //!   configurable depth/size ceilings ([`Limits`]).
 //!
+//! [`Linter::analyze`] is the one lint run: it derives the document's
+//! constraint graph once, relaxes the graph's base fixpoint once (or seeds
+//! it from the [`LintCache`]), runs the registry over both, and returns the
+//! report together with the graph, so a caller about to schedule the same
+//! revision — the pipeline's stage 5a — solves without deriving or relaxing
+//! again. [`Linter::check`] and [`Linter::check_resolved`] are its report
+//! half.
+//!
 //! [`admission_gate`] packages a configured [`Linter`] as an engine-side
 //! [`cmif_scheduler::LintGate`], so deny-level documents are refused at
 //! admission (`SchedulerError::LintRejected`) before they cost a worker.
@@ -47,11 +55,12 @@ pub mod passes;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use cmif_core::descriptor::DescriptorResolver;
 use cmif_core::diag::{Diagnostic, Severity, SeverityConfig, SourceMap};
 use cmif_core::tree::Document;
-use cmif_scheduler::{LintGate, ScheduleOptions};
+use cmif_scheduler::{Constraint, ConstraintGraph, LintGate, ScheduleOptions};
 
 use passes::Fixpoint;
 
@@ -85,46 +94,70 @@ impl Default for Limits {
 /// shaped the constraints): re-linting an unedited revision — as the live
 /// authoring loop does after every accepted edit of a *different* document,
 /// or the admission gate does when the same document is resubmitted — skips
-/// the relaxation entirely. A hit is only honoured when the freshly derived
-/// constraints still match the cached ones, so resolver or catalog changes
-/// behind an unchanged tree cannot serve a stale fixpoint.
+/// the relaxation entirely, and the graph it hands on
+/// ([`Analysis::graph`]) starts from the cached fixpoint. A hit is only
+/// honoured when the freshly derived constraints still match the cached
+/// ones, so resolver or catalog changes behind an unchanged tree cannot
+/// serve a stale fixpoint.
+///
+/// The lock guards only the lookup and the insert: a miss relaxes outside
+/// it, so concurrent lint runs sharing one cache (clones of a linter, of a
+/// `PipelineBuilder`, of the [`admission_gate`]) never wait on each
+/// other's relaxation. Two runs that miss on the same revision at once
+/// both relax it; the later insert wins.
 #[derive(Debug, Default)]
 pub struct LintCache {
-    entries: Mutex<HashMap<(u64, i64, bool), Arc<Fixpoint>>>,
+    entries: Mutex<HashMap<CacheKey, CacheEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
+
+/// Revision id, default discrete duration, fill-unknown-in-parallel.
+type CacheKey = (u64, i64, bool);
+
+/// A cached fixpoint and the constraint set it was relaxed from.
+type CacheEntry = (Arc<[Constraint]>, Arc<Fixpoint>);
 
 /// Entry bound before the cache wholesale-clears itself; crude, but a lint
 /// cache outliving 64 distinct revisions is churning, not converging.
 const CACHE_CAPACITY: usize = 64;
 
 impl LintCache {
+    /// The analysed graph of `constraints` (freshly derived from `doc`):
+    /// seeded from the cached fixpoint on a hit, relaxed and cached on a
+    /// miss. `None` only when the document has no root.
     fn lookup_or_compute(
         &self,
         doc: &Document,
         options: &ScheduleOptions,
-        constraints: &[cmif_scheduler::Constraint],
-    ) -> Arc<Fixpoint> {
+        constraints: Vec<Constraint>,
+    ) -> Option<(ConstraintGraph, Arc<Fixpoint>)> {
         let key = (
             doc.revision_id(),
             options.default_discrete_ms,
             options.fill_unknown_in_parallel,
         );
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(entry) = entries.get(&key) {
-            if entry.constraints_match(constraints) {
+        let cached = self.lock().get(&key).cloned();
+        if let Some((known, fixpoint)) = cached {
+            if *known == *constraints {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(entry);
+                let graph = fixpoint.seed(doc, constraints)?;
+                return Some((graph, fixpoint));
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let fixpoint = Arc::new(Fixpoint::compute(doc, constraints.to_vec()));
+        let known = Arc::from(constraints.as_slice());
+        let (graph, fixpoint) = Fixpoint::analyze(doc, constraints)?;
+        let mut entries = self.lock();
         if entries.len() >= CACHE_CAPACITY {
             entries.clear();
         }
-        entries.insert(key, Arc::clone(&fixpoint));
-        fixpoint
+        entries.insert(key, (known, Arc::clone(&fixpoint)));
+        Some((graph, fixpoint))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<CacheKey, CacheEntry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn stats(&self) -> (u64, u64) {
@@ -196,19 +229,27 @@ impl Linter {
 
     /// [`Linter::check`] with an external descriptor resolver — e.g. a
     /// block store's catalog when the document's media live in a store
-    /// rather than its own catalog (the pipeline's stage 2 does this).
-    pub fn check_resolved(
-        &self,
-        doc: &Document,
-        resolver: &dyn cmif_core::descriptor::DescriptorResolver,
-    ) -> LintReport {
-        let ctx = LintContext::with_resolver(doc, resolver, &self.options, &self.limits);
-        if let Some(constraints) = ctx.constraints() {
-            let fixpoint = self
-                .cache
-                .lookup_or_compute(doc, &self.options, constraints);
-            ctx.install_fixpoint(fixpoint);
-        }
+    /// rather than its own catalog. The report half of
+    /// [`Linter::analyze`].
+    pub fn check_resolved(&self, doc: &Document, resolver: &dyn DescriptorResolver) -> LintReport {
+        self.analyze(doc, resolver).report
+    }
+
+    /// Analyses the document once: derives its constraint graph against
+    /// `resolver`, relaxes the graph's base fixpoint (or seeds it from the
+    /// [`LintCache`]), runs every registered pass over both, and returns
+    /// the graded report together with the graph. A caller about to
+    /// schedule the same revision against the same resolver solves that
+    /// graph ([`ConstraintGraph::solve`]) instead of deriving and relaxing
+    /// it again — the pipeline's stage 5a does this.
+    pub fn analyze(&self, doc: &Document, resolver: &dyn DescriptorResolver) -> Analysis {
+        let ctx = LintContext::analyzed(
+            doc,
+            resolver,
+            &self.options,
+            &self.limits,
+            Some(&self.cache),
+        );
         let mut raw = Vec::new();
         for pass in passes::registry() {
             pass.run(&ctx, &mut raw);
@@ -220,8 +261,25 @@ impl Linter {
                 severity => Some(diag.with_severity(severity)),
             })
             .collect();
-        LintReport { diagnostics }
+        Analysis {
+            report: LintReport { diagnostics },
+            graph: ctx.into_graph(),
+        }
     }
+}
+
+/// One analysis of a document ([`Linter::analyze`]).
+#[derive(Debug)]
+pub struct Analysis {
+    /// Every graded finding, in pass order.
+    pub report: LintReport,
+    /// The derived constraint graph, its base fixpoint already relaxed
+    /// unless relaxation failed (a positive cycle or an overflow, which a
+    /// solve of the graph reports again). Derived with the linter's
+    /// schedule options against the resolver the analysis was given, so
+    /// it is only valid for a solve of the same revision against an
+    /// unchanged resolver. `None` when derivation failed.
+    pub graph: Option<ConstraintGraph>,
 }
 
 /// The outcome of one lint run: every graded finding, in pass order.
@@ -614,6 +672,70 @@ mod tests {
             .diagnostics()
             .iter()
             .any(|d| d.code == codes::ARC_CYCLE));
+    }
+
+    #[test]
+    fn concurrent_checks_through_one_linter_match_sequential_runs() {
+        // Distinct revisions: every document is built afresh, and every
+        // third one carries an arc cycle, so reports differ between them.
+        let docs: Vec<Document> = (0..12)
+            .map(|i| {
+                let mut doc = valid_doc();
+                let root = doc.root().unwrap();
+                let par = doc.add_par(root).unwrap();
+                doc.set_attr(par, AttrName::Name, AttrValue::Id("captions".into()))
+                    .unwrap();
+                for caption in 0..=i {
+                    let leaf = doc.add_imm_text(par, "caption").unwrap();
+                    let name = AttrValue::Id(format!("caption-{caption}").into());
+                    doc.set_attr(leaf, AttrName::Name, name).unwrap();
+                    doc.set_attr(leaf, AttrName::Channel, AttrValue::Id("audio".into()))
+                        .unwrap();
+                    doc.set_attr(leaf, AttrName::Duration, AttrValue::Number(500 * i))
+                        .unwrap();
+                }
+                if i % 3 == 0 {
+                    let voice = doc.find("/voice").unwrap();
+                    let first = doc.children(par).unwrap()[0];
+                    let offset = MediaTime::seconds(1);
+                    doc.add_arc(
+                        voice,
+                        SyncArc::hard_start("../captions/caption-0", "").with_offset(offset),
+                    )
+                    .unwrap();
+                    doc.add_arc(
+                        first,
+                        SyncArc::hard_start("../../voice", "").with_offset(offset),
+                    )
+                    .unwrap();
+                }
+                doc
+            })
+            .collect();
+        let sequential: Vec<LintReport> = docs.iter().map(|doc| Linter::new().check(doc)).collect();
+        assert!(sequential
+            .iter()
+            .any(|r| r.diagnostics().iter().any(|d| d.code == codes::ARC_CYCLE)));
+
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 3;
+        let linter = Linter::new();
+        std::thread::scope(|scope| {
+            for thread in 0..THREADS {
+                let (linter, docs, sequential) = (linter.clone(), &docs, &sequential);
+                scope.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        for i in (thread..docs.len()).step_by(THREADS) {
+                            assert_eq!(linter.check(&docs[i]), sequential[i], "document {i}");
+                        }
+                    }
+                });
+            }
+        });
+        // Each document belongs to one thread: it misses once, then hits.
+        let (hits, misses) = linter.cache_stats();
+        assert_eq!(hits + misses, (docs.len() * ROUNDS) as u64);
+        assert_eq!(misses, docs.len() as u64);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! The L0xx passes are the structural rules that used to live inside
 //! `cmif_core::validate::validate_all`, split into individually coded,
 //! individually configurable analyses. The L1xx passes consult the *derived*
-//! constraint graph (`cmif_scheduler::derive_constraints`), so they catch
-//! timing contradictions — positive synchronization cycles, empty delay
-//! windows — statically, before a document ever costs an engine worker. The
-//! L2xx passes cover channels and resources.
+//! constraint graph (`cmif_scheduler::ConstraintGraph`, derived and relaxed
+//! once per [`LintContext`]), so they catch timing contradictions —
+//! positive synchronization cycles, empty delay windows — statically,
+//! before a document ever costs an engine worker. The L2xx passes cover
+//! channels and resources.
 
-use std::cell::OnceCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use cmif_core::attr::AttrName;
@@ -21,34 +21,33 @@ use cmif_core::node::{NodeId, NodeKind};
 use cmif_core::span::Span;
 use cmif_core::style::style_names;
 use cmif_core::tree::{unassigned_channel, Document};
+use cmif_core::validate::SiblingNames;
 use cmif_core::value::AttrValue;
 use cmif_scheduler::graph::{relax_traced, window_violations};
 use cmif_scheduler::{
-    derive_constraints, Constraint, ConstraintOrigin, EventPoint, PointTimes, ScheduleOptions,
-    SchedulerError,
+    derive_constraints, Constraint, ConstraintGraph, ConstraintOrigin, EventPoint, PointTimes,
+    ScheduleOptions, SchedulerError,
 };
 
-use crate::Limits;
+use crate::{Limits, LintCache};
 
 /// The relaxed ASAP fixpoint of one document revision's derived constraint
 /// set — or the positive cycle or time overflow that prevents one.
 ///
-/// Computed at most once per lint run by the scheduler's relaxation kernel
-/// (the one solve, playback and live edits use) and shared by every timing
-/// pass (L101 consumes the cycle trace, L105 the overflow, L203 the event
-/// times), so no pass runs its own relaxation. The [`crate::Linter`] additionally caches entries per
-/// document revision, so re-linting an unchanged revision — the hot path of
-/// a live authoring loop, where every accepted edit triggers a fresh lint —
-/// skips relaxation entirely.
+/// Computed once per analysis, through the document's [`ConstraintGraph`]
+/// itself ([`ConstraintGraph::base_fixpoint`]): the graph keeps the
+/// fixpoint, so the solve that follows a lint run on the same graph
+/// (`crate::Analysis::graph`) does not relax again. Every timing pass
+/// shares it — L101 reports the cycle, L105 the overflow, L203 reads the
+/// event times — and no pass relaxes on its own. A cycle's route is
+/// recovered with [`relax_traced`] only after the plain relax has found the
+/// cycle. The [`crate::Linter`] caches fixpoints per document revision (see
+/// [`LintCache`]); a cached one seeds the next graph of that revision
+/// ([`ConstraintGraph::from_relaxed`]).
 #[derive(Debug)]
 pub struct Fixpoint {
-    /// The constraints the fixpoint was computed from, in derivation
-    /// order. Cache validation compares these on a revision-id hit: a
-    /// changed resolver or catalog changes the derived set even when the
-    /// tree itself is untouched.
-    constraints: Vec<Constraint>,
-    /// Event times at the fixpoint; empty when relaxation failed.
-    times: PointTimes,
+    /// The base fixpoint; `None` when relaxation failed.
+    times: Option<PointTimes>,
     /// The recovered cycle when relaxation diverged.
     cycle: Option<CycleTrace>,
     /// The point whose time or window bound leaves the `i64` range, when
@@ -66,52 +65,73 @@ struct CycleTrace {
 }
 
 impl Fixpoint {
-    /// Relaxes with predecessor tracking; on a positive cycle the kernel
-    /// recovers the arcs that form it. Windows are checked over the
-    /// fixpoint exactly as solve checks them, so an overflowing bound
-    /// surfaces here rather than in the solver.
-    pub(crate) fn compute(doc: &Document, constraints: Vec<Constraint>) -> Fixpoint {
-        let (relaxed, route) = relax_traced(doc, &constraints, "lint");
-        let checked = relaxed
-            .and_then(|times| window_violations(&constraints, &times, "lint").map(|_| times));
-        let (times, cycle, overflow) = match checked {
-            Ok(times) => (times, None, None),
-            Err(SchedulerError::ConstraintCycle { points, .. }) => (
-                PointTimes::default(),
-                Some(CycleTrace { route, points }),
-                None,
-            ),
-            Err(SchedulerError::TimeOverflow { point, .. }) => {
-                (PointTimes::default(), None, Some(point))
+    /// Wraps `constraints` in a graph and relaxes its base fixpoint, which
+    /// the graph keeps. `None` only when the document has no root.
+    pub(crate) fn analyze(
+        doc: &Document,
+        constraints: Vec<Constraint>,
+    ) -> Option<(ConstraintGraph, Arc<Fixpoint>)> {
+        let mut graph = ConstraintGraph::from_constraints(doc, constraints).ok()?;
+        let fixpoint = Arc::new(Fixpoint::compute(doc, &mut graph));
+        Some((graph, fixpoint))
+    }
+
+    /// Relaxes the graph's base constraints, caching the fixpoint in the
+    /// graph. Windows are checked over the fixpoint exactly as solve checks
+    /// them, so an overflowing bound surfaces here rather than in the
+    /// solver; on a positive cycle the kernel re-runs with predecessor
+    /// tracking to recover the arcs that form it.
+    fn compute(doc: &Document, graph: &mut ConstraintGraph) -> Fixpoint {
+        let relaxed = graph.base_fixpoint().cloned();
+        let constraints = graph.base_constraints();
+        let checked = match &relaxed {
+            Ok(times) => window_violations(constraints, times, "lint").map(drop),
+            Err(error) => Err(error.clone()),
+        };
+        let (cycle, overflow) = match checked {
+            Err(SchedulerError::ConstraintCycle { points, .. }) => {
+                let (_, route) = relax_traced(doc, constraints, "lint");
+                (Some(CycleTrace { route, points }), None)
             }
-            Err(_) => (PointTimes::default(), None, None),
+            Err(SchedulerError::TimeOverflow { point, .. }) => (None, Some(point)),
+            _ => (None, None),
         };
         Fixpoint {
-            constraints,
-            times,
+            times: relaxed.ok(),
             cycle,
             overflow,
         }
     }
 
-    /// The event times at the fixpoint; `None` when relaxation failed.
-    pub(crate) fn times(&self) -> Option<&PointTimes> {
-        if self.cycle.is_some() || self.overflow.is_some() {
-            None
-        } else {
-            Some(&self.times)
+    /// A graph over `constraints` — the set this fixpoint was computed
+    /// from, re-derived for the same revision — that starts from this
+    /// fixpoint instead of relaxing again.
+    pub(crate) fn seed(
+        &self,
+        doc: &Document,
+        constraints: Vec<Constraint>,
+    ) -> Option<ConstraintGraph> {
+        match &self.times {
+            Some(times) => ConstraintGraph::from_relaxed(doc, constraints, times.clone()),
+            None => ConstraintGraph::from_constraints(doc, constraints),
         }
+        .ok()
     }
 
-    /// Whether this fixpoint was computed from exactly `other`.
-    pub(crate) fn constraints_match(&self, other: &[Constraint]) -> bool {
-        self.constraints.as_slice() == other
+    /// The event times at the fixpoint; `None` when relaxation failed or a
+    /// time or window bound overflowed.
+    pub(crate) fn times(&self) -> Option<&PointTimes> {
+        if self.overflow.is_some() {
+            None
+        } else {
+            self.times.as_ref()
+        }
     }
 }
 
 /// Everything a pass may look at: the document, the derivation policy, the
-/// resource ceilings, and the pre-derived constraint set (shared by the
-/// L1xx/L2xx passes so derivation runs once per lint, not once per pass).
+/// resource ceilings, and the document's analysed constraint graph (derived
+/// and relaxed once, shared by the L1xx/L2xx passes).
 pub struct LintContext<'a> {
     /// The document under analysis.
     pub doc: &'a Document,
@@ -119,17 +139,15 @@ pub struct LintContext<'a> {
     pub options: &'a ScheduleOptions,
     /// Resource ceilings enforced by L204/L205.
     pub limits: &'a Limits,
-    /// The derived constraint set, `None` when derivation itself failed
-    /// (dangling endpoints and the like — reported by their own passes).
-    constraints: Option<Vec<Constraint>>,
     /// Where external data references resolve: the document's own catalog
     /// by default, a block store's catalog when the pipeline lints a
     /// store-backed document. Consulted by L202 and by derivation (leaf
     /// durations come from descriptors).
     resolver: &'a dyn DescriptorResolver,
-    /// The shared relaxation fixpoint, computed lazily on first use — or
-    /// installed up front from the linter's per-revision cache.
-    fixpoint: OnceCell<Option<Arc<Fixpoint>>>,
+    /// The derived constraint graph with its base fixpoint relaxed, and
+    /// that fixpoint; `None` when derivation itself failed (dangling
+    /// endpoints and the like — reported by their own passes).
+    analysis: Option<(ConstraintGraph, Arc<Fixpoint>)>,
 }
 
 impl<'a> LintContext<'a> {
@@ -140,47 +158,56 @@ impl<'a> LintContext<'a> {
     }
 
     /// Prepares a context with an external descriptor resolver (e.g. a
-    /// block store's catalog), deriving the constraint set once up front.
+    /// block store's catalog), deriving the constraint graph and relaxing
+    /// it once up front.
     pub fn with_resolver(
         doc: &'a Document,
         resolver: &'a dyn DescriptorResolver,
         options: &'a ScheduleOptions,
         limits: &'a Limits,
     ) -> Self {
-        let constraints = derive_constraints(doc, resolver, options).ok();
+        LintContext::analyzed(doc, resolver, options, limits, None)
+    }
+
+    /// [`LintContext::with_resolver`], consulting `cache` for the fixpoint.
+    pub(crate) fn analyzed(
+        doc: &'a Document,
+        resolver: &'a dyn DescriptorResolver,
+        options: &'a ScheduleOptions,
+        limits: &'a Limits,
+        cache: Option<&LintCache>,
+    ) -> Self {
+        let analysis = derive_constraints(doc, resolver, options)
+            .ok()
+            .and_then(|constraints| match cache {
+                Some(cache) => cache.lookup_or_compute(doc, options, constraints),
+                None => Fixpoint::analyze(doc, constraints),
+            });
         LintContext {
             doc,
             options,
             limits,
-            constraints,
             resolver,
-            fixpoint: OnceCell::new(),
+            analysis,
         }
     }
 
+    /// Gives up the analysed graph (see [`crate::Analysis::graph`]).
+    pub(crate) fn into_graph(self) -> Option<ConstraintGraph> {
+        self.analysis.map(|(graph, _)| graph)
+    }
+
     /// The derived constraint set, when derivation succeeded.
-    pub(crate) fn constraints(&self) -> Option<&[Constraint]> {
-        self.constraints.as_deref()
+    fn constraints(&self) -> Option<&[Constraint]> {
+        self.analysis
+            .as_ref()
+            .map(|(graph, _)| graph.base_constraints())
     }
 
-    /// Installs a precomputed (cached) fixpoint. A no-op when one was
-    /// already computed for this context.
-    pub(crate) fn install_fixpoint(&self, fixpoint: Arc<Fixpoint>) {
-        let _ = self.fixpoint.set(Some(fixpoint));
-    }
-
-    /// The shared relaxation fixpoint, computed on first use when the
-    /// linter did not install a cached one. `None` when constraint
-    /// derivation failed (dangling endpoints and the like — reported by
-    /// their own passes).
+    /// The shared relaxation fixpoint; `None` when constraint derivation
+    /// failed.
     fn fixpoint(&self) -> Option<&Fixpoint> {
-        self.fixpoint
-            .get_or_init(|| {
-                self.constraints
-                    .as_ref()
-                    .map(|c| Arc::new(Fixpoint::compute(self.doc, c.clone())))
-            })
-            .as_deref()
+        self.analysis.as_ref().map(|(_, fixpoint)| &**fixpoint)
     }
 
     fn node_span(&self, node: NodeId) -> Option<Span> {
@@ -400,31 +427,26 @@ fn empty_document(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
 }
 
 fn duplicate_sibling_names(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    let name_of = |id: NodeId| ctx.doc.node(id).ok().and_then(|n| n.name_symbol());
+    let mut sibling_names = SiblingNames::default();
     for id in ctx.doc.preorder() {
         let Ok(node) = ctx.doc.node(id) else { continue };
         if !node.kind.is_composite() {
             continue;
         }
-        for (i, child) in node.children.iter().enumerate() {
-            let Some(name) = name_of(*child) else {
-                continue;
-            };
-            if node.children[..i].iter().any(|o| name_of(*o) == Some(name)) {
-                out.push(
-                    ctx.at_node(
-                        Diagnostic::new(
-                            codes::DUPLICATE_SIBLING_NAME,
-                            format!(
-                                "the name `{name}` is used by more than one child of {}",
-                                ctx.path_str(id)
-                            ),
-                        )
-                        .with_help("sibling names must be unique so paths resolve unambiguously"),
-                        *child,
-                    ),
-                );
-            }
+        for &(position, name) in sibling_names.repeats(ctx.doc, &node.children) {
+            out.push(
+                ctx.at_node(
+                    Diagnostic::new(
+                        codes::DUPLICATE_SIBLING_NAME,
+                        format!(
+                            "the name `{name}` is used by more than one child of {}",
+                            ctx.path_str(id)
+                        ),
+                    )
+                    .with_help("sibling names must be unique so paths resolve unambiguously"),
+                    node.children[position],
+                ),
+            );
         }
     }
 }
@@ -603,13 +625,12 @@ fn arc_cycles(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     if ctx.doc.root().is_err() {
         return;
     }
-    let Some(fixpoint) = ctx.fixpoint() else {
+    let (Some(fixpoint), Some(constraints)) = (ctx.fixpoint(), ctx.constraints()) else {
         return;
     };
     let Some(trace) = &fixpoint.cycle else {
         return; // reached the fixpoint: no positive cycle
     };
-    let constraints = &fixpoint.constraints;
     let mut diag = match trace.route.first() {
         Some(&first) => {
             let mut route: Vec<String> = trace
@@ -716,34 +737,36 @@ fn unresolved_arc_endpoints(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// Finds the (source, target) pairs that two or more constraints share by
+/// sorting constraint indices on the dense slots of their endpoints —
+/// `(source slot, target slot, index)` — and walking the runs of equal
+/// pairs, so nothing is allocated per pair. Slot order is (node, anchor)
+/// order with begin first, which is the order pairs are reported in, and
+/// the index keeps each run in constraint order.
 fn conflicting_windows(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    let Some(constraints) = &ctx.constraints else {
+    let Some(constraints) = ctx.constraints() else {
         return;
     };
-    let mut groups: HashMap<(EventPoint, EventPoint), Vec<&Constraint>> = HashMap::new();
-    for constraint in constraints {
-        groups
-            .entry((constraint.source, constraint.target))
-            .or_default()
-            .push(constraint);
-    }
-    let mut keys: Vec<&(EventPoint, EventPoint)> = groups.keys().collect();
-    keys.sort_by_key(|(s, t)| (s.node, s.anchor.as_str(), t.node, t.anchor.as_str()));
-    for key in keys {
-        let group = &groups[key];
-        if group.len() < 2 {
+    let mut keyed: Vec<(usize, usize, usize)> = constraints
+        .iter()
+        .enumerate()
+        .map(|(index, c)| (c.source.slot(), c.target.slot(), index))
+        .collect();
+    keyed.sort_unstable();
+    for run in keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        if run.len() < 2 {
             continue;
         }
+        let group = run.iter().map(|&(_, _, index)| &constraints[index]);
         // All windows in a group are relative to the same reference point, so
         // their intersection is directly comparable: the largest lower bound
         // against the smallest bounded upper bound.
         // Summed exactly: an extreme offset is L105's report, not a panic.
         let lower_of = |c: &Constraint| i128::from(c.offset_ms) + i128::from(c.min_delay_ms);
-        let Some(lowest) = group.iter().copied().max_by_key(|c| lower_of(c)) else {
+        let Some(lowest) = group.clone().max_by_key(|c| lower_of(c)) else {
             continue;
         };
         let highest = group
-            .iter()
             .filter_map(|c| {
                 c.max_delay_ms
                     .map(|max| (c, i128::from(c.offset_ms) + i128::from(max)))
@@ -754,15 +777,14 @@ fn conflicting_windows(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         };
         let lower = lower_of(lowest);
         if lower > upper {
-            let (source, target) = key;
             out.push(
                 Diagnostic::new(
                     codes::CONFLICTING_WINDOWS,
                     format!(
                         "no delay satisfies every window between {} and {}: one \
                          constraint requires at least {lower}ms, another at most {upper}ms",
-                        ctx.point_str(source),
-                        ctx.point_str(target),
+                        ctx.point_str(&lowest.source),
+                        ctx.point_str(&lowest.target),
                     ),
                 )
                 .with_related(ctx.describe_constraint(lowest))
@@ -924,5 +946,187 @@ fn node_limit(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
             )
             .with_help("raise Limits::max_nodes if a document this large is intended"),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use cmif_core::arc::Strictness;
+
+    use super::*;
+
+    /// L104 as it grouped constraints before the dense-slot sort: one map
+    /// entry per (source, target) pair, keys sorted by node and anchor
+    /// name. The reference for the differential below.
+    fn conflicting_windows_by_map(
+        ctx: &LintContext<'_>,
+        constraints: &[Constraint],
+        out: &mut Vec<Diagnostic>,
+    ) {
+        let mut groups: HashMap<(EventPoint, EventPoint), Vec<&Constraint>> = HashMap::new();
+        for constraint in constraints {
+            groups
+                .entry((constraint.source, constraint.target))
+                .or_default()
+                .push(constraint);
+        }
+        let mut keys: Vec<&(EventPoint, EventPoint)> = groups.keys().collect();
+        keys.sort_by_key(|(s, t)| (s.node, s.anchor.as_str(), t.node, t.anchor.as_str()));
+        for key in keys {
+            let group = &groups[key];
+            if group.len() < 2 {
+                continue;
+            }
+            let lower_of = |c: &Constraint| i128::from(c.offset_ms) + i128::from(c.min_delay_ms);
+            let Some(lowest) = group.iter().copied().max_by_key(|c| lower_of(c)) else {
+                continue;
+            };
+            let highest = group
+                .iter()
+                .filter_map(|c| {
+                    c.max_delay_ms
+                        .map(|max| (c, i128::from(c.offset_ms) + i128::from(max)))
+                })
+                .min_by_key(|(_, upper)| *upper);
+            let Some((tightest, upper)) = highest else {
+                continue;
+            };
+            let lower = lower_of(lowest);
+            if lower > upper {
+                let (source, target) = key;
+                out.push(
+                    Diagnostic::new(
+                        codes::CONFLICTING_WINDOWS,
+                        format!(
+                            "no delay satisfies every window between {} and {}: one \
+                             constraint requires at least {lower}ms, another at most {upper}ms",
+                            ctx.point_str(source),
+                            ctx.point_str(target),
+                        ),
+                    )
+                    .with_related(ctx.describe_constraint(lowest))
+                    .with_related(ctx.describe_constraint(tightest))
+                    .with_help("the windows have an empty intersection; widen one of them"),
+                );
+            }
+        }
+    }
+
+    /// SplitMix64: every case replays from the seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())]
+        }
+    }
+
+    #[test]
+    fn l104_dense_slot_grouping_matches_the_map_reference() {
+        // Named leaves under a seq and a par, so findings name real paths.
+        let mut doc = Document::with_root(NodeKind::Seq);
+        let root = doc.root().unwrap();
+        let par = doc.add_par(root).unwrap();
+        for (parent, name) in [
+            (root, "a"),
+            (root, "b"),
+            (par, "c"),
+            (par, "d"),
+            (root, "e"),
+        ] {
+            let leaf = doc.add_imm_text(parent, "x").unwrap();
+            doc.set_attr(leaf, AttrName::Name, AttrValue::Id(name.into()))
+                .unwrap();
+        }
+        let options = ScheduleOptions::default();
+        let limits = Limits::default();
+        let nodes = doc.preorder();
+
+        // Small values tie often; the extremes sit at the edges of i64.
+        let values = [
+            i64::MIN,
+            i64::MIN + 1,
+            -1_000,
+            -1,
+            0,
+            0,
+            1,
+            250,
+            250,
+            1_000,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let origins = |rng: &mut Rng| match rng.below(6) {
+            0 => ConstraintOrigin::SequentialOrder,
+            1 => ConstraintOrigin::ParallelFork,
+            2 => ConstraintOrigin::ParallelJoin,
+            3 => ConstraintOrigin::LeafDuration,
+            _ => ConstraintOrigin::Explicit {
+                carrier: rng.pick(&nodes),
+                index: rng.below(4),
+            },
+        };
+        let mut rng = Rng(0x0c1f_5eed);
+        let (mut findings, mut grouped) = (0, 0);
+        for case in 0..2_000 {
+            // A few pairs shared by many constraints: duplicates,
+            // triplicates and longer runs, plus lone pairs.
+            let pairs: Vec<(EventPoint, EventPoint)> = (0..1 + rng.below(6))
+                .map(|_| {
+                    let point = |rng: &mut Rng| {
+                        let node = rng.pick(&nodes);
+                        if rng.below(2) == 0 {
+                            EventPoint::begin(node)
+                        } else {
+                            EventPoint::end(node)
+                        }
+                    };
+                    (point(&mut rng), point(&mut rng))
+                })
+                .collect();
+            let constraints: Vec<Constraint> = (0..rng.below(16))
+                .map(|_| {
+                    let (source, target) = rng.pick(&pairs);
+                    Constraint {
+                        source,
+                        target,
+                        offset_ms: rng.pick(&values),
+                        min_delay_ms: rng.pick(&values),
+                        max_delay_ms: (rng.below(4) != 0).then(|| rng.pick(&values)),
+                        strictness: Strictness::Must,
+                        origin: origins(&mut rng),
+                    }
+                })
+                .collect();
+            grouped += usize::from(constraints.len() > pairs.len());
+
+            let ctx = LintContext {
+                doc: &doc,
+                options: &options,
+                limits: &limits,
+                resolver: &doc.catalog,
+                analysis: Fixpoint::analyze(&doc, constraints.clone()),
+            };
+            let mut sorted = Vec::new();
+            conflicting_windows(&ctx, &mut sorted);
+            let mut mapped = Vec::new();
+            conflicting_windows_by_map(&ctx, &constraints, &mut mapped);
+            assert_eq!(sorted, mapped, "case {case}: {constraints:?}");
+            findings += sorted.len();
+        }
+        // The generator does reach the interesting cases.
+        assert!(grouped > 1_000, "only {grouped} cases share a pair");
+        assert!(findings > 1_000, "only {findings} conflicts found");
     }
 }

@@ -31,7 +31,7 @@ use cmif_core::descriptor::DescriptorResolver;
 use cmif_core::diag::Diagnostic;
 use cmif_core::edit::Edit;
 use cmif_core::tree::Document;
-use cmif_lint::Linter;
+use cmif_lint::{Analysis, Linter};
 use cmif_media::store::BlockStore;
 use cmif_scheduler::{
     full_report, ConflictReport, ConstraintGraph, DocId, DocOutcome, Engine, EngineConfig,
@@ -179,10 +179,12 @@ impl PipelineRun {
 /// Configures and runs pipeline passes for one target device.
 ///
 /// The builder is reusable: configure it once, then [`PipelineBuilder::run`]
-/// as many documents through it as needed. Each run derives a
-/// [`ConstraintGraph`] (so callers holding the run can keep injecting
-/// constraints without re-deriving) and drives playback through a
-/// stage-5c [`cmif_scheduler::Engine`] — bounded admission included: set
+/// as many documents through it as needed. Each run derives and relaxes
+/// the document's [`ConstraintGraph`] once, in stage 2's analysis
+/// ([`Linter::analyze`]), solves that same graph in stage 5a (deriving
+/// afresh only when stage 4 materialised filtered media), and drives
+/// playback through a stage-5c [`cmif_scheduler::Engine`] — bounded
+/// admission included: set
 /// [`PipelineOptions::playback_backlog`] and an overloaded engine surfaces
 /// `Backpressure` as a `"playback"`-tagged error instead of stalling.
 ///
@@ -320,30 +322,27 @@ impl PipelineBuilder {
     /// entry point of the paper's edit-while-playing authoring loop.
     ///
     /// The document passes stage-2 static analysis first (deny findings
-    /// refuse it exactly like [`PipelineBuilder::run`]); descriptors then
-    /// resolve against a snapshot of the store's catalog. While the
+    /// refuse it exactly like [`PipelineBuilder::run`]), and the graph that
+    /// analysis derived is solved here and handed to the job, which then
+    /// skips its own derivation; descriptors resolve against a snapshot of
+    /// the store's catalog. While the
     /// presentation plays, feed revisions in with
     /// [`PipelineBuilder::edit_running`] and collect the final report —
     /// including one [`cmif_scheduler::EditOutcome`] per routed edit —
     /// with [`PipelineBuilder::wait_running`].
     pub fn play_running(&self, doc: impl Into<Arc<Document>>, store: &BlockStore) -> Result<DocId> {
         let shared = doc.into();
-        let report = self
-            .options
-            .lint
-            .clone()
-            .with_options(self.options.schedule)
-            .check_resolved(&shared, store);
-        if report.has_deny() {
-            return Err(PipelineError::Lint {
-                stage: "structure",
-                diagnostics: report.into_diagnostics(),
-            });
-        }
+        let graph = self.structure(&shared, store)?.graph;
         let catalog: Arc<dyn DescriptorResolver + Send + Sync> = Arc::new(store.export_catalog());
-        let submission = Submission::new(shared, self.options.jitter.clone())
+        let mut submission = Submission::new(Arc::clone(&shared), self.options.jitter.clone())
             .tenant(self.options.playback_tenant)
             .resolver(catalog);
+        // Solving stage 2's graph spares the job its own derive and relax.
+        // A graph that does not solve is left to the job, which derives
+        // afresh and ends with the same error as any other submission.
+        if let Some(solve) = graph.and_then(|mut graph| graph.solve(&shared, store).ok()) {
+            submission = submission.solved(solve);
+        }
         let engine = self.stage5_engine();
         let admitted = match self.options.playback_backlog {
             None => engine.admit(submission),
@@ -448,18 +447,10 @@ impl PipelineBuilder {
         // the old fail-fast validator this collects *every* finding: a
         // deny-severity diagnostic refuses the run with the whole report
         // attached, warn-severity findings ride along on the `PipelineRun`.
+        // The analysis keeps the constraint graph it derived and relaxed,
+        // for stage 5a.
         let started = Instant::now();
-        let report = options
-            .lint
-            .clone()
-            .with_options(options.schedule)
-            .check_resolved(doc, store);
-        if report.has_deny() {
-            return Err(PipelineError::Lint {
-                stage: "structure",
-                diagnostics: report.into_diagnostics(),
-            });
-        }
+        let Analysis { report, graph } = self.structure(doc, store)?;
         let diagnostics = report.into_diagnostics();
         timings.validate = started.elapsed();
 
@@ -471,17 +462,24 @@ impl PipelineBuilder {
         // Stage 4: constraint filtering (target-system dependent).
         let started = Instant::now();
         let filter_plan = plan_filters(doc, store, device).map_err(|e| e.in_stage("filtering"))?;
-        if options.materialize_filters {
-            apply_plan(&filter_plan, store).map_err(|e| e.in_stage("filtering"))?;
-        }
+        let materialized = if options.materialize_filters {
+            apply_plan(&filter_plan, store).map_err(|e| e.in_stage("filtering"))?
+        } else {
+            0
+        };
         timings.filtering = started.elapsed();
 
-        // Stage 5a: scheduling + conflict detection. Derivation is split
-        // from relaxation so the graph could be re-relaxed with injected
-        // constraints without another pipeline pass.
+        // Stage 5a: scheduling + conflict detection, on stage 2's graph
+        // while the store still holds what stage 2 read. A materialised
+        // block has a refreshed descriptor — a new duration, or a new
+        // frame rate that frame-unit arc offsets convert through — so
+        // then the graph is derived afresh.
         let started = Instant::now();
-        let mut graph = ConstraintGraph::derive(doc, store, &options.schedule)
-            .map_err(|e| PipelineError::from(e).in_stage("scheduling"))?;
+        let mut graph = match graph {
+            Some(graph) if materialized == 0 => graph,
+            _ => ConstraintGraph::derive(doc, store, &options.schedule)
+                .map_err(|e| PipelineError::from(e).in_stage("scheduling"))?,
+        };
         // Behind an `Arc` so stage 5c's engine jobs can share it; unwrapped
         // (clone-free) below once the jobs are done with their references.
         let solve_result = Arc::new(
@@ -606,6 +604,18 @@ impl PipelineBuilder {
         })
     }
 
+    /// Stage 2: lints the document against `store` with the stage-5a
+    /// schedule options, refusing it on a deny finding.
+    fn structure(&self, doc: &Document, store: &BlockStore) -> Result<Analysis> {
+        let analysis = self
+            .options
+            .lint
+            .clone()
+            .with_options(self.options.schedule)
+            .analyze(doc, store);
+        refuse_denied(analysis)
+    }
+
     /// Runs the pipeline for a document published on a distributed store,
     /// as `host` would present it: the document structure comes from the
     /// nearest surviving holder (free when `host` already holds a
@@ -651,18 +661,26 @@ pub fn run_structure_only(
     resolver: &dyn DescriptorResolver,
     options: &ScheduleOptions,
 ) -> Result<(PresentationMap, SolveResult)> {
-    let report = Linter::new()
-        .with_options(*options)
-        .check_resolved(doc, resolver);
-    if report.has_deny() {
+    let analysis = refuse_denied(Linter::new().with_options(*options).analyze(doc, resolver))?;
+    let presentation = map_presentation(doc)?;
+    let mut graph = match analysis.graph {
+        Some(graph) => graph,
+        None => ConstraintGraph::derive(doc, resolver, options)?,
+    };
+    let solve_result = graph.solve(doc, resolver)?;
+    Ok((presentation, solve_result))
+}
+
+/// Refuses an analysed document on a deny finding, with every finding
+/// attached.
+fn refuse_denied(analysis: Analysis) -> Result<Analysis> {
+    if analysis.report.has_deny() {
         return Err(PipelineError::Lint {
             stage: "structure",
-            diagnostics: report.into_diagnostics(),
+            diagnostics: analysis.report.into_diagnostics(),
         });
     }
-    let presentation = map_presentation(doc)?;
-    let solve_result = ConstraintGraph::derive(doc, resolver, options)?.solve(doc, resolver)?;
-    Ok((presentation, solve_result))
+    Ok(analysis)
 }
 
 #[cfg(test)]

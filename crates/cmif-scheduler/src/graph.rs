@@ -13,8 +13,11 @@
 //! `ConstraintKernel` is the relaxation itself, shared by solve, playback
 //! ([`crate::session::PlayerSession`]'s causal timeline, with per-leaf
 //! startup latencies), live-edit repair ([`crate::author::EditSession`]) and
-//! `cmif-lint`'s fixpoint ([`relax_traced`], which also recovers cycle
-//! routes):
+//! `cmif-lint`. Lint relaxes a document's graph once, through
+//! [`ConstraintGraph::base_fixpoint`], and hands the graph on, so the solve
+//! that follows does not relax again; only when that relax has found a
+//! positive cycle does lint run [`relax_traced`] to recover the cycle's
+//! route:
 //!
 //! * **Dense points.** An event point lives at slot `2·node.index() +
 //!   anchor` — arena ids are dense and stable across edits, so nothing is
@@ -39,7 +42,6 @@
 use std::collections::HashMap;
 use std::ops::Index;
 
-use cmif_core::arc::Anchor;
 use cmif_core::descriptor::DescriptorResolver;
 use cmif_core::node::NodeId;
 use cmif_core::time::TimeMs;
@@ -53,14 +55,10 @@ use crate::types::{Constraint, EventPoint, OutOfRange, ScheduleOptions};
 /// Marks a slot that is not an event point of the document.
 const ABSENT: TimeMs = TimeMs(i64::MIN);
 
-/// The dense slot of an event point.
-fn slot_of(point: &EventPoint) -> usize {
-    2 * point.node.index() + usize::from(point.anchor == Anchor::End)
-}
-
 /// The event point at a dense slot.
 fn point_at(slot: usize) -> EventPoint {
-    // Slots come from `slot_of` over `u32` node indices, so this fits.
+    // Slots come from `EventPoint::slot` over `u32` node indices, so this
+    // fits.
     let node = NodeId::from_index((slot / 2) as u32);
     if slot % 2 == 0 {
         EventPoint::begin(node)
@@ -96,7 +94,7 @@ impl PointTimes {
     /// The time of a point, `None` when it is not a point of the document.
     pub fn get(&self, point: &EventPoint) -> Option<TimeMs> {
         self.times
-            .get(slot_of(point))
+            .get(point.slot())
             .copied()
             .filter(|t| *t != ABSENT)
     }
@@ -127,7 +125,7 @@ impl PointTimes {
 
     /// Puts a point at time zero, adding it when it is new.
     pub(crate) fn insert_zero(&mut self, point: EventPoint) {
-        let slot = slot_of(&point);
+        let slot = point.slot();
         if slot >= self.times.len() {
             self.times.resize(slot + 1, ABSENT);
         }
@@ -139,7 +137,7 @@ impl PointTimes {
 
     /// Removes a point.
     pub(crate) fn remove(&mut self, point: &EventPoint) {
-        if let Some(t) = self.times.get_mut(slot_of(point)) {
+        if let Some(t) = self.times.get_mut(point.slot()) {
             if *t != ABSENT {
                 *t = ABSENT;
                 self.len -= 1;
@@ -158,7 +156,7 @@ impl Index<&EventPoint> for PointTimes {
     /// The time of a point; panics when it is not a point of the document,
     /// like indexing a map with a missing key.
     fn index(&self, point: &EventPoint) -> &TimeMs {
-        match self.times.get(slot_of(point)) {
+        match self.times.get(point.slot()) {
             Some(t) if *t != ABSENT => t,
             _ => panic!("{point} is not an event point of the document"),
         }
@@ -211,7 +209,7 @@ impl ConstraintKernel {
         let slots = times.times.len();
         let mut raw: Vec<(usize, Edge)> = Vec::new();
         for (index, constraint) in constraints.into_iter().enumerate() {
-            let (source, target) = (slot_of(&constraint.source), slot_of(&constraint.target));
+            let (source, target) = (constraint.source.slot(), constraint.target.slot());
             if times.present(source) && times.present(target) {
                 let weight = i128::from(constraint.offset_ms) + i128::from(constraint.min_delay_ms);
                 raw.push((
@@ -284,7 +282,7 @@ impl ConstraintKernel {
     ) -> Result<usize> {
         let mut push = vec![0i64; times.times.len()];
         for (node, latency) in latencies {
-            if let Some(slot) = push.get_mut(slot_of(&EventPoint::begin(*node))) {
+            if let Some(slot) = push.get_mut(EventPoint::begin(*node).slot()) {
                 *slot = *latency;
             }
         }
@@ -311,7 +309,7 @@ impl ConstraintKernel {
 
     /// The targets of the edges leaving a point.
     pub(crate) fn successors(&self, point: &EventPoint) -> impl Iterator<Item = EventPoint> + '_ {
-        let slot = slot_of(point);
+        let slot = point.slot();
         let edges = if slot + 1 < self.offsets.len() {
             self.out(slot)
         } else {
@@ -423,7 +421,9 @@ impl ConstraintKernel {
 /// on [`SchedulerError::ConstraintCycle`], recovers the cycle: the second
 /// value is its route as indices into `constraints`, in forward order (the
 /// first one's source closes the loop), or empty when none was recovered.
-/// This is `cmif-lint`'s entry to the kernel.
+/// Tracking predecessors costs a pass, so `cmif-lint` calls this only after
+/// a plain relax ([`ConstraintGraph::base_fixpoint`]) has returned
+/// `ConstraintCycle`.
 pub fn relax_traced(
     doc: &Document,
     constraints: &[Constraint],
@@ -551,6 +551,23 @@ impl ConstraintGraph {
         })
     }
 
+    /// Wraps a constraint set whose base fixpoint is already known, so the
+    /// first [`ConstraintGraph::relax`] or [`ConstraintGraph::solve`] starts
+    /// from it instead of relaxing the base. `times` must be
+    /// [`ConstraintGraph::base_fixpoint`] of a graph over the same
+    /// constraints and the same document revision — `cmif-lint` seeds its
+    /// graphs this way from fixpoints it cached per revision. Seeded with
+    /// anything else, the graph solves to a wrong schedule.
+    pub fn from_relaxed(
+        doc: &Document,
+        constraints: Vec<Constraint>,
+        times: PointTimes,
+    ) -> Result<ConstraintGraph> {
+        let mut graph = ConstraintGraph::from_constraints(doc, constraints)?;
+        graph.base_times = Some(times);
+        Ok(graph)
+    }
+
     /// Adds one constraint on top of the derived set without invalidating
     /// the cached base fixpoint.
     pub fn inject(&mut self, constraint: Constraint) {
@@ -598,16 +615,11 @@ impl ConstraintGraph {
         self.zero.len()
     }
 
-    /// Relaxes the graph to its ASAP fixpoint.
-    ///
-    /// The fixpoint of the base constraints is computed once and cached;
-    /// when constraints have been injected, relaxation warm-starts from the
-    /// cached fixpoint. Returns [`SchedulerError::ConstraintCycle`] when
-    /// the constraints force events ever later and
-    /// [`SchedulerError::TimeOverflow`] when they force one past the
-    /// representable range.
-    pub fn relax(&mut self) -> Result<PointTimes> {
-        let base = match self.base_times.take() {
+    /// The ASAP fixpoint of the base constraints alone, ignoring injected
+    /// ones: relaxed on the first call and cached, so later calls and every
+    /// [`ConstraintGraph::relax`] start from it. Fails like `relax`.
+    pub fn base_fixpoint(&mut self) -> Result<&PointTimes> {
+        let times = match self.base_times.take() {
             Some(times) => times,
             None => {
                 let mut times = self.zero.clone();
@@ -615,8 +627,19 @@ impl ConstraintGraph {
                 times
             }
         };
-        let base = self.base_times.insert(base);
-        let mut times = base.clone();
+        Ok(self.base_times.insert(times))
+    }
+
+    /// Relaxes the graph to its ASAP fixpoint.
+    ///
+    /// The fixpoint of the base constraints is computed once and cached
+    /// ([`ConstraintGraph::base_fixpoint`]); when constraints have been
+    /// injected, relaxation warm-starts from the cached fixpoint. Returns
+    /// [`SchedulerError::ConstraintCycle`] when the constraints force events
+    /// ever later and [`SchedulerError::TimeOverflow`] when they force one
+    /// past the representable range.
+    pub fn relax(&mut self) -> Result<PointTimes> {
+        let mut times = self.base_fixpoint()?.clone();
         if !self.injected.is_empty() {
             let combined = self.base.iter().chain(self.injected.iter());
             ConstraintKernel::build(&times, combined).relax(&mut times, "solve")?;

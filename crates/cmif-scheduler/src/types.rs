@@ -31,6 +31,13 @@ impl EventPoint {
             anchor: Anchor::End,
         }
     }
+
+    /// The point's dense slot, `2·node.index() + anchor` with begin 0 and
+    /// end 1. Arena ids are dense, so slots index flat per-point arrays,
+    /// and slot order is (node, anchor) order with begin first.
+    pub fn slot(&self) -> usize {
+        2 * self.node.index() + usize::from(self.anchor == Anchor::End)
+    }
 }
 
 impl fmt::Display for EventPoint {

@@ -126,6 +126,67 @@ fn decoded_hostile_documents_never_bypass_validation() {
     assert!(cmif::core::validate::validate(&decoded).is_ok());
 }
 
+/// Canonical text of a root `seq` with `children` caption leaves, where
+/// `name_of` names each child.
+fn wide_document(children: usize, name_of: impl Fn(usize) -> usize) -> String {
+    let mut text = String::from(
+        "(cmif\n  (channels (channel caption text))\n  (seq (name wide) (channel caption)\n",
+    );
+    for child in 0..children {
+        let name = name_of(child);
+        text.push_str(&format!(
+            "    (imm (name c{name}) (duration 10) (data \"x\"))\n"
+        ));
+    }
+    text.push_str("))\n");
+    text
+}
+
+#[test]
+fn a_very_wide_document_decodes_and_lints_in_linear_time() {
+    // Sibling names used to be checked against every earlier sibling, at
+    // decode and again in lint: a hostile peer could send one wide `seq`
+    // and spend minutes of server time per request. 65 536 children must
+    // now take seconds even unoptimised.
+    const CHILDREN: usize = 65_536;
+    let started = std::time::Instant::now();
+    let unique = wide_document(CHILDREN, |child| child);
+    let (doc, _) = read_document_bytes(unique.as_bytes()).unwrap();
+    assert_eq!(doc.node_count(), CHILDREN + 1);
+    let report = cmif::lint::Linter::new().check(&doc);
+    let codes: Vec<&str> = report
+        .diagnostics()
+        .iter()
+        .map(|d| d.code.as_str())
+        .collect();
+    // One node over the default limit, and nothing else.
+    assert_eq!(codes, ["L205"], "{}", report.render(None));
+
+    // Every 4 096th child repeats the first one's name: decoding refuses
+    // the document, and lint reports each repeat once, in child order.
+    let repeating = wide_document(CHILDREN, |child| if child % 4_096 == 0 { 0 } else { child });
+    assert!(read_document_bytes(repeating.as_bytes()).is_err());
+    let doc = cmif::format::parse_document_unvalidated(&repeating).unwrap();
+    let report = cmif::lint::Linter::new().check(&doc);
+    let repeats: Vec<usize> = report
+        .diagnostics()
+        .iter()
+        .filter(|d| d.code.as_str() == "L002")
+        .map(|d| d.span.expect("parsed nodes carry spans").start.offset)
+        .collect();
+    assert_eq!(repeats.len(), CHILDREN / 4_096 - 1, "{repeats:?}");
+    assert!(
+        repeats.windows(2).all(|pair| pair[0] < pair[1]),
+        "{repeats:?}"
+    );
+
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(60),
+        "two decodes and two lints of {CHILDREN} siblings took {elapsed:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
