@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::symbol::Symbol;
     pub use crate::time::{DelayMs, MaxDelay, MediaTime, MediaUnit, RateInfo, TimeMs};
     pub use crate::tree::{Document, RevisionToken};
-    pub use crate::validate::{validate, validate_all};
+    pub use crate::validate::validate;
     pub use crate::value::AttrValue;
 }
 

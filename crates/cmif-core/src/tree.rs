@@ -466,20 +466,19 @@ impl Document {
         Ok(None)
     }
 
-    /// Pre-order traversal of the tree reachable from the root.
+    /// Pre-order traversal of the tree reachable from the root. A child id
+    /// that is not a node of the document (only `node_mut` can list one)
+    /// is skipped, not followed.
     pub fn preorder(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        if let Some(root) = self.root {
-            self.preorder_from(root, &mut out);
+        let mut out = Vec::with_capacity(self.nodes.len());
+        let mut pending: Vec<NodeId> = self.root.into_iter().collect();
+        while let Some(id) = pending.pop() {
+            if let Some(node) = self.nodes.get(id.index()) {
+                out.push(id);
+                pending.extend(node.children.iter().rev());
+            }
         }
         out
-    }
-
-    fn preorder_from(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        out.push(id);
-        for child in &self.nodes[id.index()].children {
-            self.preorder_from(*child, out);
-        }
     }
 
     /// All leaf nodes reachable from the root, in document order.
@@ -490,20 +489,20 @@ impl Document {
             .collect()
     }
 
-    /// Depth of the tree (root alone = 1; empty document = 0).
+    /// Depth of the tree (root alone = 1; empty document = 0). Child ids
+    /// that are not nodes of the document are skipped, as in
+    /// [`Document::preorder`].
     pub fn depth(&self) -> usize {
-        fn depth_of(doc: &Document, id: NodeId) -> usize {
-            1 + doc.nodes[id.index()]
-                .children
-                .iter()
-                .map(|c| depth_of(doc, *c))
-                .max()
-                .unwrap_or(0)
+        let mut deepest = 0;
+        let mut pending: Vec<(NodeId, usize)> =
+            self.root.map(|root| (root, 1)).into_iter().collect();
+        while let Some((id, depth)) = pending.pop() {
+            if let Some(node) = self.nodes.get(id.index()) {
+                deepest = deepest.max(depth);
+                pending.extend(node.children.iter().map(|child| (*child, depth + 1)));
+            }
         }
-        match self.root {
-            Some(root) => depth_of(self, root),
-            None => 0,
-        }
+        deepest
     }
 
     /// Finds the direct child of `parent` with the given `name` attribute.

@@ -1,13 +1,26 @@
-//! Structural validation of CMIF documents.
+//! The structural rules of CMIF documents, implemented once.
 //!
 //! The paper spreads its consistency rules over §5.1–§5.3: sibling name
-//! uniqueness, root-only dictionaries, style acyclicity, channel references,
-//! the `file` requirement on external nodes, and the sign rules of
-//! synchronization delay windows. [`validate`] checks all of them and
-//! returns the first violation; [`validate_all`] collects every violation,
-//! which is what an authoring tool wants to show its user.
+//! uniqueness, root-only dictionaries, resolvable and acyclic styles,
+//! channel references, the `file` requirement on external nodes, and the
+//! sign rules of synchronization delay windows. [`Findings::of`] checks all
+//! of them in one pass — the style dictionary's resolution, one preorder
+//! walk for every node rule with a reachability bitmap for detached nodes,
+//! one loop over the arcs — and yields each violation as a coded
+//! [`Finding`]. Two readers share that pass:
+//!
+//! * [`validate`] returns the first error it meets, as the decoders and
+//!   `DocumentBuilder::build` require;
+//! * `cmif-lint` renders every finding as a diagnostic under its code
+//!   (L001–L009, L102, L103 and L201).
+//!
+//! A finding is a code, a [`Subject`] and the [`CoreError`] `validate`
+//! reports for it: the pass builds no message text, so a clean document
+//! costs the walk and nothing more.
 
 use crate::attr::AttrName;
+use crate::diag::codes::*;
+use crate::diag::Code;
 use crate::error::{CoreError, Result};
 use crate::node::{NodeId, NodeKind};
 use crate::style::style_names;
@@ -56,132 +69,203 @@ impl SiblingNames {
     }
 }
 
-/// Validates a document, returning the first violation found.
-pub fn validate(doc: &Document) -> Result<()> {
-    match validate_all(doc) {
-        problems if problems.is_empty() => Ok(()),
-        mut problems => Err(problems.remove(0)),
-    }
+/// What a [`Finding`] is about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Subject {
+    /// The document as a whole.
+    Document,
+    /// A style definition, by its position in declaration order.
+    Style(usize),
+    /// A node of the tree.
+    Node(NodeId),
+    /// An explicit arc, by its position in [`Document::arcs`], and the
+    /// endpoint that does not resolve (`None` for the arc's delay window).
+    Arc(usize, Option<Endpoint>),
 }
 
-/// Validates a document, returning every violation found.
-pub fn validate_all(doc: &Document) -> Vec<CoreError> {
-    let mut problems = Vec::new();
-    let root = match doc.root() {
-        Ok(root) => root,
-        Err(e) => return vec![e],
-    };
+/// One end of an explicit synchronization arc.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Endpoint {
+    /// The controlling node.
+    Source,
+    /// The controlled node.
+    Destination,
+}
 
-    // Style dictionary consistency (dangling references, cycles).
-    if let Err(e) = doc.styles.validate() {
-        problems.push(e);
+/// One violation of a structural rule.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Finding {
+    /// The lint code the rule reports under.
+    pub code: Code,
+    /// What the finding is about.
+    pub subject: Subject,
+    /// The error [`validate`] reports for it; `None` for a node the root no
+    /// longer reaches, which does not make a document invalid.
+    pub error: Option<CoreError>,
+}
+
+/// The findings of one run of the structural rule set, in the order the
+/// pass meets them: the root, the style dictionary, the nodes in preorder
+/// (each node's rules in a fixed order), the detached nodes, the arcs.
+#[derive(Debug, Default)]
+pub struct Findings {
+    found: Vec<Finding>,
+    /// The first error met, which [`validate`] reports. For the style
+    /// dictionary that is the first error its resolution meets, definition
+    /// by definition, rather than its first finding.
+    error: Option<CoreError>,
+}
+
+impl Findings {
+    /// Runs every structural rule over `doc`.
+    pub fn of(doc: &Document) -> Findings {
+        let mut findings = Findings::default();
+        let root = doc.root();
+        if let Err(error) = &root {
+            findings.push(EMPTY_DOCUMENT, Subject::Document, error.clone());
+        }
+        findings.styles(doc);
+        if let Ok(root) = root {
+            findings.tree(doc, root);
+        }
+        findings.arcs(doc);
+        findings
     }
 
-    let mut sibling_names = SiblingNames::default();
-    for id in doc.preorder() {
-        let node = match doc.node(id) {
-            Ok(node) => node,
-            Err(e) => {
-                problems.push(e);
-                continue;
-            }
+    /// Every finding, in pass order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Finding> {
+        self.found.iter()
+    }
+
+    fn push(&mut self, code: Code, subject: Subject, error: CoreError) {
+        self.error.get_or_insert_with(|| error.clone());
+        self.found.push(Finding {
+            code,
+            subject,
+            error: Some(error),
+        });
+    }
+
+    /// L005 and L006 over the dictionary, definition by definition: each
+    /// parent it names that is not defined, and whether it lies on a
+    /// definition cycle. Neither exists when every style resolves.
+    fn styles(&mut self, doc: &Document) {
+        let Some(error) = doc.styles.first_error() else {
+            return;
         };
-
-        // Attribute list uniqueness (cheap to re-check after bulk edits).
-        if let Err(e) = node.attrs.validate_unique(id) {
-            problems.push(e);
-        }
-
-        // Root-only attributes.
-        for attr in node.attrs.iter() {
-            if attr.name.is_root_only() && id != root {
-                problems.push(CoreError::RootOnlyAttribute {
-                    node: id,
-                    name: attr.name,
-                });
+        self.error.get_or_insert_with(|| error.clone());
+        for (position, def) in doc.styles.iter().enumerate() {
+            let at = Subject::Style(position);
+            for parent in def.parents.iter().filter(|p| !doc.styles.contains(p)) {
+                let style = parent.clone();
+                self.push(UNKNOWN_STYLE, at, CoreError::UnknownStyle { style });
+            }
+            if doc.styles.cyclic()[position] {
+                let style = def.name.clone();
+                self.push(STYLE_CYCLE, at, CoreError::StyleCycle { style });
             }
         }
+    }
 
-        // Sibling name uniqueness, reported in child order alongside any
-        // child that is not a node.
-        if node.kind.is_composite() {
-            let mut repeats = sibling_names.repeats(doc, &node.children).iter().peekable();
-            for (position, child) in node.children.iter().enumerate() {
-                if let Err(e) = doc.node(*child) {
-                    problems.push(e);
-                } else if let Some((_, name)) = repeats.next_if(|(at, _)| *at == position) {
-                    problems.push(CoreError::DuplicateSiblingName {
-                        parent: id,
-                        name: *name,
-                    });
+    /// Every node rule, node by node in preorder, then L009 for each node
+    /// the walk never reached, in arena order.
+    fn tree(&mut self, doc: &Document, root: NodeId) {
+        let mut reached = vec![false; doc.node_count()];
+        let mut sibling_names = SiblingNames::default();
+        for id in doc.preorder() {
+            let Ok(node) = doc.node(id) else { continue };
+            reached[id.index()] = true;
+            let at = Subject::Node(id);
+            if let Err(error) = node.attrs.validate_unique(id) {
+                self.push(DUPLICATE_ATTRIBUTE, at, error);
+            }
+            let names = node.attrs.iter().map(|attr| attr.name);
+            for name in names.filter(|name| name.is_root_only() && id != root) {
+                let error = CoreError::RootOnlyAttribute { node: id, name };
+                self.push(ROOT_ONLY_ATTRIBUTE, at, error);
+            }
+            // Repeated names are reported on the repeating child, in child
+            // order alongside any child that is not a node.
+            if node.kind.is_composite() {
+                let mut repeats = sibling_names.repeats(doc, &node.children).iter().peekable();
+                for (position, &child) in node.children.iter().enumerate() {
+                    if let Err(error) = doc.node(child) {
+                        self.push(DUPLICATE_SIBLING_NAME, at, error);
+                    } else if let Some(&(_, name)) = repeats.next_if(|(p, _)| *p == position) {
+                        let error = CoreError::DuplicateSiblingName { parent: id, name };
+                        self.push(DUPLICATE_SIBLING_NAME, Subject::Node(child), error);
+                    }
                 }
             }
-        }
-
-        // Style references must resolve.
-        if let Some(style_value) = node.attrs.get(&AttrName::Style) {
-            match style_names(style_value) {
-                Ok(names) => {
+            match node.attrs.get(&AttrName::Style).map(style_names) {
+                Some(Ok(names)) => {
                     for name in names {
                         if !doc.styles.contains(name.as_str()) {
-                            problems.push(CoreError::UnknownStyle {
-                                style: name.as_str().to_string(),
-                            });
+                            let style = name.as_str().to_string();
+                            self.push(UNKNOWN_STYLE, at, CoreError::UnknownStyle { style });
                         }
                     }
                 }
-                Err(e) => problems.push(e),
+                Some(Err(error)) => self.push(UNKNOWN_STYLE, at, error),
+                None => {}
+            }
+            // Checked where the attribute is set: inheritance then cannot
+            // introduce a dangling reference.
+            let channel = node.attrs.get(&AttrName::Channel);
+            if let Some(channel) = channel.and_then(AttrValue::as_symbol) {
+                if !doc.channels.contains_symbol(channel) {
+                    self.push(UNKNOWN_CHANNEL, at, CoreError::UnknownChannel { channel });
+                }
+            }
+            // A style that fails to resolve fails these lookups too; its
+            // own finding came first.
+            if node.kind == NodeKind::Ext && matches!(doc.file_of(id), Ok(None)) {
+                self.push(MISSING_FILE, at, CoreError::MissingFile { node: id });
+            }
+            if node.kind.is_leaf() && matches!(doc.channel_of(id), Ok(None)) {
+                self.push(MISSING_CHANNEL, at, CoreError::MissingChannel { node: id });
             }
         }
-
-        // Channel references must resolve (checked on the node that sets the
-        // attribute; inheritance then cannot introduce dangling references).
-        if let Some(channel) = node
-            .attrs
-            .get(&AttrName::Channel)
-            .and_then(AttrValue::as_symbol)
-        {
-            if !doc.channels.contains_symbol(channel) {
-                problems.push(CoreError::UnknownChannel { channel });
-            }
-        }
-
-        // Leaf-specific rules.
-        match &node.kind {
-            NodeKind::Ext => match doc.file_of(id) {
-                Ok(Some(_)) => {}
-                Ok(None) => problems.push(CoreError::MissingFile { node: id }),
-                Err(e) => problems.push(e),
-            },
-            NodeKind::Imm(_) | NodeKind::Seq | NodeKind::Par => {}
-        }
-        if node.kind.is_leaf() {
-            match doc.channel_of(id) {
-                Ok(Some(_)) => {}
-                Ok(None) => problems.push(CoreError::MissingChannel { node: id }),
-                Err(e) => problems.push(e),
-            }
-        }
-    }
-
-    // Synchronization arcs: window validity and endpoint resolution.
-    for (carrier, arc) in doc.arcs() {
-        if let Err(e) = arc.validate() {
-            problems.push(e);
-        }
-        if doc.resolve_path(*carrier, &arc.source).is_err() {
-            problems.push(CoreError::UnresolvedArcEndpoint {
-                path: arc.source.to_string(),
-            });
-        }
-        if doc.resolve_path(*carrier, &arc.destination).is_err() {
-            problems.push(CoreError::UnresolvedArcEndpoint {
-                path: arc.destination.to_string(),
+        for (index, _) in reached.iter().enumerate().filter(|(_, reached)| !**reached) {
+            self.found.push(Finding {
+                code: UNREACHABLE_NODE,
+                subject: Subject::Node(NodeId::from_index(index as u32)),
+                error: None,
             });
         }
     }
 
-    problems
+    /// L102 and L103, arc by arc: the delay window, then each endpoint.
+    fn arcs(&mut self, doc: &Document) {
+        for (index, (carrier, arc)) in doc.arcs().iter().enumerate() {
+            if let Err(error) = arc.validate() {
+                self.push(INVALID_DELAY_WINDOW, Subject::Arc(index, None), error);
+            }
+            for (end, path) in [
+                (Endpoint::Source, &arc.source),
+                (Endpoint::Destination, &arc.destination),
+            ] {
+                if doc.resolve_path(*carrier, path).is_err() {
+                    let path = path.to_string();
+                    let error = CoreError::UnresolvedArcEndpoint { path };
+                    self.push(
+                        UNRESOLVED_ARC_ENDPOINT,
+                        Subject::Arc(index, Some(end)),
+                        error,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Validates a document, returning the first violation of a structural
+/// rule that [`Findings::of`] meets.
+pub fn validate(doc: &Document) -> Result<()> {
+    match Findings::of(doc).error {
+        Some(error) => Err(error),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -195,6 +279,14 @@ mod tests {
     use crate::style::StyleDef;
     use crate::time::TimeMs;
     use crate::value::AttrValue;
+
+    /// Every error the rule set finds, in pass order.
+    fn errors(doc: &Document) -> Vec<CoreError> {
+        Findings::of(doc)
+            .iter()
+            .filter_map(|f| f.error.clone())
+            .collect()
+    }
 
     fn valid_doc() -> Document {
         let mut doc = Document::with_root(NodeKind::Seq);
@@ -221,7 +313,7 @@ mod tests {
     #[test]
     fn a_valid_document_passes() {
         assert!(validate(&valid_doc()).is_ok());
-        assert!(validate_all(&valid_doc()).is_empty());
+        assert!(Findings::of(&valid_doc()).iter().next().is_none());
     }
 
     #[test]
@@ -242,7 +334,7 @@ mod tests {
             .unwrap();
         doc.set_attr(second, AttrName::Channel, AttrValue::Id("audio".into()))
             .unwrap();
-        let problems = validate_all(&doc);
+        let problems = errors(&doc);
         assert!(problems
             .iter()
             .any(|p| matches!(p, CoreError::DuplicateSiblingName { .. })));
@@ -276,7 +368,7 @@ mod tests {
         let bad = doc.add_ext(root).unwrap();
         doc.set_attr(bad, AttrName::Channel, AttrValue::Id("audio".into()))
             .unwrap();
-        let problems = validate_all(&doc);
+        let problems = errors(&doc);
         assert!(problems
             .iter()
             .any(|p| matches!(p, CoreError::MissingFile { .. })));
@@ -303,7 +395,7 @@ mod tests {
             .unwrap();
         doc.set_attr(leaf, AttrName::Style, AttrValue::Id("missing-style".into()))
             .unwrap();
-        let problems = validate_all(&doc);
+        let problems = errors(&doc);
         assert!(problems
             .iter()
             .any(|p| matches!(p, CoreError::UnknownChannel { .. })));
@@ -321,7 +413,7 @@ mod tests {
         doc.styles
             .define(StyleDef::new("b").with_parent("a"))
             .unwrap();
-        let problems = validate_all(&doc);
+        let problems = errors(&doc);
         assert!(problems
             .iter()
             .any(|p| matches!(p, CoreError::StyleCycle { .. })));
@@ -333,7 +425,7 @@ mod tests {
         let leaf = doc.find("/voice").unwrap();
         doc.add_arc(leaf, SyncArc::hard_start("/no-such", ""))
             .unwrap();
-        let problems = validate_all(&doc);
+        let problems = errors(&doc);
         assert!(problems
             .iter()
             .any(|p| matches!(p, CoreError::UnresolvedArcEndpoint { .. })));
@@ -399,7 +491,7 @@ mod tests {
                 assert_eq!(names.repeats(&doc, &children), scanned, "case {case}");
                 expected.extend(scanned.into_iter().map(|(_, name)| (parent, name)));
             }
-            let reported: Vec<(NodeId, Symbol)> = validate_all(&doc)
+            let reported: Vec<(NodeId, Symbol)> = errors(&doc)
                 .into_iter()
                 .filter_map(|problem| match problem {
                     CoreError::DuplicateSiblingName { parent, name } => Some((parent, name)),
@@ -426,7 +518,7 @@ mod tests {
         let mut doc = valid_doc();
         let root = doc.root().unwrap();
         doc.add_imm_text(root, "orphan").unwrap();
-        let problems = validate_all(&doc);
+        let problems = errors(&doc);
         assert!(problems
             .iter()
             .any(|p| matches!(p, CoreError::MissingChannel { .. })));

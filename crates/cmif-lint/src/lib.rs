@@ -9,9 +9,12 @@
 //!
 //! The registry covers three namespaces:
 //!
-//! * **L0xx structure** — the historical validation rules (duplicate sibling
-//!   names, root-only attributes, style cycles, missing files/channels),
-//!   plus unreachable-subtree detection;
+//! * **L0xx structure** — the document model's structural rules (duplicate
+//!   sibling names, root-only attributes, unresolved and cyclic styles,
+//!   missing files/channels, unreachable nodes). They live once, in
+//!   `cmif_core::validate`, whose `Findings` pass also decides `validate`'s
+//!   verdict; these passes, like L102, L103 and L201, render the findings
+//!   of one run of it;
 //! * **L1xx timing** — analyses over the *derived* constraint graph:
 //!   positive synchronization cycles with the offending arc path (L101),
 //!   invalid and mutually unsatisfiable delay windows, and times past the
@@ -21,13 +24,13 @@
 //!   references, static channel double-booking from declared durations, and
 //!   configurable depth/size ceilings ([`Limits`]).
 //!
-//! [`Linter::analyze`] is the one lint run: it derives the document's
-//! constraint graph once, relaxes the graph's base fixpoint once (or seeds
-//! it from the [`LintCache`]), runs the registry over both, and returns the
-//! report together with the graph, so a caller about to schedule the same
-//! revision — the pipeline's stage 5a — solves without deriving or relaxing
-//! again. [`Linter::check`] and [`Linter::check_resolved`] are its report
-//! half.
+//! [`Linter::analyze`] is the one lint run: it runs the structural rule set
+//! once, derives the document's constraint graph once, relaxes the graph's
+//! base fixpoint once (or seeds it from the [`LintCache`]), runs the
+//! registry over all three, and returns the report together with the graph,
+//! so a caller about to schedule the same revision — the pipeline's stage
+//! 5a — solves without deriving or relaxing again. [`Linter::check`] and
+//! [`Linter::check_resolved`] are its report half.
 //!
 //! [`admission_gate`] packages a configured [`Linter`] as an engine-side
 //! [`cmif_scheduler::LintGate`], so deny-level documents are refused at
@@ -235,13 +238,13 @@ impl Linter {
         self.analyze(doc, resolver).report
     }
 
-    /// Analyses the document once: derives its constraint graph against
-    /// `resolver`, relaxes the graph's base fixpoint (or seeds it from the
-    /// [`LintCache`]), runs every registered pass over both, and returns
-    /// the graded report together with the graph. A caller about to
-    /// schedule the same revision against the same resolver solves that
-    /// graph ([`ConstraintGraph::solve`]) instead of deriving and relaxing
-    /// it again — the pipeline's stage 5a does this.
+    /// Analyses the document once: runs the structural rule set, derives
+    /// its constraint graph against `resolver`, relaxes the graph's base
+    /// fixpoint (or seeds it from the [`LintCache`]), runs every registered
+    /// pass over them, and returns the graded report together with the
+    /// graph. A caller about to schedule the same revision against the same
+    /// resolver solves that graph ([`ConstraintGraph::solve`]) instead of
+    /// deriving and relaxing it again — the pipeline's stage 5a does this.
     pub fn analyze(&self, doc: &Document, resolver: &dyn DescriptorResolver) -> Analysis {
         let ctx = LintContext::analyzed(
             doc,

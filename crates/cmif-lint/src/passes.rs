@@ -1,28 +1,26 @@
 //! The pass registry: every analysis the linter runs, one diagnostic code
 //! each.
 //!
-//! The L0xx passes are the structural rules that used to live inside
-//! `cmif_core::validate::validate_all`, split into individually coded,
-//! individually configurable analyses. The L1xx passes consult the *derived*
-//! constraint graph (`cmif_scheduler::ConstraintGraph`, derived and relaxed
-//! once per [`LintContext`]), so they catch timing contradictions —
-//! positive synchronization cycles, empty delay windows — statically,
-//! before a document ever costs an engine worker. The L2xx passes cover
-//! channels and resources.
+//! The L0xx codes, L102, L103 and L201 are the structural rules of the
+//! document model. They are implemented once, in `cmif_core::validate`,
+//! whose [`Findings`] pass both decides `validate`'s verdict and, run once
+//! per [`LintContext`], supplies these passes: each renders the findings
+//! under its code and walks nothing itself. The other L1xx passes consult
+//! the *derived* constraint graph (`cmif_scheduler::ConstraintGraph`,
+//! derived and relaxed once per [`LintContext`]), so they catch timing
+//! contradictions — positive synchronization cycles, empty delay windows —
+//! statically, before a document ever costs an engine worker. The other
+//! L2xx passes cover descriptors and resources.
 
-use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
-use cmif_core::attr::AttrName;
 use cmif_core::descriptor::DescriptorResolver;
 use cmif_core::diag::{codes, Code, Diagnostic, Related};
 use cmif_core::error::CoreError;
 use cmif_core::node::{NodeId, NodeKind};
 use cmif_core::span::Span;
-use cmif_core::style::style_names;
 use cmif_core::tree::{unassigned_channel, Document};
-use cmif_core::validate::SiblingNames;
-use cmif_core::value::AttrValue;
+use cmif_core::validate::{Endpoint, Finding, Findings, Subject};
 use cmif_scheduler::graph::{relax_traced, window_violations};
 use cmif_scheduler::{
     derive_constraints, Constraint, ConstraintGraph, ConstraintOrigin, EventPoint, PointTimes,
@@ -130,8 +128,9 @@ impl Fixpoint {
 }
 
 /// Everything a pass may look at: the document, the derivation policy, the
-/// resource ceilings, and the document's analysed constraint graph (derived
-/// and relaxed once, shared by the L1xx/L2xx passes).
+/// resource ceilings, the structural rule set's findings, and the
+/// document's analysed constraint graph (derived and relaxed once, shared
+/// by the L1xx/L2xx passes).
 pub struct LintContext<'a> {
     /// The document under analysis.
     pub doc: &'a Document,
@@ -148,6 +147,9 @@ pub struct LintContext<'a> {
     /// that fixpoint; `None` when derivation itself failed (dangling
     /// endpoints and the like — reported by their own passes).
     analysis: Option<(ConstraintGraph, Arc<Fixpoint>)>,
+    /// The structural rule set's findings, which the structural passes
+    /// render.
+    findings: Findings,
 }
 
 impl<'a> LintContext<'a> {
@@ -189,6 +191,7 @@ impl<'a> LintContext<'a> {
             limits,
             resolver,
             analysis,
+            findings: Findings::of(doc),
         }
     }
 
@@ -288,6 +291,107 @@ impl<'a> LintContext<'a> {
             }
         }
     }
+
+    /// A structural finding as a diagnostic: the message its error calls
+    /// for, anchored on its node or arc.
+    fn render(&self, finding: &Finding) -> Diagnostic {
+        let path = |node| self.path_str(node);
+        let at = match finding.subject {
+            Subject::Node(node) => path(node),
+            Subject::Arc(index, _) => path(self.carrier(index)),
+            Subject::Document | Subject::Style(_) => String::new(),
+        };
+        let message = match (&finding.error, finding.subject) {
+            (None, Subject::Node(id)) => {
+                let kind = self.doc.node(id).map_or("node", |n| n.kind.keyword());
+                format!("{kind} node {id} is not reachable from the root")
+            }
+            (Some(CoreError::EmptyDocument), _) => {
+                "the document has no root node, so there is nothing to present".into()
+            }
+            (Some(CoreError::DuplicateSiblingName { parent, name }), _) => {
+                let parent = path(*parent);
+                format!("the name `{name}` is used by more than one child of {parent}")
+            }
+            (Some(CoreError::UnknownNode { node }), _) => {
+                format!("{at} lists child {node}, which is not a node of the document")
+            }
+            (Some(CoreError::RootOnlyAttribute { name, .. }), _) => {
+                format!("attribute `{name}` may only appear on the root, not on {at}")
+            }
+            (Some(CoreError::DuplicateAttribute { name, .. }), _) => {
+                format!("attribute `{name}` occurs more than once on {at}")
+            }
+            (Some(CoreError::UnknownStyle { style }), Subject::Style(position)) => {
+                let def = self.doc.styles.iter().nth(position);
+                let name = def.map_or("", |def| def.name.as_str());
+                format!("style `{name}` builds on `{style}`, which is not defined")
+            }
+            (Some(CoreError::UnknownStyle { style }), _) => {
+                format!("{at} references style `{style}`, which is not defined")
+            }
+            (Some(CoreError::StyleCycle { style }), _) => {
+                format!("style `{style}` is part of a definition cycle")
+            }
+            (Some(CoreError::MissingFile { .. }), _) => {
+                format!("external node {at} has no file attribute, own or inherited")
+            }
+            (Some(CoreError::MissingChannel { .. }), _) => {
+                format!("leaf {at} has no channel, so no output device would play it")
+            }
+            (Some(CoreError::UnknownChannel { channel }), _) => {
+                format!("{at} references channel `{channel}`, which is not declared")
+            }
+            (Some(CoreError::UnresolvedArcEndpoint { path }), Subject::Arc(index, end)) => {
+                let role = match end {
+                    Some(Endpoint::Destination) => "destination",
+                    _ => "source",
+                };
+                format!("arc #{index} carried by {at}: {role} `{path}` does not resolve to a node")
+            }
+            (Some(error), Subject::Arc(index, _)) => {
+                format!("arc #{index} carried by {at}: {error}")
+            }
+            // A `style` value that is neither a name nor a list of names.
+            (Some(error), _) => format!("{at}: {error}"),
+            (None, _) => String::new(),
+        };
+        let help = match &finding.error {
+            None => Some("the node was detached (or orphaned by set_root) and will never play"),
+            Some(CoreError::EmptyDocument) => Some("give the document a seq or par root"),
+            Some(CoreError::DuplicateSiblingName { .. }) => {
+                Some("sibling names must be unique so paths resolve unambiguously")
+            }
+            Some(CoreError::StyleCycle { .. }) => {
+                Some("style expansion would recurse forever; break the parent loop")
+            }
+            Some(CoreError::UnresolvedArcEndpoint { .. }) => {
+                Some("arc endpoints are resolved relative to the carrier node")
+            }
+            Some(CoreError::UnknownChannel { .. }) => {
+                Some("declare the channel in the document's channel dictionary")
+            }
+            Some(_) => None,
+        };
+        let diag = Diagnostic::new(finding.code, message);
+        let diag = match help {
+            Some(help) => diag.with_help(help),
+            None => diag,
+        };
+        match finding.subject {
+            Subject::Node(node) => self.at_node(diag, node),
+            Subject::Arc(index, _) => self.at_arc(diag, self.carrier(index), index),
+            Subject::Document | Subject::Style(_) => diag,
+        }
+    }
+
+    /// The node carrying the `index`-th explicit arc.
+    fn carrier(&self, index: usize) -> NodeId {
+        self.doc
+            .arcs()
+            .get(index)
+            .map_or(NodeId::detached(), |(carrier, _)| *carrier)
+    }
 }
 
 /// One registered analysis: a code, a short name, and the function that
@@ -297,13 +401,45 @@ pub struct Pass {
     pub code: Code,
     /// Short kebab-case name, for `--pass` style selection and reports.
     pub name: &'static str,
-    run: fn(&LintContext<'_>, &mut Vec<Diagnostic>),
+    /// The pass's own analysis; `None` for a structural code, whose
+    /// findings come from the context's one run of the rule set.
+    run: Option<fn(&LintContext<'_>, &mut Vec<Diagnostic>)>,
 }
 
 impl Pass {
     /// Runs the pass, appending findings to `out`.
     pub fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        (self.run)(ctx, out);
+        match self.run {
+            Some(run) => run(ctx, out),
+            None => out.extend(
+                ctx.findings
+                    .iter()
+                    .filter(|finding| finding.code == self.code)
+                    .map(|finding| ctx.render(finding)),
+            ),
+        }
+    }
+
+    /// A structural pass: it renders the rule set's findings under `code`.
+    const fn rule(code: Code, name: &'static str) -> Pass {
+        Pass {
+            code,
+            name,
+            run: None,
+        }
+    }
+
+    /// A pass with an analysis of its own.
+    const fn analysis(
+        code: Code,
+        name: &'static str,
+        run: fn(&LintContext<'_>, &mut Vec<Diagnostic>),
+    ) -> Pass {
+        Pass {
+            code,
+            name,
+            run: Some(run),
+        }
     }
 }
 
@@ -313,306 +449,38 @@ pub fn registry() -> &'static [Pass] {
 }
 
 static PASSES: &[Pass] = &[
-    Pass {
-        code: codes::EMPTY_DOCUMENT,
-        name: "empty-document",
-        run: empty_document,
-    },
-    Pass {
-        code: codes::DUPLICATE_SIBLING_NAME,
-        name: "duplicate-sibling-names",
-        run: duplicate_sibling_names,
-    },
-    Pass {
-        code: codes::ROOT_ONLY_ATTRIBUTE,
-        name: "root-only-attributes",
-        run: root_only_attributes,
-    },
-    Pass {
-        code: codes::DUPLICATE_ATTRIBUTE,
-        name: "duplicate-attributes",
-        run: duplicate_attributes,
-    },
-    Pass {
-        code: codes::UNKNOWN_STYLE,
-        name: "unknown-styles",
-        run: unknown_styles,
-    },
-    Pass {
-        code: codes::STYLE_CYCLE,
-        name: "style-cycles",
-        run: style_cycles,
-    },
-    Pass {
-        code: codes::MISSING_FILE,
-        name: "missing-files",
-        run: missing_files,
-    },
-    Pass {
-        code: codes::MISSING_CHANNEL,
-        name: "missing-channels",
-        run: missing_channels,
-    },
-    Pass {
-        code: codes::UNREACHABLE_NODE,
-        name: "unreachable-nodes",
-        run: unreachable_nodes,
-    },
-    Pass {
-        code: codes::ARC_CYCLE,
-        name: "arc-cycles",
-        run: arc_cycles,
-    },
-    Pass {
-        code: codes::INVALID_DELAY_WINDOW,
-        name: "invalid-delay-windows",
-        run: invalid_delay_windows,
-    },
-    Pass {
-        code: codes::UNRESOLVED_ARC_ENDPOINT,
-        name: "unresolved-arc-endpoints",
-        run: unresolved_arc_endpoints,
-    },
-    Pass {
-        code: codes::CONFLICTING_WINDOWS,
-        name: "conflicting-windows",
-        run: conflicting_windows,
-    },
-    Pass {
-        code: codes::TIME_OVERFLOW,
-        name: "time-overflow",
-        run: time_overflow,
-    },
-    Pass {
-        code: codes::UNKNOWN_CHANNEL,
-        name: "unknown-channels",
-        run: unknown_channels,
-    },
-    Pass {
-        code: codes::DANGLING_DESCRIPTOR,
-        name: "dangling-descriptors",
-        run: dangling_descriptors,
-    },
-    Pass {
-        code: codes::CHANNEL_DOUBLE_BOOKING,
-        name: "channel-double-booking",
-        run: channel_double_booking,
-    },
-    Pass {
-        code: codes::DEPTH_LIMIT,
-        name: "depth-limit",
-        run: depth_limit,
-    },
-    Pass {
-        code: codes::NODE_LIMIT,
-        name: "node-limit",
-        run: node_limit,
-    },
+    Pass::rule(codes::EMPTY_DOCUMENT, "empty-document"),
+    Pass::rule(codes::DUPLICATE_SIBLING_NAME, "duplicate-sibling-names"),
+    Pass::rule(codes::ROOT_ONLY_ATTRIBUTE, "root-only-attributes"),
+    Pass::rule(codes::DUPLICATE_ATTRIBUTE, "duplicate-attributes"),
+    Pass::rule(codes::UNKNOWN_STYLE, "unknown-styles"),
+    Pass::rule(codes::STYLE_CYCLE, "style-cycles"),
+    Pass::rule(codes::MISSING_FILE, "missing-files"),
+    Pass::rule(codes::MISSING_CHANNEL, "missing-channels"),
+    Pass::rule(codes::UNREACHABLE_NODE, "unreachable-nodes"),
+    Pass::analysis(codes::ARC_CYCLE, "arc-cycles", arc_cycles),
+    Pass::rule(codes::INVALID_DELAY_WINDOW, "invalid-delay-windows"),
+    Pass::rule(codes::UNRESOLVED_ARC_ENDPOINT, "unresolved-arc-endpoints"),
+    Pass::analysis(
+        codes::CONFLICTING_WINDOWS,
+        "conflicting-windows",
+        conflicting_windows,
+    ),
+    Pass::analysis(codes::TIME_OVERFLOW, "time-overflow", time_overflow),
+    Pass::rule(codes::UNKNOWN_CHANNEL, "unknown-channels"),
+    Pass::analysis(
+        codes::DANGLING_DESCRIPTOR,
+        "dangling-descriptors",
+        dangling_descriptors,
+    ),
+    Pass::analysis(
+        codes::CHANNEL_DOUBLE_BOOKING,
+        "channel-double-booking",
+        channel_double_booking,
+    ),
+    Pass::analysis(codes::DEPTH_LIMIT, "depth-limit", depth_limit),
+    Pass::analysis(codes::NODE_LIMIT, "node-limit", node_limit),
 ];
-
-// ---------------------------------------------------------------------------
-// L0xx — structure
-// ---------------------------------------------------------------------------
-
-fn empty_document(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.doc.root().is_err() {
-        out.push(
-            Diagnostic::new(
-                codes::EMPTY_DOCUMENT,
-                "the document has no root node, so there is nothing to present",
-            )
-            .with_help("give the document a seq or par root"),
-        );
-    }
-}
-
-fn duplicate_sibling_names(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    let mut sibling_names = SiblingNames::default();
-    for id in ctx.doc.preorder() {
-        let Ok(node) = ctx.doc.node(id) else { continue };
-        if !node.kind.is_composite() {
-            continue;
-        }
-        for &(position, name) in sibling_names.repeats(ctx.doc, &node.children) {
-            out.push(
-                ctx.at_node(
-                    Diagnostic::new(
-                        codes::DUPLICATE_SIBLING_NAME,
-                        format!(
-                            "the name `{name}` is used by more than one child of {}",
-                            ctx.path_str(id)
-                        ),
-                    )
-                    .with_help("sibling names must be unique so paths resolve unambiguously"),
-                    node.children[position],
-                ),
-            );
-        }
-    }
-}
-
-fn root_only_attributes(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    let Ok(root) = ctx.doc.root() else { return };
-    for id in ctx.doc.preorder() {
-        if id == root {
-            continue;
-        }
-        let Ok(node) = ctx.doc.node(id) else { continue };
-        for attr in node.attrs.iter() {
-            if attr.name.is_root_only() {
-                out.push(ctx.at_node(
-                    Diagnostic::new(
-                        codes::ROOT_ONLY_ATTRIBUTE,
-                        format!(
-                            "attribute `{}` may only appear on the root, not on {}",
-                            attr.name,
-                            ctx.path_str(id)
-                        ),
-                    ),
-                    id,
-                ));
-            }
-        }
-    }
-}
-
-fn duplicate_attributes(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    for id in ctx.doc.preorder() {
-        let Ok(node) = ctx.doc.node(id) else { continue };
-        if let Err(e) = node.attrs.validate_unique(id) {
-            let message = match e {
-                CoreError::DuplicateAttribute { name, .. } => format!(
-                    "attribute `{name}` occurs more than once on {}",
-                    ctx.path_str(id)
-                ),
-                other => other.to_string(),
-            };
-            out.push(ctx.at_node(Diagnostic::new(codes::DUPLICATE_ATTRIBUTE, message), id));
-        }
-    }
-}
-
-fn unknown_styles(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    for def in ctx.doc.styles.iter() {
-        for parent in &def.parents {
-            if !ctx.doc.styles.contains(parent) {
-                out.push(Diagnostic::new(
-                    codes::UNKNOWN_STYLE,
-                    format!(
-                        "style `{}` builds on `{parent}`, which is not defined",
-                        def.name
-                    ),
-                ));
-            }
-        }
-    }
-    for id in ctx.doc.preorder() {
-        let Ok(node) = ctx.doc.node(id) else { continue };
-        let Some(value) = node.attrs.get(&AttrName::Style) else {
-            continue;
-        };
-        let Ok(names) = style_names(value) else {
-            continue;
-        };
-        for name in names {
-            if !ctx.doc.styles.contains(name.as_str()) {
-                out.push(ctx.at_node(
-                    Diagnostic::new(
-                        codes::UNKNOWN_STYLE,
-                        format!(
-                            "{} references style `{name}`, which is not defined",
-                            ctx.path_str(id)
-                        ),
-                    ),
-                    id,
-                ));
-            }
-        }
-    }
-}
-
-fn style_cycles(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    let mut reported = BTreeSet::new();
-    for def in ctx.doc.styles.iter() {
-        if let Err(CoreError::StyleCycle { style }) = ctx.doc.styles.nesting_depth(&def.name) {
-            if reported.insert(style.clone()) {
-                out.push(
-                    Diagnostic::new(
-                        codes::STYLE_CYCLE,
-                        format!("style `{style}` is part of a definition cycle"),
-                    )
-                    .with_help("style expansion would recurse forever; break the parent loop"),
-                );
-            }
-        }
-    }
-}
-
-fn missing_files(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    for id in ctx.doc.preorder() {
-        let Ok(node) = ctx.doc.node(id) else { continue };
-        if node.kind != NodeKind::Ext {
-            continue;
-        }
-        if matches!(ctx.doc.file_of(id), Ok(None)) {
-            out.push(ctx.at_node(
-                Diagnostic::new(
-                    codes::MISSING_FILE,
-                    format!(
-                        "external node {} has no file attribute, own or inherited",
-                        ctx.path_str(id)
-                    ),
-                ),
-                id,
-            ));
-        }
-    }
-}
-
-fn missing_channels(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    for id in ctx.doc.preorder() {
-        let Ok(node) = ctx.doc.node(id) else { continue };
-        if !node.kind.is_leaf() {
-            continue;
-        }
-        if matches!(ctx.doc.channel_of(id), Ok(None)) {
-            out.push(ctx.at_node(
-                Diagnostic::new(
-                    codes::MISSING_CHANNEL,
-                    format!(
-                        "leaf {} has no channel, so no output device would play it",
-                        ctx.path_str(id)
-                    ),
-                ),
-                id,
-            ));
-        }
-    }
-}
-
-fn unreachable_nodes(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.doc.root().is_err() {
-        return;
-    }
-    let reachable: HashSet<NodeId> = ctx.doc.preorder().into_iter().collect();
-    for index in 0..ctx.doc.node_count() {
-        let id = NodeId::from_index(index as u32);
-        if reachable.contains(&id) {
-            continue;
-        }
-        let kind = ctx.doc.node(id).map(|n| n.kind.keyword()).unwrap_or("node");
-        out.push(
-            ctx.at_node(
-                Diagnostic::new(
-                    codes::UNREACHABLE_NODE,
-                    format!("{kind} node {id} is not reachable from the root"),
-                )
-                .with_help("the node was detached (or orphaned by set_root) and will never play"),
-                id,
-            ),
-        );
-    }
-}
 
 // ---------------------------------------------------------------------------
 // L1xx — timing and synchronization
@@ -698,45 +566,6 @@ fn time_overflow(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     );
 }
 
-fn invalid_delay_windows(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    for (index, (carrier, arc)) in ctx.doc.arcs().iter().enumerate() {
-        if let Err(e) = arc.validate() {
-            out.push(ctx.at_arc(
-                Diagnostic::new(
-                    codes::INVALID_DELAY_WINDOW,
-                    format!("arc #{index} carried by {}: {e}", ctx.path_str(*carrier)),
-                ),
-                *carrier,
-                index,
-            ));
-        }
-    }
-}
-
-fn unresolved_arc_endpoints(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    for (index, (carrier, arc)) in ctx.doc.arcs().iter().enumerate() {
-        for (role, path) in [("source", &arc.source), ("destination", &arc.destination)] {
-            if ctx.doc.resolve_path(*carrier, path).is_err() {
-                out.push(
-                    ctx.at_arc(
-                        Diagnostic::new(
-                            codes::UNRESOLVED_ARC_ENDPOINT,
-                            format!(
-                                "arc #{index} carried by {}: {role} `{path}` does not \
-                             resolve to a node",
-                                ctx.path_str(*carrier)
-                            ),
-                        )
-                        .with_help("arc endpoints are resolved relative to the carrier node"),
-                        *carrier,
-                        index,
-                    ),
-                );
-            }
-        }
-    }
-}
-
 /// Finds the (source, target) pairs that two or more constraints share by
 /// sorting constraint indices on the dense slots of their endpoints —
 /// `(source slot, target slot, index)` — and walking the runs of equal
@@ -798,34 +627,6 @@ fn conflicting_windows(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------------------
 // L2xx — channels and resources
 // ---------------------------------------------------------------------------
-
-fn unknown_channels(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    for id in ctx.doc.preorder() {
-        let Ok(node) = ctx.doc.node(id) else { continue };
-        let Some(channel) = node
-            .attrs
-            .get(&AttrName::Channel)
-            .and_then(AttrValue::as_symbol)
-        else {
-            continue;
-        };
-        if !ctx.doc.channels.contains_symbol(channel) {
-            out.push(
-                ctx.at_node(
-                    Diagnostic::new(
-                        codes::UNKNOWN_CHANNEL,
-                        format!(
-                            "{} references channel `{channel}`, which is not declared",
-                            ctx.path_str(id)
-                        ),
-                    )
-                    .with_help("declare the channel in the document's channel dictionary"),
-                    id,
-                ),
-            );
-        }
-    }
-}
 
 fn dangling_descriptors(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     for id in ctx.doc.preorder() {
@@ -954,6 +755,8 @@ mod tests {
     use std::collections::HashMap;
 
     use cmif_core::arc::Strictness;
+    use cmif_core::attr::AttrName;
+    use cmif_core::value::AttrValue;
 
     use super::*;
 
@@ -1117,6 +920,7 @@ mod tests {
                 limits: &limits,
                 resolver: &doc.catalog,
                 analysis: Fixpoint::analyze(&doc, constraints.clone()),
+                findings: Findings::of(&doc),
             };
             let mut sorted = Vec::new();
             conflicting_windows(&ctx, &mut sorted);

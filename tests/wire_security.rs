@@ -187,6 +187,102 @@ fn a_very_wide_document_decodes_and_lints_in_linear_time() {
     );
 }
 
+/// Canonical text of a root `seq` of `leaves` caption leaves, each styled
+/// `style`, under the style definitions `styles` (one per line).
+fn styled_document(styles: &str, leaves: usize, style: &str) -> String {
+    let mut text = format!(
+        "(cmif\n  (channels (channel caption text))\n  (styles\n{styles}  )\n  (seq (name root)\n"
+    );
+    for leaf in 0..leaves {
+        text.push_str(&format!(
+            "    (imm (name l{leaf}) (style {style}) (duration 10) (data \"x\"))\n"
+        ));
+    }
+    text.push_str("))\n");
+    text
+}
+
+/// Decodes `text`, and the binary form of what it decodes to; lints,
+/// derives and solves both documents; and returns the time all that took.
+fn decode_lint_and_solve(text: &str) -> std::time::Duration {
+    let started = std::time::Instant::now();
+    let (doc, _) = read_document_bytes(text.as_bytes()).unwrap();
+    let binary = document_to_bytes(&doc, WireEncoding::Binary).unwrap();
+    let (decoded, _) = read_document_bytes(&binary).unwrap();
+    for doc in [doc, decoded] {
+        let report = cmif::lint::Linter::new().check(&doc);
+        assert!(!report.has_deny(), "{}", report.render(None));
+        let options = cmif::scheduler::ScheduleOptions::default();
+        let solved = cmif::scheduler::ConstraintGraph::derive(&doc, &doc.catalog, &options)
+            .and_then(|mut graph| graph.solve(&doc, &doc.catalog));
+        assert!(solved.is_ok(), "{solved:?}");
+    }
+    started.elapsed()
+}
+
+#[test]
+fn a_deep_diamond_of_styles_resolves_in_linear_time() {
+    // Each of 64 styles names the one below it twice: a style expansion
+    // that re-walks shared parents would visit 2^64 paths.
+    let mut styles = String::from("    (style d0 (attrs (channel caption)))\n");
+    for level in 1..=64 {
+        let below = level - 1;
+        styles.push_str(&format!(
+            "    (style d{level} (parents d{below} d{below}))\n"
+        ));
+    }
+    let elapsed = decode_lint_and_solve(&styled_document(&styles, 1, "d64"));
+    assert!(
+        elapsed < std::time::Duration::from_secs(60),
+        "a 64-deep style diamond took {elapsed:?}"
+    );
+}
+
+#[test]
+fn a_long_style_chain_used_by_every_leaf_resolves_in_linear_time() {
+    // 4 000 styles, each building on the previous one, and 4 000 leaves
+    // styled with the last: resolving the chain once per leaf, or walking
+    // it with a linear search of the path, is cubic.
+    const STYLES: usize = 4_000;
+    let mut styles = String::from("    (style s0 (attrs (channel caption)))\n");
+    for level in 1..STYLES {
+        styles.push_str(&format!("    (style s{level} (parents s{}))\n", level - 1));
+    }
+    let last = format!("s{}", STYLES - 1);
+    let elapsed = decode_lint_and_solve(&styled_document(&styles, 4_000, &last));
+    assert!(
+        elapsed < std::time::Duration::from_secs(60),
+        "a {STYLES}-style chain under 4 000 leaves took {elapsed:?}"
+    );
+}
+
+#[test]
+fn a_very_deep_style_chain_resolves_on_a_small_stack() {
+    // 60 000 styles declared deepest-first: the first one names the
+    // second, and so on. A recursive expansion nests once per style and
+    // overflows any thread stack; this one runs on 1 MiB.
+    const STYLES: usize = 60_000;
+    let mut styles = String::new();
+    for level in 0..STYLES - 1 {
+        styles.push_str(&format!("    (style s{level} (parents s{}))\n", level + 1));
+    }
+    styles.push_str(&format!(
+        "    (style s{} (attrs (channel caption)))\n",
+        STYLES - 1
+    ));
+    let text = styled_document(&styles, 1, "s0");
+    let elapsed = std::thread::Builder::new()
+        .stack_size(1 << 20)
+        .spawn(move || decode_lint_and_solve(&text))
+        .unwrap()
+        .join()
+        .unwrap();
+    assert!(
+        elapsed < std::time::Duration::from_secs(60),
+        "a {STYLES}-style chain took {elapsed:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
