@@ -56,13 +56,13 @@ fn batch(size: usize) -> Vec<(Arc<Document>, JitterModel)> {
 }
 
 /// Plays the whole batch through an engine and returns the wall time.
-/// `submit` blocks when the engine's queue is bounded and full, so on a
+/// `admit` blocks when the engine's queue is bounded and full, so on a
 /// bounded engine this measures the producer-throttled admission path.
 fn play_batch(engine: &Engine, docs: &[(Arc<Document>, JitterModel)]) -> Duration {
     let started = Instant::now();
     for (doc, jitter) in docs {
         engine
-            .submit(Arc::clone(doc), jitter.clone())
+            .admit(Submission::new(Arc::clone(doc), jitter.clone()))
             .expect("engine is open");
     }
     let outcomes = engine.drain();

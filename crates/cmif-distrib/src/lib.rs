@@ -9,11 +9,12 @@
 //! * [`network`] — a latency/bandwidth cost model over a set of hosts;
 //! * [`placement`] — a consistent-hash ring choosing which hosts hold each
 //!   block/document replica;
-//! * [`store`] — per-host shards (one lock per host, no global lock) with a
-//!   block → holders placement index, configurable replication and
-//!   nearest-replica fetching; documents travel as wire bytes (the compact
-//!   binary form by default, canonical text on request — see
-//!   [`WireEncoding`]), blocks move only when fetched;
+//! * [`store`] — per-host shards (one lock per host, no global lock) with
+//!   one placement index for blocks and documents, configurable
+//!   replication and one nearest-replica fetch walk for both kinds;
+//!   documents travel as wire bytes (the compact binary form by default,
+//!   canonical text on request — see [`WireEncoding`]), blocks move only
+//!   when fetched;
 //! * [`traffic`] — cluster-wide totals plus per-link `(from, to)` traffic
 //!   accounting, delivered and failed transfers kept apart;
 //! * [`transport`] — the structure-only vs structure-plus-data comparison
@@ -59,6 +60,6 @@ pub use network::{HostId, Link, Network};
 pub use placement::PlacementRing;
 pub use repair::{RepairAction, RepairItem, RepairQueue, RepairReport, RepairWorker};
 pub use retry::RetryPolicy;
-pub use store::{DistributedStore, FetchOutcome, FetchReport};
+pub use store::{DistributedStore, FetchReport};
 pub use traffic::{LinkStats, TrafficStats};
 pub use transport::{compare_transport, referenced_keys, TransportComparison, TransportCost};

@@ -9,6 +9,17 @@
 //! access to information is vital", and it is the *description* that is
 //! shared, not the data.
 //!
+//! # Replicated objects
+//!
+//! Blocks and documents are two kinds of one replicated object, a
+//! [`RepairItem`]. Both kinds share one placement index (object → holders
+//! and size, so locating an object is one map lookup instead of a scan
+//! over every host), one holder ranking, one retry walk for degraded reads,
+//! one repair loop, and one copy step per kind used by fetches, replica
+//! puts, publishes and repair. They differ only in what a copy moves (a
+//! payload with its descriptor, or wire bytes) and in how a new version
+//! replaces an old one (a republish replaces a document's holder set).
+//!
 //! # Sharding
 //!
 //! The host map is built once at construction and never changes shape
@@ -16,15 +27,13 @@
 //! host: a host's documents sit behind that host's own `RwLock`, and its
 //! media blocks behind the [`BlockStore`]'s internal locks. No lock spans
 //! more than one host's state — a publisher writing host A never blocks a
-//! reader of host B, and callbacks running against one host's store
-//! ([`DistributedStore::with_local_store`]) can re-enter the distributed
-//! store freely.
+//! reader of host B, and a caller holding one host's store
+//! ([`DistributedStore::local_store`]) can re-enter the distributed store
+//! freely.
 //!
-//! Cross-host bookkeeping lives in small, short-held structures: a
-//! block → holders placement index (so locating a block is one map lookup
-//! instead of a scan over every host), a document → holders index, the
-//! per-host health map, the repair queue, and the [`TrafficStats`]
-//! accumulator.
+//! Cross-host bookkeeping lives in small, short-held structures: the
+//! placement index, the per-host health map, the repair queue, and the
+//! [`TrafficStats`] accumulator.
 //!
 //! # Fault tolerance
 //!
@@ -33,12 +42,13 @@
 //! — scripted host kills, transfer failures/delays, partitions — (b)
 //! gates on per-host health (`Up → Suspect → Down`, driven by observed
 //! failures), and (c) charges failed transfers to the failed-traffic
-//! counters. Degraded fetches walk the surviving replicas nearest-first
-//! under a [`RetryPolicy`]; hosts that go down get their blocks and
-//! documents queued for re-replication, which
-//! [`DistributedStore::repair_all`] (or a background
-//! [`crate::RepairWorker`]) drains until the replication factor is
-//! restored.
+//! counters. Degraded reads walk the surviving replicas nearest-first
+//! under a [`RetryPolicy`], holding the destination's in-flight
+//! reservation for the object so racing reads of one object to one host
+//! move it once; hosts that go down get their blocks and documents queued
+//! for re-replication, which [`DistributedStore::repair_all`] (or a
+//! background [`crate::RepairWorker`]) drains until the replication factor
+//! is restored.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
@@ -73,90 +83,92 @@ struct HostShard {
     documents: RwLock<BTreeMap<Symbol, Vec<u8>>>,
     /// Media blocks held by this host (internally locked).
     blocks: BlockStore,
-    /// Block keys currently being fetched *to* this host. A fetch reserves
-    /// the key here before moving any bytes, so concurrent fetches of the
-    /// same block charge exactly one transfer. Keys are `Copy` symbols —
-    /// reserving one never allocates.
-    inflight: StdMutex<BTreeSet<Symbol>>,
+    /// Objects currently being fetched *to* this host. A fetch reserves
+    /// the object here before moving any bytes, so concurrent fetches of
+    /// one block or document charge exactly one transfer. Items are `Copy`
+    /// — reserving one never allocates.
+    inflight: StdMutex<BTreeSet<RepairItem>>,
     /// Signalled when an in-flight fetch to this host finishes (either way).
     arrived: Condvar,
 }
 
+impl HostShard {
+    /// True when this host stores a copy of the object.
+    fn holds(&self, item: RepairItem) -> bool {
+        match item {
+            RepairItem::Block(key) => self.blocks.contains(key.as_str()),
+            RepairItem::Document(name) => self.documents.read().contains_key(&name),
+        }
+    }
+}
+
 /// Locks an in-flight set, ignoring poisoning (a panicked fetch must not
 /// wedge every later fetch to the host).
-fn lock_inflight(shard: &HostShard) -> MutexGuard<'_, BTreeSet<Symbol>> {
+fn lock_inflight(shard: &HostShard) -> MutexGuard<'_, BTreeSet<RepairItem>> {
     shard
         .inflight
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Drop guard for a key reserved in a host's in-flight set: releases the
-/// reservation and wakes waiters on every exit path, panics included.
+/// Drop guard for an object reserved in a host's in-flight set: releases
+/// the reservation and wakes waiters on every exit path, panics included.
 struct InflightReservation<'a> {
     shard: &'a HostShard,
-    key: Symbol,
+    item: RepairItem,
 }
 
 impl Drop for InflightReservation<'_> {
     fn drop(&mut self) {
         let mut inflight = lock_inflight(self.shard);
-        inflight.remove(&self.key);
+        inflight.remove(&self.item);
         self.shard.arrived.notify_all();
     }
 }
 
-/// Where a block's replicas live, plus its payload size for cost ranking.
+/// Where one replicated object's copies live, plus its size for cost
+/// ranking.
 #[derive(Debug)]
-struct BlockPlacement {
-    /// Payload size in bytes (used to rank candidate sources by transfer
-    /// cost without touching any host's store).
+struct Placement {
+    /// Payload (block) or wire (document) bytes, used to rank candidate
+    /// sources by transfer cost without touching any host's store.
     bytes: u64,
-    /// The hosts currently holding a copy.
+    /// The hosts currently holding a copy (of a document's current
+    /// version).
     holders: BTreeSet<HostId>,
 }
 
-/// Where a published document's copies live, plus its wire size. Kept so
-/// a republish can invalidate stale holders and so repair can restore a
-/// document's replication factor after a host loss.
-#[derive(Debug)]
-struct DocPlacement {
-    /// Wire-byte size of the current version.
-    bytes: u64,
-    /// The hosts currently holding the current version.
-    holders: BTreeSet<HostId>,
-}
-
-/// The result of one traced block fetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchOutcome {
-    /// Simulated milliseconds the fetch took (transfer plus any retry
-    /// backoff); zero for a local hit.
-    pub simulated_ms: u64,
-    /// Transfer attempts performed (one for a clean remote fetch, zero
-    /// for a local hit).
-    pub attempts: u32,
-    /// True when the destination already held the block.
-    pub local: bool,
-    /// True when the fetch succeeded only after at least one failed
-    /// attempt — the block arrived, but over a degraded path.
-    pub degraded: bool,
-}
-
-impl FetchOutcome {
-    /// A local hit: nothing moved, nothing retried.
-    fn local_hit() -> FetchOutcome {
-        FetchOutcome {
-            simulated_ms: 0,
-            attempts: 0,
-            local: true,
-            degraded: false,
-        }
+/// The error for an object `host` looked for and nobody holds.
+fn missing(item: RepairItem, host: &str) -> DistribError {
+    match item {
+        RepairItem::Block(key) => DistribError::Media(MediaError::UnknownBlock {
+            key: key.as_str().to_string(),
+        }),
+        RepairItem::Document(name) => DistribError::UnknownDocument {
+            host: host.to_string(),
+            name: name.as_str().to_string(),
+        },
     }
 }
 
-/// Aggregate trace of a multi-block fetch
-/// ([`DistributedStore::fetch_blocks_for_traced`]) — what a pipeline's
+/// The holders an object can be read from for one destination.
+struct Sources {
+    /// The object's indexed size: what transfers are charged.
+    bytes: u64,
+    /// True when the destination itself is indexed as a holder.
+    local: bool,
+    /// Every other holder except decommissioned ones, nearest-first:
+    /// `Up` before `Suspect` before `Down`, by transfer cost within a rank,
+    /// ties in host order.
+    ranked: Vec<HostId>,
+    /// Holders with no link to the destination, kept apart so exhaustion
+    /// can tell a configuration gap from cluster weather.
+    unreachable: Vec<HostId>,
+}
+
+/// How a block fetch brought its blocks to the destination — one block
+/// ([`DistributedStore::fetch_block`]) or a key set
+/// ([`DistributedStore::fetch_blocks_for_traced`]); what a pipeline's
 /// media-staging step reports about the cluster weather it saw.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchReport {
@@ -174,6 +186,27 @@ pub struct FetchReport {
     pub simulated_ms: u64,
 }
 
+impl FetchReport {
+    /// One object the destination already held: nothing moved.
+    fn local_hit() -> FetchReport {
+        FetchReport {
+            requested: 1,
+            local_hits: 1,
+            ..FetchReport::default()
+        }
+    }
+
+    /// Adds another fetch's counts to this one.
+    fn absorb(&mut self, other: FetchReport) {
+        self.requested += other.requested;
+        self.fetched += other.fetched;
+        self.local_hits += other.local_hits;
+        self.degraded += other.degraded;
+        self.retries += other.retries;
+        self.simulated_ms += other.simulated_ms;
+    }
+}
+
 /// The distributed store: a cluster of per-host shards, a consistent-hash
 /// placement policy with a configurable replication factor, and per-link
 /// traffic accounting.
@@ -187,11 +220,10 @@ pub struct DistributedStore {
     ring: RwLock<PlacementRing>,
     /// Number of hosts that receive a copy of each block/document.
     replication: usize,
-    /// Block key → holders index (replaces scanning every host's keys).
-    /// Keyed by interned symbol: lookups and inserts compare integers.
-    placement: RwLock<BTreeMap<Symbol, BlockPlacement>>,
-    /// Document name → holders index, for republish invalidation and repair.
-    doc_placement: RwLock<BTreeMap<Symbol, DocPlacement>>,
+    /// Object → holders index (replaces scanning every host's contents).
+    /// Keyed by kind and interned name: lookups and inserts compare
+    /// integers, and blocks sort before documents.
+    placement: RwLock<BTreeMap<RepairItem, Placement>>,
     traffic: Mutex<TrafficStats>,
     /// The wire form new documents are published in (binary by default).
     wire: WireEncoding,
@@ -228,11 +260,7 @@ impl DistributedStore {
         // Count distinct hosts: the shard map and the placement ring both
         // deduplicate, so a duplicated host name must not let an
         // unsatisfiable factor through.
-        let hosts = network
-            .hosts()
-            .iter()
-            .collect::<std::collections::BTreeSet<_>>()
-            .len();
+        let hosts = network.hosts().iter().collect::<BTreeSet<_>>().len();
         if factor == 0 || factor > hosts {
             return Err(DistribError::InvalidReplication {
                 requested: factor,
@@ -256,7 +284,6 @@ impl DistributedStore {
             ring: RwLock::new(ring),
             replication,
             placement: RwLock::new(BTreeMap::new()),
-            doc_placement: RwLock::new(BTreeMap::new()),
             traffic: Mutex::new(TrafficStats::default()),
             wire: WireEncoding::default(),
             health: RwLock::new(health),
@@ -335,19 +362,6 @@ impl DistributedStore {
             })
     }
 
-    /// Records a transfer whose cost is already known.
-    fn record(&self, from: &str, to: &str, bytes: u64, is_structure: bool, ms: u64) {
-        self.traffic
-            .lock()
-            .record(from, to, bytes, is_structure, ms);
-    }
-
-    /// Computes a transfer's cost and records it — via the fault-aware
-    /// choke point, blaming the source on failure.
-    fn charge(&self, from: &str, to: &str, bytes: u64, is_structure: bool) -> Result<u64> {
-        self.attempt_transfer(from, to, bytes, is_structure, from)
-    }
-
     /// The single choke point every simulated transfer goes through.
     ///
     /// Order matters: (1) the fault plan judges the attempt first, so
@@ -386,11 +400,7 @@ impl DistributedStore {
             None => (None, 0),
         };
         for host in [from, to] {
-            if !self.is_serviceable(host) {
-                return Err(DistribError::HostDown {
-                    host: host.to_string(),
-                });
-            }
+            self.ensure_serviceable(host)?;
         }
         let cost =
             self.network
@@ -422,7 +432,9 @@ impl DistributedStore {
             }
             None => {
                 let total = cost + extra_ms;
-                self.record(from, to, bytes, is_structure, total);
+                self.traffic
+                    .lock()
+                    .record(from, to, bytes, is_structure, total);
                 self.observe_success(blame);
                 Ok(total)
             }
@@ -581,17 +593,8 @@ impl DistributedStore {
         // host, so everything it held is considered.
         self.force_health(host, HealthState::Decommissioned, "decommission");
         self.ring.write().remove_host(host);
-        {
-            let mut placement = self.placement.write();
-            for entry in placement.values_mut() {
-                entry.holders.remove(host);
-            }
-        }
-        {
-            let mut docs = self.doc_placement.write();
-            for entry in docs.values_mut() {
-                entry.holders.remove(host);
-            }
+        for entry in self.placement.write().values_mut() {
+            entry.holders.remove(host);
         }
         Ok(())
     }
@@ -599,8 +602,7 @@ impl DistributedStore {
     /// Queues every under-replicated object the (newly unserviceable)
     /// host holds.
     fn scan_for_repairs(&self, host: &str) {
-        let mut found: Vec<RepairItem> = Vec::new();
-        {
+        let found: Vec<RepairItem> = {
             let placement = self.placement.read();
             let health = self.health.read();
             let live = |candidate: &HostId| {
@@ -609,43 +611,31 @@ impl DistributedStore {
                     .map(|record| record.state().is_serviceable())
                     .unwrap_or(false)
             };
-            for (key, entry) in placement.iter() {
-                if entry.holders.contains(host)
-                    && entry.holders.iter().filter(|h| live(h)).count() < self.replication
-                {
-                    found.push(RepairItem::Block(*key));
-                }
-            }
-            let docs = self.doc_placement.read();
-            for (name, entry) in docs.iter() {
-                if entry.holders.contains(host)
-                    && entry.holders.iter().filter(|h| live(h)).count() < self.replication
-                {
-                    found.push(RepairItem::Document(*name));
-                }
-            }
-        }
+            placement
+                .iter()
+                .filter(|(_, entry)| {
+                    entry.holders.contains(host)
+                        && entry.holders.iter().filter(|h| live(h)).count() < self.replication
+                })
+                .map(|(item, _)| *item)
+                .collect()
+        };
         let mut repairs = self.repairs.lock();
         for item in found {
             repairs.enqueue(item);
         }
     }
 
-    /// Marks `host` as a holder of `key` in the placement index.
-    fn index_holder(&self, key: Symbol, bytes: u64, host: &str) {
+    /// Marks `host` as a holder of `item` in the placement index, recording
+    /// `bytes` as the object's size.
+    fn index_holder(&self, item: RepairItem, bytes: u64, host: &str) {
         let mut placement = self.placement.write();
-        if let Some(entry) = placement.get_mut(&key) {
-            entry.bytes = bytes;
-            entry.holders.insert(host.to_string());
-        } else {
-            placement.insert(
-                key,
-                BlockPlacement {
-                    bytes,
-                    holders: [host.to_string()].into_iter().collect(),
-                },
-            );
-        }
+        let entry = placement.entry(item).or_insert_with(|| Placement {
+            bytes,
+            holders: BTreeSet::new(),
+        });
+        entry.bytes = bytes;
+        entry.holders.insert(host.to_string());
     }
 
     /// Traffic accumulated so far (totals plus per-link breakdown).
@@ -662,36 +652,300 @@ impl DistributedStore {
     /// operation is still side-effect free: the first `replication - 1`
     /// *serviceable* ring-chosen hosts distinct from the origin (down hosts
     /// are skipped — the walk continues along the ring), each validated to
-    /// exist and be reachable, paired with the transfer cost for `bytes`.
-    /// Empty without replication. May return fewer targets than the factor
-    /// asks for when too few hosts are serviceable; the caller queues the
-    /// object for repair in that case.
-    fn plan_replicas(&self, key: &str, origin: &str, bytes: u64) -> Result<Vec<(HostId, u64)>> {
-        let mut replicas = Vec::new();
-        if self.replication > 1 {
-            let candidates: Vec<HostId> = {
-                let ring = self.ring.read();
-                let all = ring.len();
-                ring.hosts_for(key, all).into_iter().cloned().collect()
-            };
-            let targets: Vec<HostId> = candidates
+    /// exist and be reachable for `bytes`. Empty without replication. May
+    /// return fewer targets than the factor asks for when too few hosts
+    /// are serviceable; the fan-out queues the object for repair then.
+    fn plan_replicas(&self, key: &str, origin: &str, bytes: u64) -> Result<Vec<HostId>> {
+        if self.replication <= 1 {
+            return Ok(Vec::new());
+        }
+        let candidates: Vec<HostId> = {
+            let ring = self.ring.read();
+            ring.hosts_for(key, ring.len())
                 .into_iter()
-                .filter(|candidate| candidate.as_str() != origin && self.is_serviceable(candidate))
-                .take(self.replication - 1)
-                .collect();
-            for target in targets {
-                self.shard(&target)?;
-                let cost = self
-                    .network
-                    .transfer_ms(origin, &target, bytes)
-                    .ok_or_else(|| DistribError::Unreachable {
-                        from: origin.to_string(),
-                        to: target.clone(),
-                    })?;
-                replicas.push((target, cost));
+                .cloned()
+                .collect()
+        };
+        let targets: Vec<HostId> = candidates
+            .into_iter()
+            .filter(|candidate| candidate.as_str() != origin && self.is_serviceable(candidate))
+            .take(self.replication - 1)
+            .collect();
+        for target in &targets {
+            self.shard(target)?;
+            if self.network.transfer_ms(origin, target, bytes).is_none() {
+                return Err(DistribError::Unreachable {
+                    from: origin.to_string(),
+                    to: target.clone(),
+                });
             }
         }
-        Ok(replicas)
+        Ok(targets)
+    }
+
+    /// Copies a freshly put object from `origin` to its planned replica
+    /// targets, handing each delivered copy to `landed` with its cost. A
+    /// block a target already holds needs no copy; a document is a new
+    /// version and always moves. A copy lost to a fault does not fail the
+    /// put — the origin holds the data — it queues the object for repair,
+    /// as does a plan short of the replication factor.
+    fn fan_out(
+        &self,
+        item: RepairItem,
+        origin: &str,
+        bytes: u64,
+        targets: &[HostId],
+        mut landed: impl FnMut(&HostId, u64),
+    ) -> Result<()> {
+        for target in targets {
+            if matches!(item, RepairItem::Block(_)) && self.shard(target)?.holds(item) {
+                continue;
+            }
+            match self.copy(item, origin, target, bytes, target) {
+                Ok(cost) => landed(target, cost),
+                Err(e) if e.is_retryable() => self.enqueue_repair(item),
+                Err(e) => return Err(e),
+            }
+        }
+        if targets.len() + 1 < self.replication {
+            self.enqueue_repair(item);
+        }
+        Ok(())
+    }
+
+    /// The copy step every replica move shares — fetch, replica put,
+    /// publish, transport and repair. Charges the transfer of `bytes` from
+    /// `from` to `to` first (a transfer the fault plan or the health gate
+    /// refuses moves nothing; `blame` is the host a mid-flight failure
+    /// counts against), then copies the object into `to`'s shard: a block
+    /// as payload plus descriptor, a document as its wire bytes. Indexing
+    /// the new holder is left to the caller.
+    fn copy(&self, item: RepairItem, from: &str, to: &str, bytes: u64, blame: &str) -> Result<u64> {
+        let is_document = matches!(item, RepairItem::Document(_));
+        let cost = self.attempt_transfer(from, to, bytes, is_document, blame)?;
+        let (source, dest) = (self.shard(from)?, self.shard(to)?);
+        match item {
+            RepairItem::Block(key) => {
+                let payload = source.blocks.payload(key.as_str())?;
+                let descriptor = source.blocks.descriptor(key.as_str())?;
+                match dest
+                    .blocks
+                    .put_with_descriptor(MediaBlock::new(key.as_str(), payload), descriptor)
+                {
+                    // A direct `put_block` to this host landed first: the
+                    // block is local; the bytes moved anyway stay charged.
+                    Ok(()) | Err(MediaError::DuplicateBlock { .. }) => {}
+                    Err(e) => return Err(e.into()),
+                }
+            }
+            RepairItem::Document(name) => {
+                let wire = source.documents.read().get(&name).cloned();
+                let wire = wire.ok_or_else(|| missing(item, from))?;
+                dest.documents.write().insert(name, wire);
+            }
+        }
+        Ok(cost)
+    }
+
+    // ------------------------------------------------------------------
+    // Reads: ranking and the retry walk
+    // ------------------------------------------------------------------
+
+    /// Sort rank of a host's health for source selection: `Up` hosts
+    /// first, then `Suspect`, then `Down`/`Decommissioned`.
+    fn health_rank(&self, host: &str) -> u8 {
+        match self
+            .health
+            .read()
+            .get(host)
+            .map(|record| record.state())
+            .unwrap_or(HealthState::Up)
+        {
+            HealthState::Up => 0,
+            HealthState::Suspect => 1,
+            HealthState::Down => 2,
+            HealthState::Decommissioned => 3,
+        }
+    }
+
+    /// Ranks the holders of `item` as sources for `to` — the one holder
+    /// ranking every read uses. Costs are priced for the object's size, or
+    /// for `priced_for` bytes when given (descriptor reads pass zero: they
+    /// are latency-dominated). Errors with [`missing`]'s error when nobody
+    /// holds the object.
+    fn ranked_sources(
+        &self,
+        to: &str,
+        item: RepairItem,
+        priced_for: Option<u64>,
+    ) -> Result<Sources> {
+        let (bytes, holders) = {
+            let placement = self.placement.read();
+            let entry = placement.get(&item).ok_or_else(|| missing(item, to))?;
+            (
+                entry.bytes,
+                entry.holders.iter().cloned().collect::<Vec<_>>(),
+            )
+        };
+        let mut sources = Sources {
+            bytes,
+            local: false,
+            ranked: Vec::new(),
+            unreachable: Vec::new(),
+        };
+        let mut ranked: Vec<(u8, u64, HostId)> = Vec::new();
+        for holder in holders {
+            if holder == to {
+                sources.local = true;
+                continue;
+            }
+            let rank = self.health_rank(&holder);
+            if rank > 2 {
+                continue;
+            }
+            match self
+                .network
+                .transfer_ms(&holder, to, priced_for.unwrap_or(bytes))
+            {
+                Some(cost) => ranked.push((rank, cost, holder)),
+                None => sources.unreachable.push(holder),
+            }
+        }
+        ranked.sort();
+        sources.ranked = ranked.into_iter().map(|(_, _, host)| host).collect();
+        Ok(sources)
+    }
+
+    /// Picks the holder to serve `item` to `to`: the destination itself
+    /// when it holds a copy, otherwise the first pick of the ranking.
+    /// Errors distinguish an object nobody holds from one whose holders
+    /// are all unreachable ([`DistribError::Unreachable`]).
+    fn select_source(&self, to: &str, item: RepairItem, priced_for: Option<u64>) -> Result<HostId> {
+        let sources = self.ranked_sources(to, item, priced_for)?;
+        if sources.local {
+            return Ok(to.to_string());
+        }
+        sources
+            .ranked
+            .into_iter()
+            .next()
+            .ok_or_else(|| DistribError::Unreachable {
+                from: sources.unreachable.into_iter().next().unwrap_or_default(),
+                to: to.to_string(),
+            })
+    }
+
+    /// Brings `item` to `to`: a local hit, or the retry walk under `to`'s
+    /// in-flight reservation for the object. When N callers race for one
+    /// object to one host, one walks (and is charged) while the others
+    /// wait on the reservation and then find the object local — exactly
+    /// one transfer lands in [`TrafficStats`]. Nothing is decoded or
+    /// copied while the in-flight set is locked.
+    fn fetch_object(&self, to: &str, item: RepairItem) -> Result<FetchReport> {
+        let dest = self.shard(to)?;
+        {
+            let mut inflight = lock_inflight(dest);
+            loop {
+                if dest.holds(item) {
+                    return Ok(FetchReport::local_hit());
+                }
+                if inflight.insert(item) {
+                    break;
+                }
+                // Another fetch of this object to this host is in flight;
+                // wait for it to finish, then re-check (it may have failed,
+                // in which case we take over the reservation).
+                inflight = dest
+                    .arrived
+                    .wait(inflight)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        // Release the reservation on every exit path — including a panic
+        // inside the transfer — so a failed fetch never wedges later
+        // fetches of the same object to this host.
+        let _reservation = InflightReservation { shard: dest, item };
+        self.walk(to, item)
+    }
+
+    /// The retry walk behind every degraded read; runs with the object
+    /// reserved on the destination host.
+    ///
+    /// Each round re-ranks the surviving holders nearest-first (health
+    /// before cost — a holder that just failed us is `Suspect` and sinks)
+    /// and tries them in order, charging exponential backoff with jitter
+    /// between attempts, until the object arrives or the [`RetryPolicy`]
+    /// budget runs out. Exhaustion is classified: any mid-flight transfer
+    /// failure in the trace ⇒ [`DistribError::RetriesExhausted`];
+    /// otherwise every path was cut by down hosts or partitions ⇒
+    /// [`DistribError::Partitioned`]. When no transfer was ever attempted
+    /// because no holder has a link to `to`, the legacy
+    /// [`DistribError::Unreachable`] names the topology gap.
+    fn walk(&self, to: &str, item: RepairItem) -> Result<FetchReport> {
+        let mut failed: Vec<FetchAttempt> = Vec::new();
+        let mut attempt: u32 = 0;
+        let mut backoff_total: u64 = 0;
+        'rounds: loop {
+            let sources = self.ranked_sources(to, item, None)?;
+            if sources.ranked.is_empty() {
+                match sources.unreachable.into_iter().next() {
+                    // Pure topology gap, no dynamic faults involved: keep
+                    // the legacy error operators already know.
+                    Some(from) if failed.is_empty() => {
+                        return Err(DistribError::Unreachable {
+                            from,
+                            to: to.to_string(),
+                        })
+                    }
+                    _ => break,
+                }
+            }
+            for from in sources.ranked {
+                if attempt >= self.retry.max_attempts {
+                    break 'rounds;
+                }
+                attempt += 1;
+                let backoff = self.retry.backoff_ms(attempt, &mut self.retry_rng.lock());
+                backoff_total += backoff;
+                match self.copy(item, &from, to, sources.bytes, &from) {
+                    Ok(cost) => {
+                        self.index_holder(item, sources.bytes, to);
+                        return Ok(FetchReport {
+                            requested: 1,
+                            fetched: 1,
+                            local_hits: 0,
+                            degraded: usize::from(attempt > 1),
+                            retries: attempt - 1,
+                            simulated_ms: cost + backoff_total,
+                        });
+                    }
+                    Err(error) if error.is_retryable() => failed.push(FetchAttempt {
+                        attempt,
+                        source: from,
+                        error: Box::new(error),
+                        backoff_ms: backoff,
+                    }),
+                    Err(error) => return Err(error),
+                }
+            }
+        }
+        let (to, key) = (to.to_string(), item.key().as_str().to_string());
+        if failed
+            .iter()
+            .any(|a| matches!(*a.error, DistribError::TransferFailed { .. }))
+        {
+            Err(DistribError::RetriesExhausted {
+                to,
+                key,
+                attempts: failed,
+            })
+        } else {
+            Err(DistribError::Partitioned {
+                to,
+                key,
+                attempts: failed,
+            })
+        }
     }
 
     // ------------------------------------------------------------------
@@ -715,77 +969,17 @@ impl DistributedStore {
     ) -> Result<u64> {
         let shard = self.shard(host)?;
         self.ensure_serviceable(host)?;
-        let key = Symbol::intern(&block.key);
+        let item = RepairItem::Block(Symbol::intern(&block.key));
         let bytes = block.payload.size_bytes();
-        let replicas = self.plan_replicas(key.as_str(), host, bytes)?;
-        let replica_payload = (!replicas.is_empty()).then(|| block.payload.clone());
-
-        shard
-            .blocks
-            .put_with_descriptor(block, descriptor.clone())
-            .map_err(DistribError::Media)?;
-        self.index_holder(key, bytes, host);
-
+        let replicas = self.plan_replicas(item.key().as_str(), host, bytes)?;
+        shard.blocks.put_with_descriptor(block, descriptor)?;
+        self.index_holder(item, bytes, host);
         let mut total_cost = 0;
-        // The last replica consumes the payload/descriptor instead of
-        // cloning them: K replicas cost K payload copies, not K + 1.
-        if let Some(payload) = replica_payload {
-            if let Some(((last_target, _), rest)) = replicas.split_last() {
-                for (target, _) in rest {
-                    total_cost +=
-                        self.put_replica(host, target, key, payload.clone(), descriptor.clone())?;
-                }
-                total_cost += self.put_replica(host, last_target, key, payload, descriptor)?;
-            }
-        }
-        // Too few serviceable hosts to satisfy the factor right now: the
-        // put still lands (degraded), and repair finishes the job once the
-        // cluster recovers.
-        if replicas.len() + 1 < self.replication {
-            self.enqueue_repair(RepairItem::Block(key));
-        }
+        self.fan_out(item, host, bytes, &replicas, |target, cost| {
+            self.index_holder(item, bytes, target);
+            total_cost += cost;
+        })?;
         Ok(total_cost)
-    }
-
-    /// Copies one planned replica to `target`, charging the transfer and
-    /// indexing the new holder. Returns the cost charged — zero when the
-    /// target already holds the block (nothing moves, nothing is charged)
-    /// and zero when the copy was cut down by an injected fault: a failed
-    /// replica copy does not fail the put (the origin holds the data), it
-    /// queues the block for repair instead.
-    fn put_replica(
-        &self,
-        origin: &str,
-        target: &str,
-        key: Symbol,
-        payload: cmif_media::MediaPayload,
-        descriptor: DataDescriptor,
-    ) -> Result<u64> {
-        let bytes = payload.size_bytes();
-        let shard = self.shard(target)?;
-        if shard.blocks.contains(key.as_str()) {
-            return Ok(0);
-        }
-        match self.attempt_transfer(origin, target, bytes, false, target) {
-            Ok(cost) => match shard
-                .blocks
-                .put_with_descriptor(MediaBlock::new(key.as_str(), payload), descriptor)
-            {
-                Ok(()) => {
-                    self.index_holder(key, bytes, target);
-                    Ok(cost)
-                }
-                // A direct put raced in after our contains check; the
-                // bytes moved, so the charge stands.
-                Err(MediaError::DuplicateBlock { .. }) => Ok(cost),
-                Err(e) => Err(DistribError::Media(e)),
-            },
-            Err(e) if e.is_retryable() => {
-                self.enqueue_repair(RepairItem::Block(key));
-                Ok(0)
-            }
-            Err(e) => Err(e),
-        }
     }
 
     /// The keys of the blocks a host holds locally.
@@ -797,11 +991,7 @@ impl DistributedStore {
     /// use [`DistributedStore::nearest_source`] for cost-aware selection).
     /// Never interns: unknown keys miss without growing the pool.
     pub fn locate_block(&self, key: &str) -> Option<HostId> {
-        let key = Symbol::lookup(key)?;
-        let placement = self.placement.read();
-        placement
-            .get(&key)
-            .and_then(|entry| entry.holders.iter().next().cloned())
+        self.replicas_of(key).into_iter().next()
     }
 
     /// Every host currently holding a copy of the block, in lexical order.
@@ -809,9 +999,9 @@ impl DistributedStore {
         let Some(key) = Symbol::lookup(key) else {
             return Vec::new();
         };
-        let placement = self.placement.read();
-        placement
-            .get(&key)
+        self.placement
+            .read()
+            .get(&RepairItem::Block(key))
             .map(|entry| entry.holders.iter().cloned().collect())
             .unwrap_or_default()
     }
@@ -826,105 +1016,8 @@ impl DistributedStore {
         if !self.shards.contains_key(to) {
             return None;
         }
-        self.select_source(to, Symbol::lookup(key)?, None).ok()
-    }
-
-    /// Picks the holder to serve `key` to `to`: the destination itself when
-    /// it holds a copy, otherwise the holder cheapest for moving the given
-    /// byte count (`None` ranks by the block's actual size; descriptor
-    /// fetches pass `Some(0)` since they are latency-dominated). Errors
-    /// distinguish a block nobody holds ([`MediaError::UnknownBlock`]) from
-    /// one whose holders are all unreachable
-    /// ([`DistribError::Unreachable`]).
-    fn select_source(&self, to: &str, key: Symbol, bytes_override: Option<u64>) -> Result<HostId> {
-        let placement = self.placement.read();
-        let entry = placement.get(&key).ok_or_else(|| {
-            DistribError::Media(MediaError::UnknownBlock {
-                key: key.as_str().to_string(),
-            })
-        })?;
-        if entry.holders.contains(to) {
-            return Ok(to.to_string());
-        }
-        let bytes = bytes_override.unwrap_or(entry.bytes);
-        entry
-            .holders
-            .iter()
-            .filter_map(|holder| {
-                self.network
-                    .transfer_ms(holder, to, bytes)
-                    // Prefer healthy holders: a suspect source only serves
-                    // when every up holder is more expensive than its rank
-                    // penalty, a down one only when nothing else exists.
-                    .map(|cost| ((self.health_rank(holder), cost), holder))
-            })
-            .min_by_key(|(rank, _)| *rank)
-            .map(|(_, holder)| holder.clone())
-            .ok_or_else(|| DistribError::Unreachable {
-                // Holder sets are never empty once indexed; name the first
-                // holder in the error so the operator sees the topology gap.
-                from: entry.holders.iter().next().cloned().unwrap_or_default(),
-                to: to.to_string(),
-            })
-    }
-
-    /// Sort rank of a host's health for source selection: `Up` hosts
-    /// first, then `Suspect`, then `Down`/`Decommissioned`.
-    fn health_rank(&self, host: &str) -> u8 {
-        match self
-            .health
-            .read()
-            .get(host)
-            .map(|record| record.state())
-            .unwrap_or(HealthState::Up)
-        {
-            HealthState::Up => 0,
-            HealthState::Suspect => 1,
-            HealthState::Down => 2,
-            HealthState::Decommissioned => 3,
-        }
-    }
-
-    /// Candidate sources for fetching `key` to `to`, nearest-first:
-    /// every indexed holder except `to` itself and decommissioned hosts,
-    /// ordered `Up` before `Suspect` before `Down` and by transfer cost
-    /// within a rank. Topology-unreachable holders are returned separately
-    /// so exhaustion can tell a configuration gap from cluster weather.
-    /// Errors with [`MediaError::UnknownBlock`] when nobody holds the key.
-    fn ranked_sources(&self, to: &str, key: Symbol) -> Result<(u64, Vec<HostId>, Vec<HostId>)> {
-        let (bytes, holders) = {
-            let placement = self.placement.read();
-            let entry = placement.get(&key).ok_or_else(|| {
-                DistribError::Media(MediaError::UnknownBlock {
-                    key: key.as_str().to_string(),
-                })
-            })?;
-            (
-                entry.bytes,
-                entry.holders.iter().cloned().collect::<Vec<HostId>>(),
-            )
-        };
-        let mut ranked: Vec<(u8, u64, HostId)> = Vec::new();
-        let mut unreachable: Vec<HostId> = Vec::new();
-        for holder in holders {
-            if holder == to {
-                continue;
-            }
-            let rank = self.health_rank(&holder);
-            if rank > 2 {
-                continue;
-            }
-            match self.network.transfer_ms(&holder, to, bytes) {
-                Some(cost) => ranked.push((rank, cost, holder)),
-                None => unreachable.push(holder),
-            }
-        }
-        ranked.sort();
-        Ok((
-            bytes,
-            ranked.into_iter().map(|(_, _, host)| host).collect(),
-            unreachable,
-        ))
+        let item = RepairItem::Block(Symbol::lookup(key)?);
+        self.select_source(to, item, None).ok()
     }
 
     /// Fetches a block's descriptor to `to` from the holder cheapest for
@@ -933,200 +1026,63 @@ impl DistributedStore {
     /// read is local and no transfer is recorded.
     pub fn fetch_descriptor(&self, to: &str, key: &str) -> Result<DataDescriptor> {
         self.shard(to)?;
-        let key = Symbol::lookup(key).ok_or_else(|| {
-            DistribError::Media(MediaError::UnknownBlock {
-                key: key.to_string(),
-            })
+        let key = Symbol::lookup(key).ok_or_else(|| MediaError::UnknownBlock {
+            key: key.to_string(),
         })?;
-        let from = self.select_source(to, key, Some(0))?;
-        let descriptor = self
-            .shard(&from)?
-            .blocks
-            .descriptor(key.as_str())
-            .map_err(DistribError::Media)?;
+        let from = self.select_source(to, RepairItem::Block(key), Some(0))?;
+        let descriptor = self.shard(&from)?.blocks.descriptor(key.as_str())?;
         if from != to {
-            self.charge(&from, to, descriptor.approx_descriptor_size() as u64, true)?;
+            let bytes = descriptor.approx_descriptor_size() as u64;
+            self.attempt_transfer(&from, to, bytes, true, &from)?;
         }
         Ok(descriptor)
     }
 
     /// Fetches a block's payload to `to` from the nearest holder, copying it
-    /// into `to`'s local store (so later fetches are free) and charging the
-    /// media transfer.
-    ///
-    /// The destination host reserves the key before any bytes move: when N
-    /// callers race to fetch the same block, one performs (and is charged
-    /// for) the transfer while the others wait on the reservation and then
-    /// find the block local — exactly one transfer lands in
-    /// [`TrafficStats`].
-    pub fn fetch_block(&self, to: &str, key: &str) -> Result<u64> {
+    /// into `to`'s local store (so later fetches are local hits) and
+    /// charging the media transfer. The report says how the block arrived:
+    /// a local hit, a clean transfer, or a degraded fetch that had to walk
+    /// past failed replicas (`retries` counts them). Racing fetches of one
+    /// block to one host charge one transfer.
+    pub fn fetch_block(&self, to: &str, key: &str) -> Result<FetchReport> {
         // Never interns: a block that exists anywhere was interned when it
         // was put, so a pool miss is an unknown block — failing lookups of
         // caller-supplied keys must not grow the pool.
-        let key = Symbol::lookup(key).ok_or_else(|| {
-            DistribError::Media(MediaError::UnknownBlock {
-                key: key.to_string(),
-            })
+        let key = Symbol::lookup(key).ok_or_else(|| MediaError::UnknownBlock {
+            key: key.to_string(),
         })?;
-        self.fetch_block_symbol(to, key)
+        self.fetch_object(to, RepairItem::Block(key))
     }
 
-    /// [`DistributedStore::fetch_block`] with the key already interned —
-    /// the form the transport planner uses so a fetch loop over N keys does
-    /// no string work at all.
-    pub fn fetch_block_symbol(&self, to: &str, key: Symbol) -> Result<u64> {
-        Ok(self.fetch_block_traced(to, key)?.simulated_ms)
-    }
-
-    /// [`DistributedStore::fetch_block_symbol`], also reporting how the
-    /// block arrived: local hit, clean transfer, or a degraded fetch that
-    /// had to walk past failed replicas.
-    pub fn fetch_block_traced(&self, to: &str, key: Symbol) -> Result<FetchOutcome> {
-        let dest = self.shard(to)?;
-        {
-            let mut inflight = lock_inflight(dest);
-            loop {
-                if dest.blocks.contains(key.as_str()) {
-                    return Ok(FetchOutcome::local_hit());
-                }
-                if !inflight.contains(&key) {
-                    inflight.insert(key);
-                    break;
-                }
-                // Another fetch of this key is in flight to this host; wait
-                // for it to finish, then re-check (it may have failed, in
-                // which case we take over the reservation).
-                inflight = dest
-                    .arrived
-                    .wait(inflight)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        // Release the reservation on every exit path — including a panic
-        // inside the transfer — so a failed fetch never wedges later
-        // fetches of the same key to this host.
-        let _reservation = InflightReservation { shard: dest, key };
-        self.pull_block(dest, to, key)
-    }
-
-    /// The retry walk behind [`DistributedStore::fetch_block`]; runs with
-    /// the key reserved on the destination host.
-    ///
-    /// Each round re-ranks the surviving holders nearest-first (health
-    /// before cost — a holder that just failed us is `Suspect` and sinks)
-    /// and tries them in order, charging exponential backoff with jitter
-    /// between attempts, until the block arrives or the
-    /// [`RetryPolicy`] budget runs out. Exhaustion is classified: any
-    /// mid-flight transfer failure in the trace ⇒
-    /// [`DistribError::RetriesExhausted`]; otherwise every path was cut by
-    /// down hosts or partitions ⇒ [`DistribError::Partitioned`]. When no
-    /// transfer was ever attempted because no holder has a link to `to`,
-    /// the legacy [`DistribError::Unreachable`] names the topology gap.
-    fn pull_block(&self, dest: &HostShard, to: &str, key: Symbol) -> Result<FetchOutcome> {
-        let mut attempts: Vec<FetchAttempt> = Vec::new();
-        let mut attempt_no: u32 = 0;
-        let mut backoff_total: u64 = 0;
-        'rounds: loop {
-            let (bytes, candidates, unreachable) = self.ranked_sources(to, key)?;
-            if candidates.is_empty() {
-                if attempts.is_empty() && !unreachable.is_empty() {
-                    // Pure topology gap, no dynamic faults involved: keep
-                    // the legacy error operators already know.
-                    return Err(DistribError::Unreachable {
-                        from: unreachable[0].clone(),
-                        to: to.to_string(),
-                    });
-                }
-                break;
-            }
-            let mut tried_any = false;
-            for from in candidates {
-                if attempt_no >= self.retry.max_attempts {
-                    break 'rounds;
-                }
-                attempt_no += 1;
-                let backoff = {
-                    let mut rng = self.retry_rng.lock();
-                    self.retry.backoff_ms(attempt_no, &mut rng)
-                };
-                backoff_total += backoff;
-                tried_any = true;
-                match self.try_pull_from(dest, to, key, &from, bytes) {
-                    Ok(cost) => {
-                        return Ok(FetchOutcome {
-                            simulated_ms: cost + backoff_total,
-                            attempts: attempt_no,
-                            local: false,
-                            degraded: !attempts.is_empty(),
-                        });
-                    }
-                    Err(error) if error.is_retryable() => attempts.push(FetchAttempt {
-                        attempt: attempt_no,
-                        source: from.clone(),
-                        error: Box::new(error),
-                        backoff_ms: backoff,
-                    }),
-                    Err(error) => return Err(error),
-                }
-            }
-            if !tried_any {
-                break;
-            }
-        }
-        let mid_flight = attempts
-            .iter()
-            .any(|a| matches!(*a.error, DistribError::TransferFailed { .. }));
-        if mid_flight {
-            Err(DistribError::RetriesExhausted {
-                to: to.to_string(),
-                key: key.as_str().to_string(),
-                attempts,
-            })
-        } else {
-            Err(DistribError::Partitioned {
-                to: to.to_string(),
-                key: key.as_str().to_string(),
-                attempts,
-            })
-        }
-    }
-
-    /// One transfer attempt of `key` from `from` to the reserved
-    /// destination: charge the (fault-judged) transfer first, then copy
-    /// payload and descriptor into the destination shard.
-    fn try_pull_from(
+    /// Fetches to `host` the payloads of exactly the given descriptor keys
+    /// (e.g. only the blocks a device can present), one after the other in
+    /// key order, and reports how they arrived — local hits, clean
+    /// transfers, degraded fetches and the retries they recovered from.
+    pub fn fetch_blocks_for_traced(
         &self,
-        dest: &HostShard,
-        to: &str,
-        key: Symbol,
-        from: &str,
-        bytes: u64,
-    ) -> Result<u64> {
-        let cost = self.attempt_transfer(from, to, bytes, false, from)?;
-        let source = self.shard(from)?;
-        let payload = source
-            .blocks
-            .payload(key.as_str())
-            .map_err(DistribError::Media)?;
-        let descriptor = source
-            .blocks
-            .descriptor(key.as_str())
-            .map_err(DistribError::Media)?;
-        let bytes = payload.size_bytes();
-        match dest
-            .blocks
-            .put_with_descriptor(MediaBlock::new(key.as_str(), payload), descriptor)
-        {
-            Ok(()) => {
-                self.index_holder(key, bytes, to);
-                Ok(cost)
-            }
-            // A direct `put_block` to this host slipped in between our
-            // reservation and the insert: the block is local; the bytes we
-            // moved anyway stay charged.
-            Err(MediaError::DuplicateBlock { .. }) => Ok(cost),
-            Err(e) => Err(DistribError::Media(e)),
+        host: &str,
+        keys: &BTreeSet<Symbol>,
+    ) -> Result<FetchReport> {
+        let mut report = FetchReport::default();
+        for key in keys {
+            report.absorb(self.fetch_object(host, RepairItem::Block(*key))?);
         }
+        Ok(report)
+    }
+
+    /// One host's local block store (for presentation pipelines running on
+    /// that host). No distributed-store lock is held by the reference: the
+    /// shard map is frozen and the [`BlockStore`] locks itself per call, so
+    /// the caller may re-enter the distributed store freely.
+    ///
+    /// The reference is a *host-local* view: blocks inserted through it
+    /// directly (e.g. `BlockStore::put`) are not registered in the cluster
+    /// placement index and stay invisible to
+    /// [`DistributedStore::locate_block`]/[`DistributedStore::fetch_block`].
+    /// Use [`DistributedStore::put_block`] to store blocks the cluster
+    /// should know about.
+    pub fn local_store(&self, host: &str) -> Result<&BlockStore> {
+        Ok(&self.shard(host)?.blocks)
     }
 
     // ------------------------------------------------------------------
@@ -1148,78 +1104,48 @@ impl DistributedStore {
         let origin = self.shard(host)?;
         self.ensure_serviceable(host)?;
         let name = Symbol::intern(name);
-        let bytes = document_to_bytes(doc, self.wire).map_err(DistribError::Format)?;
-        let size = bytes.len();
-        let replicas = self.plan_replicas(name.as_str(), host, size as u64)?;
+        let item = RepairItem::Document(name);
+        let bytes = document_to_bytes(doc, self.wire)?;
+        let size = bytes.len() as u64;
+        let replicas = self.plan_replicas(name.as_str(), host, size)?;
 
         // Republish invalidation: a host holding an older version that the
         // new replica set no longer names drops its stale bytes *before*
         // the new version lands anywhere, so no reader is served the old
         // document from a holder the placement no longer knows about.
-        let new_holders: BTreeSet<HostId> = std::iter::once(host.to_string())
-            .chain(replicas.iter().map(|(target, _)| target.clone()))
-            .collect();
-        let stale: Vec<HostId> = {
-            let docs = self.doc_placement.read();
-            docs.get(&name)
-                .map(|entry| {
-                    entry
-                        .holders
-                        .iter()
-                        .filter(|holder| !new_holders.contains(*holder))
-                        .cloned()
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
+        let stale: Vec<HostId> = self
+            .placement
+            .read()
+            .get(&item)
+            .map(|entry| {
+                entry
+                    .holders
+                    .iter()
+                    .filter(|holder| holder.as_str() != host && !replicas.contains(holder))
+                    .cloned()
+                    .collect()
+            })
+            .unwrap_or_default();
         for stale_host in &stale {
             if let Ok(shard) = self.shard(stale_host) {
                 shard.documents.write().remove(&name);
             }
         }
 
-        let mut holders: BTreeSet<HostId> = BTreeSet::new();
-        holders.insert(host.to_string());
-        // The last insert consumes `bytes` instead of cloning it: K
-        // replicas cost K copies of the wire bytes, not K + 1.
-        if replicas.is_empty() {
-            origin.documents.write().insert(name, bytes);
-        } else {
-            let mut bytes = bytes;
-            origin.documents.write().insert(name, bytes.clone());
-            let last = replicas.len() - 1;
-            for (index, (target, _)) in replicas.into_iter().enumerate() {
-                let copy = if index == last {
-                    std::mem::take(&mut bytes)
-                } else {
-                    bytes.clone()
-                };
-                match self.attempt_transfer(host, &target, size as u64, true, &target) {
-                    Ok(_) => {
-                        self.shard(&target)?.documents.write().insert(name, copy);
-                        holders.insert(target);
-                    }
-                    // A replica copy lost to a fault does not fail the
-                    // publish; repair delivers the copy later.
-                    Err(e) if e.is_retryable() => {
-                        self.enqueue_repair(RepairItem::Document(name));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        let under_replicated = holders.len() < self.replication;
-        self.doc_placement.write().insert(
-            name,
-            DocPlacement {
-                bytes: size as u64,
+        origin.documents.write().insert(name, bytes);
+        let mut holders = BTreeSet::from([host.to_string()]);
+        self.fan_out(item, host, size, &replicas, |target, _| {
+            holders.insert(target.clone());
+        })?;
+        // The new version's holder set replaces the old one wholesale.
+        self.placement.write().insert(
+            item,
+            Placement {
+                bytes: size,
                 holders,
             },
         );
-        if under_replicated {
-            self.enqueue_repair(RepairItem::Document(name));
-        }
-        Ok(size)
+        Ok(size as usize)
     }
 
     /// The documents a host holds, in name order.
@@ -1240,43 +1166,22 @@ impl DistributedStore {
     /// occupies). The bytes move verbatim — a text-published document stays
     /// text on the destination. Returns the decoded document.
     pub fn transport_document(&self, from: &str, to: &str, name: &str) -> Result<Document> {
-        let dest = self.shard(to)?;
-        let name = Symbol::lookup(name).ok_or_else(|| DistribError::UnknownDocument {
+        self.shard(to)?;
+        let missing = || DistribError::UnknownDocument {
             host: from.to_string(),
             name: name.to_string(),
-        })?;
-        let bytes = self
+        };
+        let item = RepairItem::Document(Symbol::lookup(name).ok_or_else(missing)?);
+        let held = self
             .shard(from)?
             .documents
             .read()
-            .get(&name)
-            .cloned()
-            .ok_or_else(|| DistribError::UnknownDocument {
-                host: from.to_string(),
-                name: name.as_str().to_string(),
-            })?;
-        self.charge(from, to, bytes.len() as u64, true)?;
-        let doc = Document::from_read(&mut bytes.as_slice()).map_err(DistribError::Format)?;
-        let size = bytes.len() as u64;
-        dest.documents.write().insert(name, bytes);
-        self.index_doc_holder(name, size, to);
-        Ok(doc)
-    }
-
-    /// Marks `host` as a holder of document `name` in the document index.
-    fn index_doc_holder(&self, name: Symbol, bytes: u64, host: &str) {
-        let mut docs = self.doc_placement.write();
-        if let Some(entry) = docs.get_mut(&name) {
-            entry.holders.insert(host.to_string());
-        } else {
-            docs.insert(
-                name,
-                DocPlacement {
-                    bytes,
-                    holders: [host.to_string()].into_iter().collect(),
-                },
-            );
-        }
+            .get(&item.key())
+            .map(Vec::len);
+        let size = held.ok_or_else(missing)? as u64;
+        self.copy(item, from, to, size, from)?;
+        self.index_holder(item, size, to);
+        self.open_document(to, name)
     }
 
     /// Reads a document a host already holds (no traffic), auto-detecting
@@ -1290,194 +1195,25 @@ impl DistributedStore {
         let name = Symbol::lookup(name).ok_or_else(missing)?;
         let documents = shard.documents.read();
         let bytes = documents.get(&name).ok_or_else(missing)?;
-        Document::from_read(&mut bytes.as_slice()).map_err(DistribError::Format)
+        Ok(Document::from_read(&mut bytes.as_slice())?)
     }
 
     /// Opens `name` on `to`, fetching the wire bytes from the nearest
-    /// surviving holder first when the host has no local copy. Like
-    /// [`DistributedStore::fetch_block`], the walk retries past down hosts
-    /// and cut links under the store's [`RetryPolicy`], and the fetched
-    /// copy lands in `to`'s shard so later opens are free. Exhaustion is
-    /// classified the same way: mid-flight failures ⇒
-    /// [`DistribError::RetriesExhausted`], otherwise
-    /// [`DistribError::Partitioned`] — both carrying the per-replica
-    /// attempt trace.
+    /// surviving holder first when the host has no local copy. The fetch
+    /// is the block fetch's walk: it retries past down hosts and cut links
+    /// under the store's [`RetryPolicy`], racing fetches of one document
+    /// to one host move it once, and the fetched copy lands in `to`'s
+    /// shard so later opens are free. Exhaustion is classified the same
+    /// way: mid-flight failures ⇒ [`DistribError::RetriesExhausted`],
+    /// otherwise [`DistribError::Partitioned`] — both carrying the
+    /// per-replica attempt trace.
     pub fn fetch_document(&self, to: &str, name: &str) -> Result<Document> {
-        let dest = self.shard(to)?;
-        let missing = || DistribError::UnknownDocument {
-            host: to.to_string(),
-            name: name.to_string(),
-        };
-        let sym = Symbol::lookup(name).ok_or_else(missing)?;
-        if dest.documents.read().contains_key(&sym) {
-            return self.open_document(to, name);
+        // A name the pool never saw was never published: opening it reports
+        // the unknown document (or the unknown host) without a walk.
+        if let Some(symbol) = Symbol::lookup(name) {
+            self.fetch_object(to, RepairItem::Document(symbol))?;
         }
-        let (size, holders) = {
-            let docs = self.doc_placement.read();
-            let entry = docs.get(&sym).ok_or_else(missing)?;
-            (
-                entry.bytes,
-                entry.holders.iter().cloned().collect::<Vec<HostId>>(),
-            )
-        };
-        let mut attempts: Vec<FetchAttempt> = Vec::new();
-        let mut attempt_no: u32 = 0;
-        'rounds: loop {
-            // Re-rank each round: a holder that just failed us is Suspect
-            // now and sinks below healthier replicas.
-            let mut ranked: Vec<(u8, u64, HostId)> = Vec::new();
-            let mut unreachable: Vec<HostId> = Vec::new();
-            for holder in &holders {
-                if holder == to {
-                    continue;
-                }
-                let rank = self.health_rank(holder);
-                if rank > 2 {
-                    continue;
-                }
-                match self.network.transfer_ms(holder, to, size) {
-                    Some(cost) => ranked.push((rank, cost, holder.clone())),
-                    None => unreachable.push(holder.clone()),
-                }
-            }
-            ranked.sort();
-            if ranked.is_empty() {
-                if attempts.is_empty() && !unreachable.is_empty() {
-                    return Err(DistribError::Unreachable {
-                        from: unreachable[0].clone(),
-                        to: to.to_string(),
-                    });
-                }
-                break;
-            }
-            let mut tried_any = false;
-            for (_, _, from) in ranked {
-                if attempt_no >= self.retry.max_attempts {
-                    break 'rounds;
-                }
-                attempt_no += 1;
-                let backoff = {
-                    let mut rng = self.retry_rng.lock();
-                    self.retry.backoff_ms(attempt_no, &mut rng)
-                };
-                tried_any = true;
-                match self.try_transport_from(dest, to, sym, &from, size) {
-                    Ok(doc) => return Ok(doc),
-                    Err(error) if error.is_retryable() => attempts.push(FetchAttempt {
-                        attempt: attempt_no,
-                        source: from.clone(),
-                        error: Box::new(error),
-                        backoff_ms: backoff,
-                    }),
-                    Err(error) => return Err(error),
-                }
-            }
-            if !tried_any {
-                break;
-            }
-        }
-        let mid_flight = attempts
-            .iter()
-            .any(|a| matches!(*a.error, DistribError::TransferFailed { .. }));
-        if mid_flight {
-            Err(DistribError::RetriesExhausted {
-                to: to.to_string(),
-                key: name.to_string(),
-                attempts,
-            })
-        } else {
-            Err(DistribError::Partitioned {
-                to: to.to_string(),
-                key: name.to_string(),
-                attempts,
-            })
-        }
-    }
-
-    /// One transfer attempt of document `name`'s wire bytes from `from` to
-    /// the destination shard: charge the (fault-judged) structure transfer,
-    /// then copy and decode.
-    fn try_transport_from(
-        &self,
-        dest: &HostShard,
-        to: &str,
-        name: Symbol,
-        from: &str,
-        size: u64,
-    ) -> Result<Document> {
-        self.attempt_transfer(from, to, size, true, from)?;
-        let bytes = self
-            .shard(from)?
-            .documents
-            .read()
-            .get(&name)
-            .cloned()
-            .ok_or_else(|| DistribError::UnknownDocument {
-                host: from.to_string(),
-                name: name.as_str().to_string(),
-            })?;
-        let doc = Document::from_read(&mut bytes.as_slice()).map_err(DistribError::Format)?;
-        let size = bytes.len() as u64;
-        dest.documents.write().insert(name, bytes);
-        self.index_doc_holder(name, size, to);
-        Ok(doc)
-    }
-
-    /// Fetches to `host` the payloads of exactly the given descriptor keys
-    /// (e.g. only the blocks a device can present). Returns the total
-    /// simulated transfer time.
-    pub fn fetch_blocks_for(&self, host: &str, keys: &BTreeSet<Symbol>) -> Result<u64> {
-        Ok(self.fetch_blocks_for_traced(host, keys)?.simulated_ms)
-    }
-
-    /// [`DistributedStore::fetch_blocks_for`], also reporting how the
-    /// blocks arrived — local hits, clean transfers, degraded fetches and
-    /// the retries they recovered from.
-    pub fn fetch_blocks_for_traced(
-        &self,
-        host: &str,
-        keys: &BTreeSet<Symbol>,
-    ) -> Result<FetchReport> {
-        let mut report = FetchReport {
-            requested: keys.len(),
-            ..FetchReport::default()
-        };
-        for key in keys {
-            let outcome = self.fetch_block_traced(host, *key)?;
-            if outcome.local {
-                report.local_hits += 1;
-            } else {
-                report.fetched += 1;
-            }
-            if outcome.degraded {
-                report.degraded += 1;
-            }
-            report.retries += outcome.attempts.saturating_sub(1);
-            report.simulated_ms += outcome.simulated_ms;
-        }
-        Ok(report)
-    }
-
-    /// One host's local block store (for presentation pipelines running on
-    /// that host). No distributed-store lock is held by the reference: the
-    /// shard map is frozen and the [`BlockStore`] locks itself per call, so
-    /// the caller may re-enter the distributed store freely.
-    ///
-    /// The reference is a *host-local* view: blocks inserted through it
-    /// directly (e.g. `BlockStore::put`) are not registered in the cluster
-    /// placement index and stay invisible to
-    /// [`DistributedStore::locate_block`]/[`DistributedStore::fetch_block`].
-    /// Use [`DistributedStore::put_block`] to store blocks the cluster
-    /// should know about.
-    pub fn local_store(&self, host: &str) -> Result<&BlockStore> {
-        Ok(&self.shard(host)?.blocks)
-    }
-
-    /// Runs a callback against one host's local block store. Equivalent to
-    /// [`DistributedStore::local_store`]; kept for callers that prefer the
-    /// scoped form.
-    pub fn with_local_store<R>(&self, host: &str, f: impl FnOnce(&BlockStore) -> R) -> Result<R> {
-        Ok(f(self.local_store(host)?))
+        self.open_document(to, name)
     }
 
     // ------------------------------------------------------------------
@@ -1503,19 +1239,13 @@ impl DistributedStore {
     /// single host loss at RF ≥ 2). The pass works on a snapshot of the
     /// queue, so it always terminates even while faults keep enqueueing.
     pub fn repair_all(&self) -> RepairReport {
-        let mut batch = Vec::new();
-        {
+        let batch: Vec<RepairItem> = {
             let mut repairs = self.repairs.lock();
-            while let Some(item) = repairs.pop() {
-                batch.push(item);
-            }
-        }
+            std::iter::from_fn(|| repairs.pop()).collect()
+        };
         let mut report = RepairReport::default();
         for item in batch {
-            match item {
-                RepairItem::Block(key) => self.repair_block(key, &mut report),
-                RepairItem::Document(name) => self.repair_document(name, &mut report),
-            }
+            self.repair(item, &mut report);
         }
         report
     }
@@ -1525,8 +1255,10 @@ impl DistributedStore {
     fn repair_target(&self, key: &str, holders: &BTreeSet<HostId>) -> Option<HostId> {
         let candidates: Vec<HostId> = {
             let ring = self.ring.read();
-            let all = ring.len();
-            ring.hosts_for(key, all).into_iter().cloned().collect()
+            ring.hosts_for(key, ring.len())
+                .into_iter()
+                .cloned()
+                .collect()
         };
         candidates.into_iter().find(|candidate| {
             !holders.contains(candidate)
@@ -1535,55 +1267,54 @@ impl DistributedStore {
         })
     }
 
-    /// Re-replicates one block until it has `replication` live copies.
-    fn repair_block(&self, key: Symbol, report: &mut RepairReport) {
-        let item = RepairItem::Block(key);
-        let Some((bytes, holders)) = ({
-            let placement = self.placement.read();
-            placement
-                .get(&key)
-                .map(|entry| (entry.bytes, entry.holders.clone()))
-        }) else {
+    /// Re-replicates one object until it has `replication` live copies,
+    /// each copied from the live holder cheapest for the next target.
+    fn repair(&self, item: RepairItem, report: &mut RepairReport) {
+        let Some((bytes, holders)) = self
+            .placement
+            .read()
+            .get(&item)
+            .map(|entry| (entry.bytes, entry.holders.clone()))
+        else {
             return;
         };
         let mut live: BTreeSet<HostId> = holders
-            .iter()
+            .into_iter()
             .filter(|holder| {
                 self.is_serviceable(holder)
                     && self
                         .shards
                         .get(holder.as_str())
-                        .map(|shard| shard.blocks.contains(key.as_str()))
-                        .unwrap_or(false)
+                        .is_some_and(|shard| shard.holds(item))
             })
-            .cloned()
             .collect();
         if live.is_empty() {
             report.lost.push(item);
             return;
         }
         while live.len() < self.replication {
-            let Some(target) = self.repair_target(key.as_str(), &live) else {
-                // Too few serviceable hosts: nothing to retry until the
-                // cluster's membership changes.
+            let cheapest = |target: &HostId| {
+                live.iter()
+                    .filter_map(|holder| {
+                        self.network
+                            .transfer_ms(holder, target, bytes)
+                            .map(|cost| (cost, holder))
+                    })
+                    .min_by_key(|(cost, _)| *cost)
+                    .map(|(_, holder)| holder.clone())
+            };
+            // Too few serviceable hosts, or none linked to a live holder:
+            // nothing to retry until the cluster's membership changes.
+            let planned = self
+                .repair_target(item.key().as_str(), &live)
+                .and_then(|target| Some((cheapest(&target)?, target)));
+            let Some((source, target)) = planned else {
                 report.deferred.push(item);
                 return;
             };
-            let Some(source) = live
-                .iter()
-                .filter_map(|holder| {
-                    self.network
-                        .transfer_ms(holder, &target, bytes)
-                        .map(|cost| (cost, holder.clone()))
-                })
-                .min_by_key(|(cost, _)| *cost)
-                .map(|(_, holder)| holder)
-            else {
-                report.deferred.push(item);
-                return;
-            };
-            match self.copy_block(&source, &target, key, bytes) {
+            match self.copy(item, &source, &target, bytes, &target) {
                 Ok(simulated_ms) => {
+                    self.index_holder(item, bytes, &target);
                     report.actions.push(RepairAction {
                         item,
                         from: source,
@@ -1595,128 +1326,13 @@ impl DistributedStore {
                     report.simulated_ms += simulated_ms;
                     live.insert(target);
                 }
-                Err(e) if e.is_retryable() => {
+                Err(e) => {
+                    report.deferred.push(item);
                     // Transient (injected fault, host mid-flap): try again
                     // on the next pass.
-                    report.deferred.push(item);
-                    self.enqueue_repair(item);
-                    return;
-                }
-                Err(_) => {
-                    report.deferred.push(item);
-                    return;
-                }
-            }
-        }
-        report.repaired.push(item);
-    }
-
-    /// One repair copy of a block from a surviving holder to a fresh host.
-    fn copy_block(&self, from: &str, to: &str, key: Symbol, bytes: u64) -> Result<u64> {
-        let cost = self.attempt_transfer(from, to, bytes, false, to)?;
-        let source = self.shard(from)?;
-        let payload = source
-            .blocks
-            .payload(key.as_str())
-            .map_err(DistribError::Media)?;
-        let descriptor = source
-            .blocks
-            .descriptor(key.as_str())
-            .map_err(DistribError::Media)?;
-        match self
-            .shard(to)?
-            .blocks
-            .put_with_descriptor(MediaBlock::new(key.as_str(), payload), descriptor)
-        {
-            Ok(()) | Err(MediaError::DuplicateBlock { .. }) => {
-                self.index_holder(key, bytes, to);
-                Ok(cost)
-            }
-            Err(e) => Err(DistribError::Media(e)),
-        }
-    }
-
-    /// Re-replicates one document until it has `replication` live copies.
-    fn repair_document(&self, name: Symbol, report: &mut RepairReport) {
-        let item = RepairItem::Document(name);
-        let Some((bytes, holders)) = ({
-            let docs = self.doc_placement.read();
-            docs.get(&name)
-                .map(|entry| (entry.bytes, entry.holders.clone()))
-        }) else {
-            return;
-        };
-        let mut live: BTreeSet<HostId> = holders
-            .iter()
-            .filter(|holder| {
-                self.is_serviceable(holder)
-                    && self
-                        .shards
-                        .get(holder.as_str())
-                        .map(|shard| shard.documents.read().contains_key(&name))
-                        .unwrap_or(false)
-            })
-            .cloned()
-            .collect();
-        if live.is_empty() {
-            report.lost.push(item);
-            return;
-        }
-        while live.len() < self.replication {
-            let Some(target) = self.repair_target(name.as_str(), &live) else {
-                report.deferred.push(item);
-                return;
-            };
-            let Some(source) = live
-                .iter()
-                .filter_map(|holder| {
-                    self.network
-                        .transfer_ms(holder, &target, bytes)
-                        .map(|cost| (cost, holder.clone()))
-                })
-                .min_by_key(|(cost, _)| *cost)
-                .map(|(_, holder)| holder)
-            else {
-                report.deferred.push(item);
-                return;
-            };
-            let copied = self
-                .attempt_transfer(&source, &target, bytes, true, &target)
-                .and_then(|cost| {
-                    let wire = self
-                        .shard(&source)?
-                        .documents
-                        .read()
-                        .get(&name)
-                        .cloned()
-                        .ok_or_else(|| DistribError::UnknownDocument {
-                            host: source.clone(),
-                            name: name.as_str().to_string(),
-                        })?;
-                    self.shard(&target)?.documents.write().insert(name, wire);
-                    self.index_doc_holder(name, bytes, &target);
-                    Ok(cost)
-                });
-            match copied {
-                Ok(simulated_ms) => {
-                    report.actions.push(RepairAction {
-                        item,
-                        from: source,
-                        to: target.clone(),
-                        bytes,
-                        simulated_ms,
-                    });
-                    report.bytes_copied += bytes;
-                    report.simulated_ms += simulated_ms;
-                    live.insert(target);
-                }
-                Err(e) if e.is_retryable() => {
-                    report.deferred.push(item);
-                    self.enqueue_repair(item);
-                    return;
-                }
-                Err(_) => {
-                    report.deferred.push(item);
+                    if e.is_retryable() {
+                        self.enqueue_repair(item);
+                    }
                     return;
                 }
             }
@@ -1791,11 +1407,11 @@ mod tests {
         assert!(store.locate_block("missing").is_none());
         assert!(store.local_blocks("desk").unwrap().is_empty());
 
-        let cost = store.fetch_block("desk", "speech").unwrap();
+        let cost = store.fetch_block("desk", "speech").unwrap().simulated_ms;
         assert!(cost > 0);
         assert_eq!(store.local_blocks("desk").unwrap(), vec!["speech"]);
         // A second fetch is free: the block is now local.
-        assert_eq!(store.fetch_block("desk", "speech").unwrap(), 0);
+        assert_eq!(store.fetch_block("desk", "speech").unwrap().simulated_ms, 0);
         let traffic = store.traffic();
         assert_eq!(traffic.media_bytes, 32_000);
         assert_eq!(traffic.transfers, 1);
@@ -1878,7 +1494,10 @@ mod tests {
         // An audio-only device needs only the speech, not the painting.
         let wanted: BTreeSet<cmif_core::Symbol> =
             [cmif_core::Symbol::intern("speech")].into_iter().collect();
-        let cost = store.fetch_blocks_for("laptop", &wanted).unwrap();
+        let cost = store
+            .fetch_blocks_for_traced("laptop", &wanted)
+            .unwrap()
+            .simulated_ms;
         assert!(cost > 0);
         let traffic = store.traffic();
         assert_eq!(traffic.media_bytes, 32_000);
@@ -1890,19 +1509,10 @@ mod tests {
         let store = cluster();
         seed_media(&store, "server");
         store.fetch_block("desk", "speech").unwrap();
-        let duration = store
-            .with_local_store("desk", |local| {
-                local
-                    .descriptor("speech")
-                    .unwrap()
-                    .duration
-                    .unwrap()
-                    .as_millis()
-            })
-            .unwrap();
-        assert_eq!(duration, 4_000);
-        // The borrowed form sees the same shard.
-        assert_eq!(store.local_store("desk").unwrap().len(), 1);
+        let local = store.local_store("desk").unwrap();
+        let duration = local.descriptor("speech").unwrap().duration.unwrap();
+        assert_eq!(duration.as_millis(), 4_000);
+        assert_eq!(local.len(), 1);
     }
 
     #[test]
@@ -1937,7 +1547,7 @@ mod tests {
         // Unknown destinations are rejected, default link or not.
         assert!(store.nearest_source("reader_typo", "speech").is_none());
 
-        let cost = store.fetch_block("reader", "speech").unwrap();
+        let cost = store.fetch_block("reader", "speech").unwrap().simulated_ms;
         let traffic = store.traffic();
         assert_eq!(traffic.link("zulu", "reader").transfers, 1);
         assert_eq!(traffic.link("alpha", "reader"), LinkStats::default());

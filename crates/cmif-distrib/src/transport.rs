@@ -117,7 +117,7 @@ pub fn compare_transport(
     store.reset_traffic();
     store.transport_document(from, to_eager, name)?;
     let all_keys: BTreeSet<Symbol> = referenced_keys(doc, None).into_iter().collect();
-    store.fetch_blocks_for(to_eager, &all_keys)?;
+    store.fetch_blocks_for_traced(to_eager, &all_keys)?;
     let eager_traffic = store.traffic();
     let eager = TransportCost {
         structure_bytes: eager_traffic.structure_bytes,
@@ -130,7 +130,7 @@ pub fn compare_transport(
     store.reset_traffic();
     store.transport_document(from, to_lazy, name)?;
     let wanted: BTreeSet<Symbol> = referenced_keys(doc, presentable).into_iter().collect();
-    store.fetch_blocks_for(to_lazy, &wanted)?;
+    store.fetch_blocks_for_traced(to_lazy, &wanted)?;
     let lazy_traffic = store.traffic();
     let lazy = TransportCost {
         structure_bytes: lazy_traffic.structure_bytes,
@@ -165,23 +165,19 @@ mod tests {
         let descriptor = film.describe();
         store.put_block("server", film, descriptor).unwrap();
 
-        let doc = store
-            .with_local_store("server", |local| {
-                let catalog = local.export_catalog();
-                let mut builder = DocumentBuilder::new("news")
-                    .channel("audio", MediaKind::Audio)
-                    .channel("video", MediaKind::Video);
-                for descriptor in catalog.iter() {
-                    builder = builder.descriptor(descriptor.clone());
-                }
-                builder
-                    .root_par(|story| {
-                        story.ext("voice", "audio", "speech");
-                        story.ext("shot", "video", "film");
-                    })
-                    .build()
-                    .unwrap()
+        let catalog = store.local_store("server").unwrap().export_catalog();
+        let mut builder = DocumentBuilder::new("news")
+            .channel("audio", MediaKind::Audio)
+            .channel("video", MediaKind::Video);
+        for descriptor in catalog.iter() {
+            builder = builder.descriptor(descriptor.clone());
+        }
+        let doc = builder
+            .root_par(|story| {
+                story.ext("voice", "audio", "speech");
+                story.ext("shot", "video", "film");
             })
+            .build()
             .unwrap();
         store.publish_document("server", "news", &doc).unwrap();
         (store, doc)

@@ -1047,23 +1047,19 @@ mod tests {
             let descriptor = block.describe();
             cluster.put_block("server", block, descriptor).unwrap();
         }
-        let doc = cluster
-            .with_local_store("server", |local| {
-                let catalog = local.export_catalog();
-                let mut builder = DocumentBuilder::new("news")
-                    .channel("audio", MediaKind::Audio)
-                    .channel("video", MediaKind::Video);
-                for descriptor in catalog.iter() {
-                    builder = builder.descriptor(descriptor.clone());
-                }
-                builder
-                    .root_par(|story| {
-                        story.ext("voice", "audio", "speech");
-                        story.ext("shot", "video", "film");
-                    })
-                    .build()
-                    .unwrap()
+        let catalog = cluster.local_store("server").unwrap().export_catalog();
+        let mut builder = DocumentBuilder::new("news")
+            .channel("audio", MediaKind::Audio)
+            .channel("video", MediaKind::Video);
+        for descriptor in catalog.iter() {
+            builder = builder.descriptor(descriptor.clone());
+        }
+        let doc = builder
+            .root_par(|story| {
+                story.ext("voice", "audio", "speech");
+                story.ext("shot", "video", "film");
             })
+            .build()
             .unwrap();
         cluster.publish_document("server", "news", &doc).unwrap();
         (cluster, doc)

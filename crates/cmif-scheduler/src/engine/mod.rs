@@ -24,6 +24,12 @@
 //!   *batch*, not once per job — and [`Engine::submit_batch`] amortises
 //!   the submitter side the same way.
 //!
+//! Three calls admit work — [`Engine::admit`] (blocking),
+//! [`Engine::try_admit`] (non-blocking) and [`Engine::submit_batch`] (N
+//! submissions in one transaction) — and all three run one admission
+//! path: lint gate, closed check, capacity, then quota and admission
+//! under one lock.
+//!
 //! A job can only fail *as itself*: a document whose constraints are
 //! unsatisfiable is rejected with [`SchedulerError::ConstraintCycle`] as
 //! its outcome, and a job that *panics* is contained by `catch_unwind`
@@ -33,16 +39,18 @@
 //! Admission is controlled on two axes:
 //!
 //! * **capacity** — with [`EngineConfig::max_backlog`] set, a full queue
-//!   makes [`Engine::submit`] block until a worker frees capacity while
-//!   [`Engine::try_submit`] refuses immediately with
-//!   [`SchedulerError::Backpressure`]. Blocked submitters hold FIFO
+//!   makes [`Engine::admit`] and [`Engine::submit_batch`] block until a
+//!   worker frees capacity while [`Engine::try_admit`] refuses immediately
+//!   with [`SchedulerError::Backpressure`]. Blocked submitters hold FIFO
 //!   tickets: they are admitted in *arrival order*, however the condvar
 //!   orders its wakeups.
 //! * **policy** — a tenant with a [`QuotaConfig`] is refused with
 //!   [`SchedulerError::QuotaExceeded`] (telling it when to retry) once its
-//!   token bucket runs dry; quota refusals are never queued.
+//!   token bucket runs dry. Every admission, single or batch, is charged
+//!   at the moment it is admitted, after any capacity wait; quota refusals
+//!   are never queued.
 //!
-//! [`Engine::close`] stops admission (further submits get
+//! [`Engine::close`] stops admission (further admissions get
 //! [`SchedulerError::EngineClosed`]) while the backlog already admitted
 //! keeps draining.
 //!
@@ -202,10 +210,11 @@ pub struct EngineConfig {
     /// Maximum number of admitted-but-unstarted documents (counting jobs
     /// parked in worker shards). `None` (the default) admits without bound
     /// — a fast producer can then grow the queue faster than the workers
-    /// drain it. With `Some(k)`, a full queue makes [`Engine::submit`]
-    /// block (FIFO, see [`Engine::waiting_submitters`]) until a worker
-    /// takes a job, and [`Engine::try_submit`] return
-    /// [`SchedulerError::Backpressure`] immediately. `Some(0)` is treated
+    /// drain it. With `Some(k)`, a full queue makes [`Engine::admit`] and
+    /// [`Engine::submit_batch`] block (FIFO, see
+    /// [`Engine::waiting_submitters`]) until a worker takes a job, and
+    /// [`Engine::try_admit`] return [`SchedulerError::Backpressure`]
+    /// immediately; a batch larger than `k` is refused. `Some(0)` is treated
     /// as `Some(1)`: jobs reach workers only through the queue, so a
     /// zero-slot queue would deadlock every blocking admission.
     pub max_backlog: Option<usize>,
@@ -308,15 +317,15 @@ impl DocOutcome {
     }
 }
 
-/// One admission request: a document plus its playback context.
+/// One admission request: a document plus its playback context, handed to
+/// [`Engine::admit`], [`Engine::try_admit`] or [`Engine::submit_batch`].
 ///
-/// The convenience entry points ([`Engine::submit`], `submit_labeled`,
-/// `try_submit`) build one internally; build it yourself when you need the
-/// full form — a label *and* a non-blocking admission, a descriptor
-/// resolver other than the document's own catalog (the pipeline submits
-/// against a snapshot of its block store so materialised degradations are
-/// what the sessions see), or a [`Submission::tenant`] so the engine's
-/// fair scheduler and quotas know whose work this is.
+/// [`Submission::new`] takes the document and its jitter model; the
+/// builder methods add a label, a descriptor resolver other than the
+/// document's own catalog (the pipeline submits against a snapshot of its
+/// block store so materialised degradations are what the sessions see), a
+/// [`Submission::tenant`] so the engine's fair scheduler and quotas know
+/// whose work this is, a precomputed solve, or a lint policy.
 #[derive(Clone)]
 pub struct Submission {
     doc: Arc<Document>,
@@ -556,7 +565,7 @@ impl Shared {
 /// use std::sync::Arc;
 ///
 /// use cmif_core::prelude::*;
-/// use cmif_scheduler::{Engine, EngineConfig, JitterModel};
+/// use cmif_scheduler::{Engine, EngineConfig, JitterModel, Submission};
 ///
 /// # fn main() -> std::result::Result<(), cmif_scheduler::SchedulerError> {
 /// let doc = Arc::new(
@@ -574,14 +583,14 @@ impl Shared {
 ///
 /// let engine = Engine::new(EngineConfig { workers: 2, ..EngineConfig::default() });
 /// // Submitting an `Arc<Document>` clones a pointer, never the tree.
-/// let a = engine.submit(Arc::clone(&doc), JitterModel::ideal())?;
-/// let b = engine.submit(Arc::clone(&doc), JitterModel::uniform(100, 7))?;
+/// let a = engine.admit(Submission::new(Arc::clone(&doc), JitterModel::ideal()))?;
+/// let b = engine.admit(Submission::new(Arc::clone(&doc), JitterModel::uniform(100, 7)))?;
 /// let outcome = engine.wait(a);
 /// assert!(outcome.is_ok());
 /// assert!(engine.wait(b).is_ok());
 /// // No new work after close(), but anything admitted still drains:
 /// engine.close();
-/// assert!(engine.try_submit(doc, JitterModel::ideal()).is_err());
+/// assert!(engine.try_admit(Submission::new(doc, JitterModel::ideal())).is_err());
 /// # Ok(()) }
 /// ```
 pub struct Engine {
@@ -641,55 +650,30 @@ impl Engine {
         self.workers.len()
     }
 
-    /// Admits a document for scheduling and playback under the given
+    /// Admits a [`Submission`] for scheduling and playback under its
     /// (seeded, hence deterministic) jitter model.
     ///
     /// The document travels as an [`Arc`]: submitting the same tree 64
-    /// times clones a pointer 64 times, never the tree. An owned
-    /// [`Document`] is accepted too (`impl Into<Arc<Document>>`) and is
-    /// moved — not copied — into its ref-counted box.
+    /// times clones a pointer 64 times, never the tree.
     ///
     /// With a bounded queue ([`EngineConfig::max_backlog`]) and the queue
     /// full, this *blocks* until a worker frees a slot; submitters blocked
     /// this way are admitted in arrival order. Errors with
     /// [`SchedulerError::EngineClosed`] if the engine was closed or shut
-    /// down — including while blocked waiting for capacity.
-    pub fn submit(&self, doc: impl Into<Arc<Document>>, jitter: JitterModel) -> Result<DocId> {
-        self.admit(Submission::new(doc, jitter))
-    }
-
-    /// Admits a document under a caller-chosen label (for reports and logs).
-    /// Blocks and errors exactly like [`Engine::submit`].
-    pub fn submit_labeled(
-        &self,
-        label: impl Into<String>,
-        doc: impl Into<Arc<Document>>,
-        jitter: JitterModel,
-    ) -> Result<DocId> {
-        self.admit(Submission::new(doc, jitter).labeled(label))
-    }
-
-    /// Non-blocking admission: like [`Engine::submit`], but a full bounded
-    /// queue — or one with blocked submitters already queued ahead, whose
-    /// FIFO turn must not be stolen — returns
-    /// [`SchedulerError::Backpressure`] immediately instead of blocking
-    /// (and a closed engine [`SchedulerError::EngineClosed`]).
-    pub fn try_submit(&self, doc: impl Into<Arc<Document>>, jitter: JitterModel) -> Result<DocId> {
-        self.try_admit(Submission::new(doc, jitter))
-    }
-
-    /// Admits a full [`Submission`], blocking while a bounded queue is
-    /// full. The blocking twin of [`Engine::try_admit`].
+    /// down — including while blocked waiting for capacity — with
+    /// [`SchedulerError::LintRejected`] when the lint gate refuses the
+    /// document, and with [`SchedulerError::QuotaExceeded`] when the
+    /// tenant's bucket is empty at the moment of admission.
     pub fn admit(&self, submission: Submission) -> Result<DocId> {
-        self.enqueue_one(submission, true)
+        self.enqueue([submission], true)
     }
 
-    /// Admits a full [`Submission`] without blocking: a full bounded queue
-    /// is [`SchedulerError::Backpressure`], a closed engine
-    /// [`SchedulerError::EngineClosed`], an exhausted tenant quota
-    /// [`SchedulerError::QuotaExceeded`].
+    /// Admits a [`Submission`] without blocking: a full bounded queue — or
+    /// one with blocked submitters already queued ahead, whose FIFO turn
+    /// must not be stolen — is [`SchedulerError::Backpressure`] at once.
+    /// Otherwise it refuses exactly like [`Engine::admit`].
     pub fn try_admit(&self, submission: Submission) -> Result<DocId> {
-        self.enqueue_one(submission, false)
+        self.enqueue([submission], false)
     }
 
     /// Admits N submissions under **one** queue transaction: one lock
@@ -700,12 +684,20 @@ impl Engine {
     /// On a bounded queue the batch blocks (FIFO with every other blocked
     /// submitter) until the *whole* batch fits, so a batch is never
     /// half-admitted; a batch larger than `max_backlog` can never fit and
-    /// is refused immediately with [`SchedulerError::Backpressure`].
+    /// is refused immediately with [`SchedulerError::Backpressure`]. Like
+    /// every admission, the batch is charged when it is admitted, after
+    /// the wait.
     pub fn submit_batch(
         &self,
         submissions: impl IntoIterator<Item = Submission>,
     ) -> Result<Vec<DocId>> {
-        self.enqueue_batch(submissions.into_iter().collect())
+        let submissions: Vec<Submission> = submissions.into_iter().collect();
+        if submissions.is_empty() {
+            return Ok(Vec::new());
+        }
+        let count = submissions.len() as u64;
+        let first = self.enqueue(submissions, true)?;
+        Ok((first.0..first.0 + count).map(DocId).collect())
     }
 
     /// Sets the scheduling policy (fair-queuing weight, admission quota)
@@ -793,99 +785,37 @@ impl Engine {
         plane.gate.waiting() as usize
     }
 
-    fn enqueue_one(&self, submission: Submission, block: bool) -> Result<DocId> {
+    /// The one admission path for one or more submissions: lint gate,
+    /// closed check, capacity (a FIFO ticket when `block`,
+    /// [`SchedulerError::Backpressure`] otherwise), then the quota charge
+    /// and the admission itself under one plane lock. Returns the first of
+    /// the contiguous ids the submissions were admitted under.
+    fn enqueue<S>(&self, submissions: S, block: bool) -> Result<DocId>
+    where
+        S: AsRef<[Submission]> + IntoIterator<Item = Submission>,
+    {
         let shared = &self.shared;
         // Lint before anything is locked or charged: a refused document
-        // costs neither a quota token nor a queue slot, and concurrent
-        // submitters are not serialized behind the analysis.
+        // costs neither a quota token nor a queue slot, one deny-level
+        // document refuses its whole batch, and concurrent submitters are
+        // not serialized behind the analysis.
         if let Some(gate) = &shared.config.lint_gate {
-            gate.inspect(&submission.doc, &submission.lint)?;
-        }
-        let limit = shared.backlog_limit();
-        let mut plane = shared.lock_plane();
-        if plane.closed || plane.shutdown {
-            return Err(SchedulerError::EngineClosed);
-        }
-        // Fast path: nobody queued ahead and capacity free. `gate.waiting()`
-        // must be empty even when capacity is free — jumping ahead of a
-        // blocked ticket would reintroduce the starvation the gate exists
-        // to prevent.
-        let fast = plane.gate.waiting() == 0
-            && limit.map_or(true, |limit| shared.unstarted(&plane) < limit);
-        if !fast {
-            if !block {
-                return Err(SchedulerError::Backpressure {
-                    backlog: shared.unstarted(&plane) + shared.in_flight.load(Ordering::SeqCst),
-                });
-            }
-            let ticket = plane.gate.enter();
-            loop {
-                if plane.closed || plane.shutdown {
-                    // Abandoning mid-queue only happens when *everyone* is
-                    // abandoning (the engine closed), so the bakery head
-                    // can advance unconditionally.
-                    plane.gate.leave();
-                    drop(plane);
-                    shared.capacity.notify_all();
-                    return Err(SchedulerError::EngineClosed);
-                }
-                if plane.gate.is_head(ticket)
-                    && limit.map_or(true, |limit| shared.unstarted(&plane) < limit)
-                {
-                    break;
-                }
-                plane = shared
-                    .capacity
-                    .wait(plane)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        // Quota is charged at the admission moment — *after* the capacity
-        // wait, so a refusal for capacity (Backpressure) or a long block
-        // never burns the tenant's tokens.
-        if let Err(refusal) = plane.run.charge(&[(submission.tenant, 1)], Instant::now()) {
-            if !fast {
-                plane.gate.leave();
-            }
-            drop(plane);
-            shared.capacity.notify_all();
-            return Err(refusal);
-        }
-        let id = admit_locked(shared, &mut plane, submission);
-        if !fast {
-            plane.gate.leave();
-        }
-        drop(plane);
-        if limit.is_some() {
-            // Let the next ticket observe the advanced head.
-            shared.capacity.notify_all();
-        }
-        shared.work.notify_one();
-        Ok(id)
-    }
-
-    fn enqueue_batch(&self, submissions: Vec<Submission>) -> Result<Vec<DocId>> {
-        if submissions.is_empty() {
-            return Ok(Vec::new());
-        }
-        let shared = &self.shared;
-        // Lint the whole batch up front, before the lock: consistent with
-        // the all-or-nothing quota charge below, one deny-level document
-        // refuses the batch and nothing is admitted or charged.
-        if let Some(gate) = &shared.config.lint_gate {
-            for submission in &submissions {
+            for submission in submissions.as_ref() {
                 gate.inspect(&submission.doc, &submission.lint)?;
             }
         }
-        let need = submissions.len();
+        let need = submissions.as_ref().len();
         let limit = shared.backlog_limit();
         let mut counts: Vec<(TenantId, usize)> = Vec::new();
-        for submission in &submissions {
+        for submission in submissions.as_ref() {
             match counts.iter_mut().find(|(t, _)| *t == submission.tenant) {
                 Some((_, n)) => *n += 1,
                 None => counts.push((submission.tenant, 1)),
             }
         }
+        let backpressure = |plane: &Plane| SchedulerError::Backpressure {
+            backlog: shared.unstarted(plane) + shared.in_flight.load(Ordering::SeqCst),
+        };
 
         let mut plane = shared.lock_plane();
         if plane.closed || plane.shutdown {
@@ -893,31 +823,24 @@ impl Engine {
         }
         if limit.is_some_and(|limit| need > limit) {
             // Could never fit in one transaction, no matter how long we wait.
-            return Err(SchedulerError::Backpressure {
-                backlog: shared.unstarted(&plane) + shared.in_flight.load(Ordering::SeqCst),
-            });
+            return Err(backpressure(&plane));
         }
-        // All-or-nothing quota, charged up front: the batch either owns its
-        // tokens through the capacity wait or fails now without consuming
-        // any.
-        plane.run.charge(&counts, Instant::now())?;
+        // Admit at once only when nobody is queued ahead and everything
+        // fits — jumping ahead of a blocked ticket would reintroduce the
+        // starvation the gate exists to prevent. Otherwise refuse, or hold
+        // a ticket until it is the head and the whole batch fits.
         let mut ticket = None;
         loop {
-            if plane.closed || plane.shutdown {
-                if ticket.is_some() {
-                    plane.gate.leave();
-                }
-                drop(plane);
-                shared.capacity.notify_all();
-                return Err(SchedulerError::EngineClosed);
-            }
             let fits = limit.map_or(true, |limit| shared.unstarted(&plane) + need <= limit);
-            let may_admit = match ticket {
+            let turn = match ticket {
                 None => plane.gate.waiting() == 0,
                 Some(ticket) => plane.gate.is_head(ticket),
             };
-            if may_admit && fits {
+            if turn && fits {
                 break;
+            }
+            if !block {
+                return Err(backpressure(&plane));
             }
             if ticket.is_none() {
                 ticket = Some(plane.gate.enter());
@@ -926,20 +849,42 @@ impl Engine {
                 .capacity
                 .wait(plane)
                 .unwrap_or_else(PoisonError::into_inner);
+            if plane.closed || plane.shutdown {
+                // Abandoning mid-queue only happens when *everyone* is
+                // abandoning (the engine closed), so the bakery head can
+                // advance unconditionally.
+                plane.gate.leave();
+                drop(plane);
+                shared.capacity.notify_all();
+                return Err(SchedulerError::EngineClosed);
+            }
         }
-        let ids = submissions
-            .into_iter()
-            .map(|submission| admit_locked(shared, &mut plane, submission))
-            .collect();
+        // Quota is charged at the admission moment — *after* the capacity
+        // wait, so a refusal for capacity, a long block or a close never
+        // burns a token.
+        let admitted = plane.run.charge(&counts, Instant::now()).map(|()| {
+            let first = DocId(plane.next_id);
+            for submission in submissions {
+                admit_locked(shared, &mut plane, submission);
+            }
+            first
+        });
         if ticket.is_some() {
             plane.gate.leave();
         }
         drop(plane);
         if limit.is_some() {
+            // Let the next ticket observe the advanced head.
             shared.capacity.notify_all();
         }
-        shared.work.notify_all();
-        Ok(ids)
+        if admitted.is_ok() {
+            if need == 1 {
+                shared.work.notify_one();
+            } else {
+                shared.work.notify_all();
+            }
+        }
+        admitted
     }
 
     /// Blocks until the given document has finished (or been rejected) and
@@ -1033,8 +978,8 @@ impl Engine {
         (outcomes.delivered_floor, outcomes.delivered.len())
     }
 
-    /// Stops admission: every later `submit`/`try_submit` (and any
-    /// admission currently blocked on a full queue) gets
+    /// Stops admission: every later `admit`/`try_admit`/`submit_batch`
+    /// (and any admission currently blocked on a full queue) gets
     /// [`SchedulerError::EngineClosed`]. The backlog already admitted
     /// keeps draining, and `wait`/`drain` keep delivering — the graceful
     /// half of [`Engine::shutdown`]'s "no new work, then stop". Idempotent.
@@ -1478,10 +1423,10 @@ mod tests {
         let ids: Vec<DocId> = (0..12)
             .map(|i| {
                 engine
-                    .submit(
+                    .admit(Submission::new(
                         story("batch", 2 + (i % 3)),
                         JitterModel::uniform(100, i as u64),
-                    )
+                    ))
                     .unwrap()
             })
             .collect();
@@ -1500,7 +1445,10 @@ mod tests {
         for seed in 0..8u64 {
             ids.push(
                 engine
-                    .submit(story("det", 3), JitterModel::uniform(200, seed))
+                    .admit(Submission::new(
+                        story("det", 3),
+                        JitterModel::uniform(200, seed),
+                    ))
                     .unwrap(),
             );
         }
@@ -1511,7 +1459,10 @@ mod tests {
         for seed in 0..8u64 {
             seq_ids.push(
                 sequential
-                    .submit(story("det", 3), JitterModel::uniform(200, seed))
+                    .admit(Submission::new(
+                        story("det", 3),
+                        JitterModel::uniform(200, seed),
+                    ))
                     .unwrap(),
             );
         }
@@ -1532,10 +1483,10 @@ mod tests {
         // good one only completes if the worker survives the rejection.
         let engine = Engine::with_workers(1);
         let bad = engine
-            .submit_labeled("bad", cyclic_doc(), JitterModel::ideal())
+            .admit(Submission::new(cyclic_doc(), JitterModel::ideal()).labeled("bad"))
             .unwrap();
         let good = engine
-            .submit_labeled("good", story("good", 2), JitterModel::ideal())
+            .admit(Submission::new(story("good", 2), JitterModel::ideal()).labeled("good"))
             .unwrap();
         let bad_outcome = engine.wait(bad);
         assert!(matches!(
@@ -1564,10 +1515,10 @@ mod tests {
             ..EngineConfig::default()
         });
         let bad = engine
-            .submit_labeled("boom", story("doomed", 2), JitterModel::ideal())
+            .admit(Submission::new(story("doomed", 2), JitterModel::ideal()).labeled("boom"))
             .unwrap();
         let good = engine
-            .submit_labeled("survivor", story("fine", 2), JitterModel::ideal())
+            .admit(Submission::new(story("fine", 2), JitterModel::ideal()).labeled("survivor"))
             .unwrap();
         let bad_outcome = engine.wait(bad);
         match bad_outcome.result {
@@ -1592,7 +1543,7 @@ mod tests {
         });
         for _ in 0..6 {
             engine
-                .submit(story("cursed", 2), JitterModel::ideal())
+                .admit(Submission::new(story("cursed", 2), JitterModel::ideal()))
                 .unwrap();
         }
         let outcomes = engine.drain();
@@ -1607,12 +1558,16 @@ mod tests {
         let gate = Gate::new();
         let engine = stalled_engine(1, Some(1), &gate);
         // First job: popped by the worker, which then parks on the gate.
-        let first = engine.submit(story("a", 2), JitterModel::ideal()).unwrap();
+        let first = engine
+            .admit(Submission::new(story("a", 2), JitterModel::ideal()))
+            .unwrap();
         // Second: sits in the queue's single slot once the worker took the
         // first (the blocking submit waits for exactly that).
-        let second = engine.submit(story("b", 2), JitterModel::ideal()).unwrap();
+        let second = engine
+            .admit(Submission::new(story("b", 2), JitterModel::ideal()))
+            .unwrap();
         // Third: the slot is provably full and the worker parked.
-        let refused = engine.try_submit(story("c", 2), JitterModel::ideal());
+        let refused = engine.try_admit(Submission::new(story("c", 2), JitterModel::ideal()));
         match refused {
             Err(SchedulerError::Backpressure { backlog }) => assert_eq!(backlog, 2),
             other => panic!("expected Backpressure, got {other:?}"),
@@ -1627,14 +1582,18 @@ mod tests {
     fn blocked_submit_resumes_when_capacity_frees() {
         let gate = Gate::new();
         let engine = Arc::new(stalled_engine(1, Some(1), &gate));
-        engine.submit(story("a", 2), JitterModel::ideal()).unwrap();
-        engine.submit(story("b", 2), JitterModel::ideal()).unwrap();
+        engine
+            .admit(Submission::new(story("a", 2), JitterModel::ideal()))
+            .unwrap();
+        engine
+            .admit(Submission::new(story("b", 2), JitterModel::ideal()))
+            .unwrap();
 
         let (tx, rx) = std::sync::mpsc::channel();
         let submitter = {
             let engine = Arc::clone(&engine);
             thread::spawn(move || {
-                let id = engine.submit(story("c", 2), JitterModel::ideal());
+                let id = engine.admit(Submission::new(story("c", 2), JitterModel::ideal()));
                 tx.send(()).unwrap();
                 id
             })
@@ -1656,18 +1615,21 @@ mod tests {
         let ids: Vec<DocId> = (0..3)
             .map(|i| {
                 engine
-                    .submit(story("queued", 2), JitterModel::uniform(50, i))
+                    .admit(Submission::new(
+                        story("queued", 2),
+                        JitterModel::uniform(50, i),
+                    ))
                     .unwrap()
             })
             .collect();
         engine.close();
         assert!(engine.is_closed());
         assert!(matches!(
-            engine.submit(story("late", 2), JitterModel::ideal()),
+            engine.admit(Submission::new(story("late", 2), JitterModel::ideal())),
             Err(SchedulerError::EngineClosed)
         ));
         assert!(matches!(
-            engine.try_submit(story("late", 2), JitterModel::ideal()),
+            engine.try_admit(Submission::new(story("late", 2), JitterModel::ideal())),
             Err(SchedulerError::EngineClosed)
         ));
         // The already-admitted backlog still drains to completion.
@@ -1684,11 +1646,17 @@ mod tests {
     fn close_unblocks_a_submitter_waiting_for_capacity() {
         let gate = Gate::new();
         let engine = Arc::new(stalled_engine(1, Some(1), &gate));
-        engine.submit(story("a", 2), JitterModel::ideal()).unwrap();
-        engine.submit(story("b", 2), JitterModel::ideal()).unwrap();
+        engine
+            .admit(Submission::new(story("a", 2), JitterModel::ideal()))
+            .unwrap();
+        engine
+            .admit(Submission::new(story("b", 2), JitterModel::ideal()))
+            .unwrap();
         let blocked = {
             let engine = Arc::clone(&engine);
-            thread::spawn(move || engine.submit(story("c", 2), JitterModel::ideal()))
+            thread::spawn(move || {
+                engine.admit(Submission::new(story("c", 2), JitterModel::ideal()))
+            })
         };
         // Whether the close lands before or after the thread starts
         // waiting, the submit must come back with EngineClosed.
@@ -1710,7 +1678,7 @@ mod tests {
             ..EngineConfig::default()
         });
         let id = engine
-            .submit(story("only", 2), JitterModel::ideal())
+            .admit(Submission::new(story("only", 2), JitterModel::ideal()))
             .unwrap();
         assert!(engine.wait(id).is_ok());
     }
@@ -1720,7 +1688,10 @@ mod tests {
         let engine = Engine::with_workers(1);
         for i in 0..40 {
             let id = engine
-                .submit(story("long", 2), JitterModel::uniform(30, i))
+                .admit(Submission::new(
+                    story("long", 2),
+                    JitterModel::uniform(30, i),
+                ))
                 .unwrap();
             assert!(engine.wait(id).is_ok());
         }
@@ -1732,8 +1703,12 @@ mod tests {
         );
 
         // Out-of-order delivery parks an id only until the floor catches up.
-        let a = engine.submit(story("a", 2), JitterModel::ideal()).unwrap();
-        let b = engine.submit(story("b", 2), JitterModel::ideal()).unwrap();
+        let a = engine
+            .admit(Submission::new(story("a", 2), JitterModel::ideal()))
+            .unwrap();
+        let b = engine
+            .admit(Submission::new(story("b", 2), JitterModel::ideal()))
+            .unwrap();
         assert!(engine.wait(b).is_ok());
         let (_, parked) = engine.delivery_bookkeeping();
         assert_eq!(parked, 1);
@@ -1748,7 +1723,10 @@ mod tests {
         let engine = Engine::with_workers(2);
         for i in 0..3 {
             engine
-                .submit(story("idle", 2), JitterModel::uniform(40, i))
+                .admit(Submission::new(
+                    story("idle", 2),
+                    JitterModel::uniform(40, i),
+                ))
                 .unwrap();
         }
         // Wait for the jobs to finish without delivering their outcomes.
@@ -1768,7 +1746,9 @@ mod tests {
         let doc = Arc::new(story("pre", 3));
         let jitter = JitterModel::uniform(150, 11);
         let engine = Engine::with_workers(1);
-        let derived = engine.submit(Arc::clone(&doc), jitter.clone()).unwrap();
+        let derived = engine
+            .admit(Submission::new(Arc::clone(&doc), jitter.clone()))
+            .unwrap();
         let solve = ConstraintGraph::derive(&doc, &doc.catalog, &ScheduleOptions::default())
             .unwrap()
             .solve(&doc, &doc.catalog)
@@ -1803,7 +1783,7 @@ mod tests {
     fn waiting_twice_for_one_outcome_panics_instead_of_hanging() {
         let engine = Engine::with_workers(1);
         let id = engine
-            .submit(story("once", 2), JitterModel::ideal())
+            .admit(Submission::new(story("once", 2), JitterModel::ideal()))
             .unwrap();
         assert!(engine.wait(id).is_ok());
         engine.wait(id);
@@ -1814,7 +1794,7 @@ mod tests {
     fn waiting_after_drain_panics_instead_of_hanging() {
         let engine = Engine::with_workers(1);
         let id = engine
-            .submit(story("drained", 2), JitterModel::ideal())
+            .admit(Submission::new(story("drained", 2), JitterModel::ideal()))
             .unwrap();
         assert_eq!(engine.drain().len(), 1);
         engine.wait(id);
@@ -1825,13 +1805,13 @@ mod tests {
         let engine = Engine::with_workers(2);
         for _ in 0..3 {
             engine
-                .submit(story("batch-a", 2), JitterModel::ideal())
+                .admit(Submission::new(story("batch-a", 2), JitterModel::ideal()))
                 .unwrap();
         }
         assert_eq!(engine.drain().len(), 3);
         for _ in 0..2 {
             engine
-                .submit(story("batch-b", 2), JitterModel::ideal())
+                .admit(Submission::new(story("batch-b", 2), JitterModel::ideal()))
                 .unwrap();
         }
         // The second drain sees only the second batch.
@@ -2010,7 +1990,9 @@ mod tests {
             }
             other => panic!("expected EditRejected, got {other:?}"),
         }
-        let id = engine.submit(doc, JitterModel::ideal()).unwrap();
+        let id = engine
+            .admit(Submission::new(doc, JitterModel::ideal()))
+            .unwrap();
         assert!(engine.wait(id).is_ok());
         // The mailbox retires with the job: late routing fails fast.
         assert!(matches!(
@@ -2029,7 +2011,9 @@ mod tests {
         let engine = stalled_engine(1, None, &gate);
         let doc = story("edited", 2);
         let root = doc.root().unwrap();
-        let id = engine.submit(doc, JitterModel::ideal()).unwrap();
+        let id = engine
+            .admit(Submission::new(doc, JitterModel::ideal()))
+            .unwrap();
         // The worker is parked at the job hook, which fires before the
         // pre-start drain: both edits provably land before the solve.
         engine
@@ -2135,7 +2119,9 @@ mod tests {
         });
         let doc = story("doomed", 2);
         let line = doc.find("/line").unwrap();
-        let id = engine.submit(doc, JitterModel::ideal()).unwrap();
+        let id = engine
+            .admit(Submission::new(doc, JitterModel::ideal()))
+            .unwrap();
         engine
             .apply_edit(id, Edit::RemoveSubtree { node: line })
             .unwrap();
@@ -2165,10 +2151,10 @@ mod tests {
         });
         let doc = Arc::new(story("default", 2));
         engine
-            .submit(Arc::clone(&doc), JitterModel::ideal())
+            .admit(Submission::new(Arc::clone(&doc), JitterModel::ideal()))
             .unwrap();
         assert!(matches!(
-            engine.submit(Arc::clone(&doc), JitterModel::ideal()),
+            engine.admit(Submission::new(Arc::clone(&doc), JitterModel::ideal())),
             Err(SchedulerError::QuotaExceeded { tenant, .. }) if tenant == TenantId::DEFAULT
         ));
         assert_eq!(engine.drain().len(), 1);

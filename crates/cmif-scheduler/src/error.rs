@@ -58,8 +58,9 @@ pub enum SchedulerError {
         /// The panic payload, when it was a string (the usual case).
         message: String,
     },
-    /// A non-blocking admission (`Engine::try_submit`/`try_admit`) found
-    /// the engine's bounded queue full.
+    /// A non-blocking admission (`Engine::try_admit`) found the engine's
+    /// bounded queue full, or a batch (`Engine::submit_batch`) larger than
+    /// the queue's bound can never fit.
     Backpressure {
         /// The engine's backlog (admitted but unfinished documents) at the
         /// moment the admission was refused.

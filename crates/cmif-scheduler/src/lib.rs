@@ -25,7 +25,7 @@
 //!   with a hand-rolled, work-stealing run queue ([`engine::Engine`]):
 //!   per-worker sharded deques fed by a weighted-fair tenant plane
 //!   ([`engine::TenantId`], [`engine::TenantPolicy`]), bounded FIFO
-//!   admission (blocking `submit` vs failing `try_submit`, batched
+//!   admission (blocking `admit` vs failing `try_admit`, batched
 //!   `submit_batch`), token-bucket quotas per tenant, graceful `close`,
 //!   and panic containment (a panicking job is a
 //!   [`SchedulerError::JobPanicked`] outcome, never a dead worker);

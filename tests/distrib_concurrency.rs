@@ -41,7 +41,7 @@ fn racing_fetches_of_one_block_charge_exactly_one_transfer() {
             let barrier = Arc::clone(&barrier);
             thread::spawn(move || {
                 barrier.wait();
-                store.fetch_block("desk", "speech").unwrap()
+                store.fetch_block("desk", "speech").unwrap().simulated_ms
             })
         })
         .collect();
@@ -58,6 +58,75 @@ fn racing_fetches_of_one_block_charge_exactly_one_transfer() {
     assert_eq!(traffic.media_bytes, bytes);
     assert_eq!(traffic.link("server", "desk").transfers, 1);
     assert_eq!(store.local_blocks("desk").unwrap(), vec!["speech"]);
+}
+
+#[test]
+fn racing_fetches_of_one_document_charge_exactly_one_transfer() {
+    // Documents take the same in-flight reservation as blocks: however the
+    // racers interleave, one of them moves the wire bytes and the others
+    // find the document local. Enough rounds that a fetch without the
+    // reservation would double-charge in some of them.
+    const ROUNDS: usize = 200;
+    const THREADS: usize = 8;
+    let store = Arc::new(DistributedStore::new(Network::uniform(
+        &["server", "desk", "laptop"],
+        Link::lan(),
+    )));
+    let doc = evening_news().unwrap();
+    let names: Vec<String> = (0..ROUNDS)
+        .map(|round| format!("bulletin-{round:03}"))
+        .collect();
+    let mut size = 0;
+    for name in &names {
+        size = store.publish_document("server", name, &doc).unwrap() as u64;
+    }
+    store.reset_traffic();
+
+    let start = Arc::new(Barrier::new(THREADS + 1));
+    let done = Arc::new(Barrier::new(THREADS + 1));
+    let racers: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let store = Arc::clone(&store);
+            let (start, done) = (Arc::clone(&start), Arc::clone(&done));
+            let names = names.clone();
+            // Outcomes are collected, not asserted, so a failing fetch
+            // cannot strand the other racers at a barrier.
+            thread::spawn(move || {
+                let mut nodes = Vec::new();
+                for name in &names {
+                    start.wait();
+                    nodes.push(store.fetch_document("desk", name).map(|d| d.node_count()));
+                    done.wait();
+                }
+                nodes
+            })
+        })
+        .collect();
+    let mut double_charged = Vec::new();
+    for name in &names {
+        let before = store.traffic();
+        start.wait();
+        done.wait();
+        let after = store.traffic();
+        let transfers = after.transfers - before.transfers;
+        let bytes = after.structure_bytes - before.structure_bytes;
+        if transfers != 1 || bytes != size {
+            double_charged.push((name.clone(), transfers, bytes));
+        }
+    }
+    for racer in racers {
+        for nodes in racer.join().unwrap() {
+            assert_eq!(nodes.unwrap(), doc.node_count());
+        }
+    }
+    assert!(
+        double_charged.is_empty(),
+        "rounds charged other than one {size}-byte transfer: {double_charged:?}"
+    );
+    assert_eq!(
+        store.traffic().link("server", "desk").transfers,
+        ROUNDS as u64
+    );
 }
 
 #[test]

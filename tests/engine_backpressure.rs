@@ -1,21 +1,32 @@
 //! Concurrent-admission tests for the engine's bounded queue: N producer
-//! threads racing `try_submit`/`submit`/`wait` against a small
+//! threads racing `try_admit`/`admit`/`wait` against a small
 //! `max_backlog`, with a final `drain` — no outcome may be lost or
 //! delivered twice, the drained tail must come back in admission order,
-//! and the backlog must respect its bound the whole time.
+//! and the backlog must respect its bound the whole time. The three
+//! admission calls share one path: they refuse and admit alike, and quota
+//! is charged when a document is admitted, after any capacity wait.
 
 use std::collections::HashSet;
+use std::fmt::Debug;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use cmif::core::tree::Document;
+use cmif::format::parse_document_unvalidated;
+use cmif::lint::{admission_gate, Linter};
 use cmif::scheduler::{
-    DocId, DocOutcome, Engine, EngineConfig, JitterModel, JobHook, SchedulerError,
+    DocId, DocOutcome, Engine, EngineConfig, JitterModel, JobHook, QuotaConfig, SchedulerError,
+    Submission, TenantId, TenantPolicy,
 };
 use cmif::synthetic::SyntheticNews;
 
 fn doc() -> Arc<Document> {
     Arc::new(SyntheticNews::with_stories(1).build().unwrap())
+}
+
+fn submission(document: &Arc<Document>) -> Submission {
+    Submission::new(Arc::clone(document), JitterModel::ideal())
 }
 
 const MAX_BACKLOG: usize = 4;
@@ -52,7 +63,9 @@ fn racing_producers_lose_no_outcome_and_drain_in_admission_order() {
                         // Non-blocking half: spin on Backpressure like a
                         // latency-sensitive client would.
                         loop {
-                            match engine.try_submit(Arc::clone(&document), jitter.clone()) {
+                            match engine
+                                .try_admit(Submission::new(Arc::clone(&document), jitter.clone()))
+                            {
                                 Ok(id) => break id,
                                 Err(SchedulerError::Backpressure { backlog }) => {
                                     // The refusal itself must respect the bound.
@@ -65,7 +78,7 @@ fn racing_producers_lose_no_outcome_and_drain_in_admission_order() {
                     } else {
                         // Blocking half.
                         engine
-                            .submit(Arc::clone(&document), jitter)
+                            .admit(Submission::new(Arc::clone(&document), jitter))
                             .expect("engine is open")
                     };
                     assert!(
@@ -161,15 +174,11 @@ fn blocked_submitters_are_admitted_in_arrival_order() {
 
     // One document stalled inside the worker, one filling the single
     // backlog slot: every further submit must park in the ticket gate.
-    engine
-        .submit(Arc::clone(&document), JitterModel::ideal())
-        .unwrap();
+    engine.admit(submission(&document)).unwrap();
     while engine.queue_stats().dispatched() == 0 {
         thread::yield_now();
     }
-    engine
-        .submit(Arc::clone(&document), JitterModel::ideal())
-        .unwrap();
+    engine.admit(submission(&document)).unwrap();
 
     let admissions: Arc<Mutex<Vec<(usize, DocId)>>> = Arc::new(Mutex::new(Vec::new()));
     let producers: Vec<_> = (0..LATE_PRODUCERS)
@@ -179,7 +188,7 @@ fn blocked_submitters_are_admitted_in_arrival_order() {
             let admissions = Arc::clone(&admissions);
             let handle = thread::spawn(move || {
                 let id = worker_engine
-                    .submit(document, JitterModel::ideal())
+                    .admit(submission(&document))
                     .expect("engine stays open");
                 admissions.lock().unwrap().push((producer, id));
             });
@@ -235,7 +244,7 @@ fn close_races_cleanly_with_producers() {
                 let mut admitted = 0usize;
                 for i in 0..64 {
                     let jitter = JitterModel::uniform(50, (producer * 64 + i) as u64);
-                    match engine.submit(Arc::clone(&document), jitter) {
+                    match engine.admit(Submission::new(Arc::clone(&document), jitter)) {
                         Ok(_) => admitted += 1,
                         Err(SchedulerError::EngineClosed) => break,
                         Err(other) => panic!("unexpected admission error: {other}"),
@@ -259,7 +268,211 @@ fn close_races_cleanly_with_producers() {
     assert_eq!(outcomes.len(), admitted, "drain lost an admitted outcome");
     assert!(outcomes.iter().all(DocOutcome::is_ok));
     assert!(matches!(
-        engine.try_submit(document, JitterModel::ideal()),
+        engine.try_admit(submission(&document)),
         Err(SchedulerError::EngineClosed)
     ));
+}
+
+/// A one-worker engine whose worker parks on `gate` at the start of every
+/// job, with a one-slot queue.
+fn stalled_engine(gate: &Arc<StallGate>) -> Engine {
+    let gate = Arc::clone(gate);
+    Engine::new(EngineConfig {
+        workers: 1,
+        max_backlog: Some(1),
+        job_hook: Some(JobHook::new(move |_| gate.hold())),
+        ..EngineConfig::default()
+    })
+}
+
+/// Admits `first` (which the worker takes and stalls on) and then
+/// `second` (which fills the one slot): the queue is full afterwards.
+fn fill(engine: &Engine, first: Submission, second: Submission) -> (DocId, DocId) {
+    let first = engine.admit(first).unwrap();
+    while engine.queue_stats().dispatched() == 0 {
+        thread::yield_now();
+    }
+    (first, engine.admit(second).unwrap())
+}
+
+fn show<T: Debug>(value: T) -> String {
+    format!("{value:?}")
+}
+
+/// `(tenant, submitted, quota refusals, completed)` for every tenant seen.
+fn rows(engine: &Engine) -> Vec<(TenantId, u64, u64, u64)> {
+    engine
+        .tenant_stats()
+        .into_iter()
+        .map(|row| (row.tenant, row.submitted, row.quota_refusals, row.completed))
+        .collect()
+}
+
+#[test]
+fn a_waiting_batch_is_charged_when_admitted_not_when_it_starts_waiting() {
+    let gate = StallGate::new();
+    let engine = Arc::new(stalled_engine(&gate));
+    let metered = TenantId::new(9);
+    // One token, refilled at two per second: empty right after the first
+    // admission, full again half a second later.
+    engine.set_tenant_policy(
+        metered,
+        TenantPolicy::default().with_quota(QuotaConfig::new(1, 2.0)),
+    );
+    let document = doc();
+    let (first, second) = fill(
+        &engine,
+        submission(&document).tenant(metered),
+        submission(&document),
+    );
+    let spent = Instant::now();
+
+    let batch = {
+        let engine = Arc::clone(&engine);
+        let document = Arc::clone(&document);
+        thread::spawn(move || engine.submit_batch([submission(&document).tenant(metered)]))
+    };
+    // The batch parks for capacity with an empty bucket.
+    while engine.waiting_submitters() == 0 && !batch.is_finished() {
+        thread::yield_now();
+    }
+    // Capacity frees only once the bucket has refilled.
+    thread::sleep(Duration::from_millis(600).saturating_sub(spent.elapsed()));
+    gate.open();
+    let ids = batch
+        .join()
+        .unwrap()
+        .expect("the bucket refilled while the batch waited for capacity");
+    assert_eq!(ids.len(), 1);
+    assert!(ids[0] > second && second > first);
+    assert_eq!(engine.drain().len(), 3);
+    assert_eq!(
+        rows(&engine),
+        vec![(TenantId::DEFAULT, 1, 0, 1), (metered, 2, 0, 2)]
+    );
+}
+
+#[test]
+fn admit_try_admit_and_submit_batch_refuse_and_admit_alike() {
+    let document = doc();
+
+    // A closed engine refuses every call; an empty batch is still empty.
+    let engine = Engine::with_workers(1);
+    engine.close();
+    assert_eq!(
+        show(engine.admit(submission(&document))),
+        "Err(EngineClosed)"
+    );
+    assert_eq!(
+        show(engine.try_admit(submission(&document))),
+        "Err(EngineClosed)"
+    );
+    assert_eq!(
+        show(engine.submit_batch([submission(&document)])),
+        "Err(EngineClosed)"
+    );
+    assert_eq!(show(engine.submit_batch([])), "Ok([])");
+    assert!(rows(&engine).is_empty());
+
+    // A full bounded queue: the non-blocking call is refused at once, the
+    // blocking ones wait their turn and are admitted in arrival order.
+    let gate = StallGate::new();
+    let engine = Arc::new(stalled_engine(&gate));
+    fill(&engine, submission(&document), submission(&document));
+    assert_eq!(
+        show(engine.try_admit(submission(&document))),
+        "Err(Backpressure { backlog: 2 })"
+    );
+    let single = {
+        let (engine, document) = (Arc::clone(&engine), Arc::clone(&document));
+        thread::spawn(move || engine.admit(submission(&document)))
+    };
+    while engine.waiting_submitters() < 1 {
+        thread::yield_now();
+    }
+    let batch = {
+        let (engine, document) = (Arc::clone(&engine), Arc::clone(&document));
+        thread::spawn(move || engine.submit_batch([submission(&document)]))
+    };
+    while engine.waiting_submitters() < 2 {
+        thread::yield_now();
+    }
+    gate.open();
+    assert_eq!(show(single.join().unwrap()), "Ok(DocId(2))");
+    assert_eq!(show(batch.join().unwrap()), "Ok([DocId(3)])");
+    assert_eq!(engine.drain().len(), 4);
+    assert_eq!(rows(&engine), vec![(TenantId::DEFAULT, 4, 0, 4)]);
+
+    // A batch larger than the bound can never fit.
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        max_backlog: Some(2),
+        ..EngineConfig::default()
+    });
+    assert_eq!(
+        show(engine.submit_batch((0..3).map(|_| submission(&document)))),
+        "Err(Backpressure { backlog: 0 })"
+    );
+    assert!(rows(&engine).is_empty());
+    assert_eq!(show(engine.admit(submission(&document))), "Ok(DocId(0))");
+
+    // A lint refusal consumes no id and creates no tenant row.
+    const CYCLED: &str = r#"(cmif
+  (channels (channel caption text) (channel banner text))
+  (par (name story)
+    (imm (name line) (channel caption) (duration 3000)
+      (sync_arc begin must begin "../banner" 1000 ms "" 0 inf) (data "first"))
+    (imm (name banner) (channel banner) (duration 3000)
+      (sync_arc begin must begin "../line" 1000 ms "" 0 inf) (data "second"))))
+"#;
+    let cycled = Arc::new(parse_document_unvalidated(CYCLED).unwrap());
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        lint_gate: Some(admission_gate(Linter::new())),
+        ..EngineConfig::default()
+    });
+    let refused = |result: Result<_, SchedulerError>| matches!(result, Err(SchedulerError::LintRejected { ref diagnostics }) if !diagnostics.is_empty());
+    assert!(refused(
+        engine.admit(submission(&cycled)).map(|id| vec![id])
+    ));
+    assert!(refused(
+        engine.try_admit(submission(&cycled)).map(|id| vec![id])
+    ));
+    assert!(refused(
+        engine.submit_batch([submission(&document), submission(&cycled)])
+    ));
+    assert!(rows(&engine).is_empty());
+    assert_eq!(show(engine.admit(submission(&document))), "Ok(DocId(0))");
+    assert_eq!(engine.drain().len(), 1);
+    assert_eq!(rows(&engine), vec![(TenantId::DEFAULT, 1, 0, 1)]);
+
+    // A quota refusal is all-or-nothing and counted per refused document.
+    let metered = TenantId::new(4);
+    let engine = Engine::with_workers(1);
+    engine.set_tenant_policy(
+        metered,
+        TenantPolicy::default().with_quota(QuotaConfig::new(1, 0.0)),
+    );
+    let charged = || submission(&document).tenant(metered);
+    let exceeded = "QuotaExceeded { tenant: TenantId(4), retry_after_ms: 18446744073709551615 }";
+    assert_eq!(show(engine.admit(charged())), "Ok(DocId(0))");
+    assert_eq!(show(engine.admit(charged())), format!("Err({exceeded})"));
+    assert_eq!(
+        show(engine.try_admit(charged())),
+        format!("Err({exceeded})")
+    );
+    assert_eq!(
+        show(engine.submit_batch([charged()])),
+        format!("Err({exceeded})")
+    );
+    assert_eq!(
+        show(engine.submit_batch([submission(&document), charged()])),
+        format!("Err({exceeded})")
+    );
+    assert_eq!(show(engine.admit(submission(&document))), "Ok(DocId(1))");
+    assert_eq!(engine.drain().len(), 2);
+    assert_eq!(
+        rows(&engine),
+        vec![(TenantId::DEFAULT, 1, 0, 1), (metered, 1, 4, 1)]
+    );
 }

@@ -9,7 +9,7 @@ use cmif::core::prelude::*;
 use cmif::core::tree::Document;
 use cmif::scheduler::{
     ConstraintGraph, DocId, Engine, EngineConfig, JitterModel, PlaybackEvent, PlaybackReport,
-    PlayerSession, ScheduleOptions, SchedulerError, SessionState, SolveResult,
+    PlayerSession, ScheduleOptions, SchedulerError, SessionState, SolveResult, Submission,
 };
 use cmif::synthetic::SyntheticNews;
 
@@ -144,10 +144,10 @@ fn engine_rejects_a_cyclic_document_while_a_sibling_completes() {
         ..EngineConfig::default()
     });
     let bad = engine
-        .submit_labeled("cyclic", cyclic_doc(), JitterModel::ideal())
+        .admit(Submission::new(cyclic_doc(), JitterModel::ideal()).labeled("cyclic"))
         .unwrap();
     let good = engine
-        .submit_labeled("news", broadcast(1), JitterModel::ideal())
+        .admit(Submission::new(broadcast(1), JitterModel::ideal()).labeled("news"))
         .unwrap();
 
     let bad_outcome = engine.wait(bad);
@@ -196,7 +196,11 @@ fn sixty_four_concurrent_documents_match_sequential_runs() {
     // Submitting shares the `Arc` — 64 admissions, zero tree copies.
     let ids: Vec<DocId> = docs
         .iter()
-        .map(|(doc, jitter)| engine.submit(Arc::clone(doc), jitter.clone()).unwrap())
+        .map(|(doc, jitter)| {
+            engine
+                .admit(Submission::new(Arc::clone(doc), jitter.clone()))
+                .unwrap()
+        })
         .collect();
     let outcomes = engine.drain();
     assert_eq!(outcomes.len(), 64);

@@ -133,7 +133,7 @@ fn distributed_presentation_fetches_only_what_the_device_presents() {
         referenced_keys(&received, Some(&[MediaKind::Audio]))
             .into_iter()
             .collect();
-    cluster.fetch_blocks_for("kiosk", &wanted).unwrap();
+    cluster.fetch_blocks_for_traced("kiosk", &wanted).unwrap();
 
     let traffic = cluster.traffic();
     assert_eq!(wanted.len(), 1);
