@@ -9,9 +9,10 @@
 use std::time::Duration;
 
 use cmif::news::evening_news;
+use cmif::pipeline::DeviceProfile;
 use cmif::scheduler::{
     device_conflicts, full_report, invalid_arcs_when_seeking, specification_conflicts,
-    ConstraintGraph, EnvironmentLimits, JitterModel, PlayerSession, ScheduleOptions,
+    ConstraintGraph, JitterModel, PlayerSession, ScheduleOptions,
 };
 use cmif_bench::{banner, news_fixture};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -36,9 +37,9 @@ fn bench_news_fragment(c: &mut Criterion) {
 
     let (_, store) = news_fixture();
     let environments = [
-        EnvironmentLimits::workstation(),
-        EnvironmentLimits::low_end_pc(),
-        EnvironmentLimits::audio_kiosk(),
+        DeviceProfile::workstation().limits(),
+        DeviceProfile::low_end_pc().limits(),
+        DeviceProfile::audio_kiosk().limits(),
     ];
     let mut summary = String::new();
     for limits in &environments {

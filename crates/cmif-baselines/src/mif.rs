@@ -1,7 +1,7 @@
 //! A MIF/Diamond-style static structured document format.
 //!
-//! §3.2 also compares CMIF with FrameMaker's MIF [Frame89] and the Diamond
-//! multimedia message system [Thomas85]: structured documents that carry
+//! §3.2 also compares CMIF with FrameMaker's MIF \[Frame89\] and the Diamond
+//! multimedia message system \[Thomas85\]: structured documents that carry
 //! text and graphics "without explicit time constraints" — pages of frames,
 //! no channels, no synchronization. [`StaticDocument`] implements that
 //! model. Converting a CMIF document into it keeps the hierarchy and the

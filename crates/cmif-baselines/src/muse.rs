@@ -1,6 +1,6 @@
 //! A Muse-style flat timeline format.
 //!
-//! §3.2 compares CMIF with Muse [Hodges89], "where a time line concept is
+//! §3.2 compares CMIF with Muse \[Hodges89\], "where a time line concept is
 //! employed for synchronization". The essential difference: a timeline
 //! format pins every event to absolute start/stop times on named tracks,
 //! with no structure, no tolerance windows and no controlling/controlled

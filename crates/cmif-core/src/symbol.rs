@@ -11,7 +11,7 @@
 //!
 //! # Design
 //!
-//! * One **global pool**, sharded into [`SHARD_COUNT`] locks keyed by the
+//! * One **global pool**, sharded into `SHARD_COUNT` locks keyed by the
 //!   string's hash, so concurrent interning from worker threads contends
 //!   only when two threads intern into the same shard at the same moment.
 //! * Interned strings are **leaked** (`Box::leak`): `Symbol::as_str`

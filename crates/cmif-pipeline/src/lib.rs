@@ -55,9 +55,7 @@ pub use error::{PipelineError, Result};
 
 pub use capture::{CaptureRequest, CaptureTool};
 pub use constraint::{apply_plan, plan_filters, DeviceProfile, FilterAction, FilterPlan};
-pub use pipeline::{
-    run_structure_only, PipelineBuilder, PipelineOptions, PipelineRun, StageTimings,
-};
+pub use pipeline::{run_structure_only, PipelineBuilder, PipelineRun, StageTimings};
 
 pub use presentation::{map_presentation, render_map, Placement, PresentationMap, VirtualRegion};
 pub use viewer::{render_storyboard, storyboard, table_of_contents, StoryboardFrame};

@@ -36,58 +36,24 @@ use cmif_media::store::BlockStore;
 use cmif_scheduler::{
     full_report, ConflictReport, ConstraintGraph, DocId, DocOutcome, Engine, EngineConfig,
     JitterModel, PlaybackReport, ScheduleOptions, SchedulerError, SolveResult, Submission,
-    TenantId,
 };
 
 use crate::constraint::{apply_plan, plan_filters, DeviceProfile, FilterPlan};
 use crate::presentation::{map_presentation, PresentationMap};
 use crate::viewer::{storyboard, table_of_contents, StoryboardFrame};
 
-/// Options controlling a pipeline run.
+/// What a [`PipelineBuilder`] has been configured with; each field has the
+/// builder setter of the same name.
 #[derive(Debug, Clone)]
-pub struct PipelineOptions {
-    /// Scheduling policy.
-    pub schedule: ScheduleOptions,
-    /// When true, the filter plan is applied to the block store
-    /// (materialising degraded media); when false the plan is only computed.
-    pub materialize_filters: bool,
-    /// Step between storyboard frames, in milliseconds.
-    pub storyboard_step_ms: i64,
-    /// Device jitter used for the playback simulation.
-    pub jitter: JitterModel,
-    /// Number of playback simulation runs (0 disables playback).
-    pub playback_runs: u32,
-    /// Worker threads of the stage-5c playback engine. Reports are
-    /// deterministic per seed, so this only changes wall-clock time.
-    pub playback_workers: usize,
-    /// Admission budget for the stage-5c playback engine. `None` (the
-    /// default) admits every run; `Some(k)` bounds the engine's queue to
-    /// `k` and makes stage 5c admit *without blocking* — a document whose
-    /// `playback_runs` outpace the bounded engine surfaces
-    /// [`cmif_scheduler::SchedulerError::Backpressure`] as a
-    /// stage-tagged [`PipelineError`] instead of stalling the pipeline.
-    ///
-    /// Like any non-blocking admission, whether runs in the window
-    /// `k < playback_runs ≤ k + in-flight` squeeze through depends on how
-    /// fast the workers drain — choose `k ≥ playback_runs` for a bound
-    /// that never rejects this document, or `None` to opt out of
-    /// admission control entirely.
-    pub playback_backlog: Option<usize>,
-    /// Tenant the stage-5c playback submissions run under. The engine is
-    /// shared across every run (and clone) of a builder, so attributing
-    /// each document's runs to its client keeps one busy document from
-    /// starving another's playback (weighted fair queuing) and lets
-    /// per-tenant stats and quotas apply — see
-    /// [`cmif_scheduler::Engine::set_tenant_policy`]. Defaults to
-    /// [`TenantId::DEFAULT`].
-    pub playback_tenant: TenantId,
-    /// The stage-2 linter. Its severity config decides which findings
-    /// refuse the run (deny) and which merely ride along on the
-    /// [`PipelineRun`] (warn); the registry defaults match what the old
-    /// fail-fast validator rejected. The linter's schedule options are
-    /// overridden with [`PipelineOptions::schedule`] at run time so the
-    /// timing passes analyse the same constraint set stage 5a solves.
-    pub lint: Linter,
+struct PipelineOptions {
+    schedule: ScheduleOptions,
+    materialize_filters: bool,
+    storyboard_step_ms: i64,
+    jitter: JitterModel,
+    playback_runs: u32,
+    playback_workers: usize,
+    playback_backlog: Option<usize>,
+    lint: Linter,
 }
 
 impl Default for PipelineOptions {
@@ -100,7 +66,6 @@ impl Default for PipelineOptions {
             playback_runs: 1,
             playback_workers: 1,
             playback_backlog: None,
-            playback_tenant: TenantId::DEFAULT,
             lint: Linter::new(),
         }
     }
@@ -185,7 +150,7 @@ impl PipelineRun {
 /// afresh only when stage 4 materialised filtered media), and drives
 /// playback through a stage-5c [`cmif_scheduler::Engine`] — bounded
 /// admission included: set
-/// [`PipelineOptions::playback_backlog`] and an overloaded engine surfaces
+/// [`PipelineBuilder::playback_backlog`] and an overloaded engine surfaces
 /// `Backpressure` as a `"playback"`-tagged error instead of stalling.
 ///
 /// The engine is created lazily on the first run that plays anything and
@@ -248,13 +213,6 @@ impl PipelineBuilder {
         self.engine = Arc::new(OnceLock::new());
     }
 
-    /// Replaces the whole option set.
-    pub fn options(mut self, options: PipelineOptions) -> PipelineBuilder {
-        self.options = options;
-        self.reset_engine();
-        self
-    }
-
     /// Sets the scheduling policy.
     pub fn schedule(mut self, schedule: ScheduleOptions) -> PipelineBuilder {
         self.options.schedule = schedule;
@@ -286,23 +244,39 @@ impl PipelineBuilder {
         self
     }
 
-    /// Worker threads of the stage-5c playback engine.
+    /// Worker threads of the stage-5c playback engine. Reports are
+    /// deterministic per seed, so this only changes wall-clock time.
     pub fn playback_workers(mut self, workers: usize) -> PipelineBuilder {
         self.options.playback_workers = workers;
         self.reset_engine();
         self
     }
 
-    /// Admission budget of the stage-5c playback engine (see
-    /// [`PipelineOptions::playback_backlog`]).
+    /// Admission budget of the stage-5c playback engine. `None` (the
+    /// default) admits every run; `Some(k)` bounds the engine's queue to
+    /// `k` and makes stage 5c admit *without blocking* — a document whose
+    /// `playback_runs` outpace the bounded engine surfaces
+    /// [`cmif_scheduler::SchedulerError::Backpressure`] as a
+    /// stage-tagged [`PipelineError`] instead of stalling the pipeline.
+    ///
+    /// Like any non-blocking admission, whether runs in the window
+    /// `k < playback_runs ≤ k + in-flight` squeeze through depends on how
+    /// fast the workers drain — choose `k ≥ playback_runs` for a bound
+    /// that never rejects this document, or `None` to opt out of
+    /// admission control entirely.
     pub fn playback_backlog(mut self, backlog: Option<usize>) -> PipelineBuilder {
         self.options.playback_backlog = backlog;
         self.reset_engine();
         self
     }
 
-    /// The stage-2 linter (see [`PipelineOptions::lint`]): its severity
-    /// config decides which findings refuse a run and which merely warn.
+    /// The stage-2 linter. Its severity config decides which findings
+    /// refuse a run (deny) and which merely ride along on the
+    /// [`PipelineRun`] (warn); the registry defaults match what the old
+    /// fail-fast validator rejected. At run time the linter's schedule
+    /// options are replaced by the policy set with
+    /// [`PipelineBuilder::schedule`], so the timing passes analyse the same
+    /// constraint set stage 5a solves.
     pub fn lint(mut self, linter: Linter) -> PipelineBuilder {
         self.options.lint = linter;
         self
@@ -334,9 +308,8 @@ impl PipelineBuilder {
         let shared = doc.into();
         let graph = self.structure(&shared, store)?.graph;
         let catalog: Arc<dyn DescriptorResolver + Send + Sync> = Arc::new(store.export_catalog());
-        let mut submission = Submission::new(Arc::clone(&shared), self.options.jitter.clone())
-            .tenant(self.options.playback_tenant)
-            .resolver(catalog);
+        let mut submission =
+            Submission::new(Arc::clone(&shared), self.options.jitter.clone()).resolver(catalog);
         // Solving stage 2's graph spares the job its own derive and relax.
         // A graph that does not solve is left to the job, which derives
         // afresh and ends with the same error as any other submission.
@@ -420,7 +393,7 @@ impl PipelineBuilder {
 
     /// [`PipelineBuilder::run`] for a shared document: N runs of one
     /// `Arc<Document>` clone N pointers, never the tree (the same contract
-    /// as [`cmif_scheduler::Engine::submit`]).
+    /// as [`cmif_scheduler::Submission::new`]).
     pub fn run_shared(
         &self,
         doc: impl Into<Arc<Document>>,
@@ -530,7 +503,6 @@ impl PipelineBuilder {
                     ..options.jitter.clone()
                 };
                 Submission::new(Arc::clone(&shared_doc), jitter)
-                    .tenant(options.playback_tenant)
                     .resolver(Arc::clone(&catalog))
                     .solved(Arc::clone(&solve_result))
             });

@@ -421,6 +421,32 @@ mod tests {
             .unwrap()
     }
 
+    /// A device that can present everything the test document holds; each
+    /// test narrows the limits it is about.
+    fn roomy_device() -> EnvironmentLimits {
+        EnvironmentLimits {
+            name: Symbol::intern("workstation"),
+            supported_media: MediaKind::ALL.to_vec(),
+            max_concurrent_events: 16,
+            bandwidth_bps: 20_000_000,
+            decode_capacity: 1_000,
+            max_resolution: Some((1280, 1024)),
+            max_color_depth: Some(24),
+        }
+    }
+
+    /// An audio-only kiosk on a thin line.
+    fn audio_kiosk() -> EnvironmentLimits {
+        EnvironmentLimits {
+            name: Symbol::intern("audio-kiosk"),
+            supported_media: vec![MediaKind::Audio],
+            bandwidth_bps: 256_000,
+            max_resolution: None,
+            max_color_depth: None,
+            ..roomy_device()
+        }
+    }
+
     fn solved(doc: &Document) -> SolveResult {
         ConstraintGraph::derive(doc, &doc.catalog, &ScheduleOptions::default())
             .unwrap()
@@ -432,13 +458,7 @@ mod tests {
     fn clean_document_on_workstation_has_no_conflicts() {
         let doc = news_like_doc();
         let result = solved(&doc);
-        let report = full_report(
-            &doc,
-            &result,
-            &doc.catalog,
-            Some(&EnvironmentLimits::workstation()),
-        )
-        .unwrap();
+        let report = full_report(&doc, &result, &doc.catalog, Some(&roomy_device())).unwrap();
         assert!(report.is_clean(), "unexpected conflicts: {report}");
     }
 
@@ -446,13 +466,7 @@ mod tests {
     fn audio_kiosk_cannot_present_video_or_captions() {
         let doc = news_like_doc();
         let result = solved(&doc);
-        let report = full_report(
-            &doc,
-            &result,
-            &doc.catalog,
-            Some(&EnvironmentLimits::audio_kiosk()),
-        )
-        .unwrap();
+        let report = full_report(&doc, &result, &doc.catalog, Some(&audio_kiosk())).unwrap();
         assert!(!report.is_clean());
         let class2 = report.of_class(2);
         assert!(class2.iter().any(|c| matches!(
@@ -475,7 +489,12 @@ mod tests {
             &doc,
             &result.schedule,
             &doc.catalog,
-            &EnvironmentLimits::low_end_pc(),
+            &EnvironmentLimits {
+                name: Symbol::intern("low-end-pc"),
+                max_resolution: Some((640, 480)),
+                max_color_depth: Some(8),
+                ..roomy_device()
+            },
         )
         .unwrap();
         assert!(conflicts
@@ -585,13 +604,7 @@ mod tests {
     fn report_display_and_histogram() {
         let doc = news_like_doc();
         let result = solved(&doc);
-        let report = full_report(
-            &doc,
-            &result,
-            &doc.catalog,
-            Some(&EnvironmentLimits::audio_kiosk()),
-        )
-        .unwrap();
+        let report = full_report(&doc, &result, &doc.catalog, Some(&audio_kiosk())).unwrap();
         let text = report.to_string();
         assert!(text.contains("[class 2]"));
         let histogram = class_histogram(&report);

@@ -40,11 +40,15 @@ pub fn derive_constraints(
     Ok(constraints)
 }
 
-/// Default arcs from the tree structure (fork/join shapes of §5.3.1).
+/// Default arcs from the tree structure (fork/join shapes of §5.3.1): the
+/// shell of `node` and of every node below it, in preorder. The walk keeps
+/// its own stack instead of recursing, so a deep tree cannot overflow the
+/// thread's.
 pub fn derive_structural(doc: &Document, node: NodeId, out: &mut Vec<Constraint>) -> Result<()> {
-    shell_constraints(doc, node, out)?;
-    for child in doc.children(node)?.to_vec() {
-        derive_structural(doc, child, out)?;
+    let mut pending = vec![node];
+    while let Some(node) = pending.pop() {
+        shell_constraints(doc, node, out)?;
+        pending.extend(doc.children(node)?.iter().rev());
     }
     Ok(())
 }

@@ -11,12 +11,12 @@
 //! registry access, so no tokio) and split into two planes so the shared
 //! lock stops being the serialization point as workers multiply:
 //!
-//! * the **tenant plane** ([`tenant`]) — one mutex holding a FIFO per
+//! * the **tenant plane** (`tenant`) — one mutex holding a FIFO per
 //!   [`TenantId`], dispatched by stride scheduling so a noisy tenant with
 //!   10 000 queued documents cannot delay a tenant submitting one, plus
 //!   the token-bucket admission quotas and the FIFO admission ticket gate
-//!   ([`ticket`]);
-//! * the **worker plane** ([`queue`]) — one deque per worker. A worker
+//!   (`ticket`);
+//! * the **worker plane** (`queue`) — one deque per worker. A worker
 //!   runs out of its own shard, refills a small batch
 //!   ([`EngineConfig::refill_batch`]) from the tenant plane when its shard
 //!   runs dry, and steals from a sibling when the plane is empty too.

@@ -11,13 +11,12 @@
 //! exactly that fixpoint.
 //!
 //! `ConstraintKernel` is the relaxation itself, shared by solve, playback
-//! ([`crate::session::PlayerSession`]'s causal timeline, with per-leaf
-//! startup latencies), live-edit repair ([`crate::author::EditSession`]) and
-//! `cmif-lint`. Lint relaxes a document's graph once, through
-//! [`ConstraintGraph::base_fixpoint`], and hands the graph on, so the solve
-//! that follows does not relax again; only when that relax has found a
-//! positive cycle does lint run [`relax_traced`] to recover the cycle's
-//! route:
+//! ([`causal_times`], with per-leaf startup latencies), live-edit repair
+//! ([`crate::author::EditSession`]) and `cmif-lint`. Lint relaxes a
+//! document's graph once, through [`ConstraintGraph::base_fixpoint`], and
+//! hands the graph on, so the solve that follows does not relax again; only
+//! when that relax has found a positive cycle does lint run [`relax_traced`]
+//! to recover the cycle's route:
 //!
 //! * **Dense points.** An event point lives at slot `2·node.index() +
 //!   anchor` — arena ids are dense and stable across edits, so nothing is
@@ -39,7 +38,6 @@
 //!   [`SchedulerError::TimeOverflow`]. Window checks apply the same rule
 //!   through [`Constraint::lower_bound`]/[`Constraint::upper_bound`].
 
-use std::collections::HashMap;
 use std::ops::Index;
 
 use cmif_core::descriptor::DescriptorResolver;
@@ -272,24 +270,6 @@ impl ConstraintKernel {
             .map_err(|stop| self.error(stop, phase))
     }
 
-    /// [`ConstraintKernel::relax`] with a per-leaf startup latency added to
-    /// every bound on that leaf's begin point (playback's causal timeline).
-    pub(crate) fn relax_with_latencies(
-        &self,
-        times: &mut PointTimes,
-        latencies: &HashMap<NodeId, i64>,
-        phase: &'static str,
-    ) -> Result<usize> {
-        let mut push = vec![0i64; times.times.len()];
-        for (node, latency) in latencies {
-            if let Some(slot) = push.get_mut(EventPoint::begin(*node).slot()) {
-                *slot = *latency;
-            }
-        }
-        self.run(times, &push, None)
-            .map_err(|stop| self.error(stop, phase))
-    }
-
     fn error(&self, stop: Stop, phase: &'static str) -> SchedulerError {
         match stop {
             Stop::Cycle(_) => SchedulerError::ConstraintCycle {
@@ -443,6 +423,32 @@ pub fn relax_traced(
             .map_err(|stop| kernel.error(stop, phase)),
         route,
     )
+}
+
+/// Playback's causal timeline: relaxes `constraints` over the document's
+/// event points from zero, with each leaf's startup latency added to every
+/// bound on its begin point. The result is what actually happened on a
+/// jittery device — a late controlling event pushes everything it controls
+/// later. Latencies of nodes that are not event points of the document are
+/// ignored. [`crate::session::PlayerSession`] relaxes every revision it
+/// plays through this function; the phase of its errors is `"playback"`.
+pub fn causal_times<'c, 'l>(
+    doc: &Document,
+    constraints: impl IntoIterator<Item = &'c Constraint>,
+    latencies: impl IntoIterator<Item = (&'l NodeId, &'l i64)>,
+) -> Result<PointTimes> {
+    let mut times = PointTimes::zeroed(doc);
+    let kernel = ConstraintKernel::build(&times, constraints);
+    let mut push = vec![0i64; times.times.len()];
+    for (node, latency) in latencies {
+        if let Some(slot) = push.get_mut(EventPoint::begin(*node).slot()) {
+            *slot = *latency;
+        }
+    }
+    kernel
+        .run(&mut times, &push, None)
+        .map_err(|stop| kernel.error(stop, "playback"))?;
+    Ok(times)
 }
 
 /// Applies one edge: raises its target to the edge's bound when that is
@@ -647,19 +653,6 @@ impl ConstraintGraph {
         Ok(times)
     }
 
-    /// Relaxes the graph with per-leaf startup latencies folded into every
-    /// constraint that targets a leaf's begin point — the playback-side
-    /// twin of [`ConstraintGraph::relax`], on the same kernel.
-    ///
-    /// This always runs cold (latencies change the bounds themselves, so
-    /// the cached fixpoint does not apply).
-    pub fn relax_with_latencies(&self, latencies: &HashMap<NodeId, i64>) -> Result<PointTimes> {
-        let mut times = self.zero.clone();
-        ConstraintKernel::build(&times, self.constraints())
-            .relax_with_latencies(&mut times, latencies, "playback")?;
-        Ok(times)
-    }
-
     /// Relaxes the graph and assembles the full [`SolveResult`]: the ASAP
     /// schedule, the upper-bound (window) verification, and the constraint
     /// set the schedule was derived from.
@@ -816,9 +809,7 @@ mod tests {
         let graph =
             ConstraintGraph::derive(&doc, &doc.catalog, &ScheduleOptions::default()).unwrap();
         let voice = doc.find("/voice").unwrap();
-        let mut latencies = HashMap::new();
-        latencies.insert(voice, 250i64);
-        let times = graph.relax_with_latencies(&latencies).unwrap();
+        let times = causal_times(&doc, graph.constraints(), [(&voice, &250)]).unwrap();
         assert_eq!(times[&EventPoint::begin(voice)], TimeMs::from_millis(250));
         // The leaf's rigid duration carries the latency to its end.
         assert_eq!(times[&EventPoint::end(voice)], TimeMs::from_millis(4_250));

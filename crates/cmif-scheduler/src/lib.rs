@@ -90,7 +90,7 @@ pub use engine::{
     QuotaConfig, Submission, TenantId, TenantPolicy, TenantStatsSnapshot,
 };
 pub use environment::{EnvironmentLimits, JitterModel, JitterSampler};
-pub use graph::{ConstraintGraph, PointTimes};
+pub use graph::{causal_times, ConstraintGraph, PointTimes};
 pub use player::{must_satisfaction_rate, PlaybackReport, PlayedEvent};
 pub use session::{PlaybackEvent, PlayerSession, SessionState};
 pub use solver::{point_time, SolveResult, WindowViolation};

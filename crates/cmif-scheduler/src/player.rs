@@ -52,7 +52,7 @@ impl PlayedEvent {
 }
 
 /// The outcome of one simulated playback run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlaybackReport {
     /// Every presented event with intended and actual times.
     pub events: Vec<PlayedEvent>,

@@ -9,11 +9,12 @@
 //! reports what happened through [`PlayerSession::poll_events`].
 //!
 //! The causal timeline itself — every event's actual launch time under the
-//! device's [`JitterModel`] — is computed once at session creation with the
-//! same relaxation core the solver uses (see [`crate::graph`]), so a
-//! session's final [`PlaybackReport`] is bit-identical to the one-shot
-//! simulation for the same seed, no matter how the session is ticked,
-//! paused or sought in between.
+//! device's [`JitterModel`] — is relaxed with [`causal_times`], on the same
+//! kernel the solver uses, whenever the session (re)builds its schedule: at
+//! creation, on a revision swap and on a re-jittered seek. Ticks, pauses and
+//! plain seeks only move a cursor over that timeline, so a session's final
+//! [`PlaybackReport`] is bit-identical to the one-shot simulation for the
+//! same seed, no matter how the session is ticked, paused or sought.
 
 use std::collections::{HashMap, HashSet};
 use std::mem;
@@ -23,13 +24,13 @@ use cmif_core::descriptor::DescriptorResolver;
 use cmif_core::node::NodeId;
 use cmif_core::symbol::Symbol;
 use cmif_core::time::TimeMs;
-use cmif_core::tree::{unassigned_channel, Document};
+use cmif_core::tree::Document;
 
 use crate::environment::{JitterModel, JitterSampler};
 use crate::error::{Result, SchedulerError};
-use crate::graph::{ConstraintKernel, PointTimes};
+use crate::graph::{causal_times, PointTimes};
 use crate::player::{PlaybackReport, PlayedEvent};
-use crate::solver::SolveResult;
+use crate::solver::{leaf_label, SolveResult};
 use crate::types::{Constraint, EventPoint, OutOfRange};
 
 /// The lifecycle of a playback session.
@@ -113,38 +114,6 @@ struct TimelineItem {
     event: usize,
 }
 
-/// What a merged event contributes to the rebuilt timeline after a
-/// mid-playback revision swap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fate {
-    /// Begin and end already delivered: kept verbatim, no items.
-    Closed,
-    /// Begin delivered, end still pending: one end item.
-    EndPending,
-    /// New or re-scheduled event that lands before the swap boundary: in
-    /// the report, but never delivered (its moment has passed).
-    Skipped,
-    /// Future event: begin and end items.
-    Scheduled,
-}
-
-/// Relaxes the causal ("what actually happened") timeline: every event
-/// point of the document from zero, with each leaf's startup latency added
-/// to the bounds on its begin point.
-fn causal_times(
-    doc: &Document,
-    constraints: &[Constraint],
-    latencies: &HashMap<NodeId, i64>,
-) -> Result<PointTimes> {
-    let mut actual = PointTimes::zeroed(doc);
-    ConstraintKernel::build(&actual, constraints).relax_with_latencies(
-        &mut actual,
-        latencies,
-        "playback",
-    )?;
-    Ok(actual)
-}
-
 /// Counts (must, may) window violations of the constraints against the
 /// actual times.
 fn count_violations(constraints: &[Constraint], actual: &PointTimes) -> Result<(usize, usize)> {
@@ -172,42 +141,6 @@ fn count_violations(constraints: &[Constraint], actual: &PointTimes) -> Result<(
         }
     }
     Ok((must_violations, may_violations))
-}
-
-/// Builds the report entry of one leaf from the causal times.
-fn make_event(
-    doc: &Document,
-    result: &SolveResult,
-    actual: &PointTimes,
-    channels: &HashMap<NodeId, Symbol>,
-    leaf: NodeId,
-) -> Result<PlayedEvent> {
-    let scheduled_begin = result
-        .schedule
-        .node_times
-        .get(&leaf)
-        .map(|(begin, _)| *begin)
-        .unwrap_or(TimeMs::ZERO);
-    let actual_begin = actual[&EventPoint::begin(leaf)];
-    let actual_end = actual[&EventPoint::end(leaf)].max(actual_begin);
-    let channel = channels
-        .get(&leaf)
-        .copied()
-        .unwrap_or_else(unassigned_channel);
-    // The `#<index>` fallback keeps the pool bounded (see the same
-    // choice in `solver::build_schedule`).
-    let name = match doc.node(leaf)?.name_symbol() {
-        Some(name) => name,
-        None => Symbol::from_owned(format!("{leaf}")),
-    };
-    Ok(PlayedEvent {
-        node: leaf,
-        name,
-        channel,
-        scheduled_begin,
-        actual_begin,
-        actual_end,
-    })
 }
 
 /// Freeze-frame time: gaps between consecutive events on channels that
@@ -246,25 +179,6 @@ fn freeze_frame(
         }
     }
     Ok(freeze_frame_ms)
-}
-
-/// Both timeline items of every event, in delivery order.
-fn full_timeline(events: &[PlayedEvent]) -> Vec<TimelineItem> {
-    let mut timeline = Vec::with_capacity(events.len() * 2);
-    for (index, event) in events.iter().enumerate() {
-        timeline.push(TimelineItem {
-            at: event.actual_begin,
-            kind: ItemKind::Begin,
-            event: index,
-        });
-        timeline.push(TimelineItem {
-            at: event.actual_end,
-            kind: ItemKind::End,
-            event: index,
-        });
-    }
-    timeline.sort_by_key(|item| (item.at, item.kind, item.event));
-    timeline
 }
 
 /// An incremental playback run of one solved document.
@@ -310,10 +224,9 @@ pub struct PlayerSession {
     /// The device's jitter stream; revision swaps draw startup latencies for
     /// new leaves from it, re-jittered seeks resample the tail.
     sampler: JitterSampler,
-    /// Sampled startup latency per leaf.
-    latencies: HashMap<NodeId, i64>,
-    /// Channel per leaf, as of the current revision.
-    channels: HashMap<NodeId, Symbol>,
+    /// Per leaf: its channel as of the current revision, and the startup
+    /// latency drawn for it.
+    draws: HashMap<NodeId, (Symbol, i64)>,
     /// Leaves whose begin / end the cursor has passed (delivered, or
     /// skipped by a forward seek) — the history a revision swap keeps. Kept
     /// as session state because a swapped timeline holds only undelivered
@@ -331,65 +244,21 @@ impl PlayerSession {
         resolver: &dyn DescriptorResolver,
         jitter: &JitterModel,
     ) -> Result<PlayerSession> {
-        let mut sampler = jitter.sampler();
-        let leaves = doc.leaves();
-
-        // Sample one startup latency per leaf, keyed by its channel. The
-        // channel is a `Copy` symbol: fetched once, copied into the report
-        // below — no per-leaf string clone anywhere in this pass.
-        let mut latencies: HashMap<NodeId, i64> = HashMap::with_capacity(leaves.len());
-        let mut channels: HashMap<NodeId, Symbol> = HashMap::with_capacity(leaves.len());
-        for leaf in &leaves {
-            let channel = doc.channel_of(*leaf)?.unwrap_or_else(unassigned_channel);
-            latencies.insert(*leaf, sampler.sample(channel));
-            channels.insert(*leaf, channel);
-        }
-
-        // Relax the same lower-bound constraint graph the solver used, with
-        // each leaf's startup latency added to its begin point — the shared
-        // relaxation core of `crate::graph`. The result is the causal "what
-        // actually happened" timeline: a late controlling event pushes
-        // everything it controls later, exactly like a slow device would.
-        let actual = causal_times(doc, &result.constraints, &latencies)?;
-        let (must_violations, may_violations) = count_violations(&result.constraints, &actual)?;
-
-        // Build the per-event report.
-        let mut events = Vec::with_capacity(leaves.len());
-        for leaf in &leaves {
-            events.push(make_event(doc, result, &actual, &channels, *leaf)?);
-        }
-        events.sort_by_key(|e| (e.actual_begin, e.node));
-
-        let freeze_frame_ms = freeze_frame(doc, resolver, &events)?;
-        let total_duration = events
-            .iter()
-            .map(|e| e.actual_end)
-            .max()
-            .unwrap_or(TimeMs::ZERO);
-
-        let report = PlaybackReport {
-            events,
-            must_violations,
-            may_violations,
-            freeze_frame_ms,
-            total_duration,
-        };
-        let timeline = full_timeline(&report.events);
-
-        Ok(PlayerSession {
-            report,
-            timeline,
+        let mut session = PlayerSession {
+            report: PlaybackReport::default(),
+            timeline: Vec::new(),
             cursor: 0,
             position: TimeMs::ZERO,
             wall_origin: None,
             state: SessionState::Ready,
             pending: Vec::new(),
-            sampler,
-            latencies,
-            channels,
+            sampler: jitter.sampler(),
+            draws: HashMap::new(),
             begun: HashSet::new(),
             ended: HashSet::new(),
-        })
+        };
+        session.reschedule(doc, result, resolver, TimeMs::ZERO)?;
+        Ok(session)
     }
 
     /// The session's current state.
@@ -525,112 +394,7 @@ impl PlayerSession {
         resolver: &dyn DescriptorResolver,
     ) -> Result<()> {
         let boundary = self.position;
-
-        // What the cursor has passed so far, across every earlier swap —
-        // the history that must survive verbatim.
-        let (begun, ended) = (&self.begun, &self.ended);
-
-        let leaves = doc.leaves();
-        let leaf_set: HashSet<NodeId> = leaves.iter().copied().collect();
-        // Surviving leaves keep their sampled latency; new leaves (and
-        // un-begun leaves whose channel changed) draw the next sample from
-        // the session's jitter stream.
-        for leaf in &leaves {
-            let channel = doc.channel_of(*leaf)?.unwrap_or_else(unassigned_channel);
-            let rechannelled = self.channels.get(leaf) != Some(&channel);
-            if !self.latencies.contains_key(leaf) || (rechannelled && !begun.contains(leaf)) {
-                self.latencies.insert(*leaf, self.sampler.sample(channel));
-            }
-            self.channels.insert(*leaf, channel);
-        }
-        self.latencies
-            .retain(|node, _| leaf_set.contains(node) || begun.contains(node));
-        self.channels
-            .retain(|node, _| leaf_set.contains(node) || begun.contains(node));
-
-        let actual = causal_times(doc, &result.constraints, &self.latencies)?;
-        let (must_violations, may_violations) = count_violations(&result.constraints, &actual)?;
-
-        // Merge delivered history with the re-scheduled suffix.
-        let mut merged: Vec<(PlayedEvent, Fate)> = Vec::new();
-        for event in &self.report.events {
-            if !begun.contains(&event.node) {
-                continue;
-            }
-            let mut kept = event.clone();
-            let fate = if ended.contains(&event.node) {
-                Fate::Closed
-            } else {
-                kept.actual_end = if leaf_set.contains(&event.node) {
-                    actual[&EventPoint::end(event.node)].max(boundary)
-                } else {
-                    boundary
-                };
-                Fate::EndPending
-            };
-            merged.push((kept, fate));
-        }
-        for leaf in &leaves {
-            if begun.contains(leaf) {
-                continue;
-            }
-            let event = make_event(doc, result, &actual, &self.channels, *leaf)?;
-            let fate = if event.actual_begin < boundary {
-                Fate::Skipped
-            } else {
-                Fate::Scheduled
-            };
-            merged.push((event, fate));
-        }
-        merged.sort_by_key(|(event, _)| (event.actual_begin, event.node));
-
-        let events: Vec<PlayedEvent> = merged.iter().map(|(event, _)| event.clone()).collect();
-        let freeze_frame_ms = freeze_frame(doc, resolver, &events)?;
-        let total_duration = events
-            .iter()
-            .map(|e| e.actual_end)
-            .max()
-            .unwrap_or(TimeMs::ZERO);
-
-        let mut timeline = Vec::new();
-        for (index, (event, fate)) in merged.iter().enumerate() {
-            match fate {
-                Fate::Closed | Fate::Skipped => {}
-                Fate::EndPending => timeline.push(TimelineItem {
-                    at: event.actual_end,
-                    kind: ItemKind::End,
-                    event: index,
-                }),
-                Fate::Scheduled => {
-                    timeline.push(TimelineItem {
-                        at: event.actual_begin,
-                        kind: ItemKind::Begin,
-                        event: index,
-                    });
-                    timeline.push(TimelineItem {
-                        at: event.actual_end,
-                        kind: ItemKind::End,
-                        event: index,
-                    });
-                }
-            }
-        }
-        timeline.sort_by_key(|item| (item.at, item.kind, item.event));
-
-        self.report = PlaybackReport {
-            events,
-            must_violations,
-            may_violations,
-            freeze_frame_ms,
-            total_duration,
-        };
-        self.timeline = timeline;
-        self.cursor = 0;
-        if self.state == SessionState::Finished {
-            // The swap may have appended new material past the old end.
-            self.state = SessionState::Ready;
-            self.wall_origin = None;
-        }
+        self.reschedule(doc, result, resolver, boundary)?;
         self.pending.push(PlaybackEvent::Revised { at: boundary });
         Ok(())
     }
@@ -640,6 +404,7 @@ impl PlayerSession {
     /// from the session's jitter stream, and the causal timeline is
     /// re-relaxed — the head of the presentation keeps its times (its
     /// latencies are untouched), the tail lands on newly jittered ones.
+    /// [`PlayerSession::seek`], by contrast, keeps every latency.
     ///
     /// `doc` and `result` must be the revision the session is playing.
     pub fn seek_rejittered(
@@ -651,38 +416,21 @@ impl PlayerSession {
     ) -> Result<()> {
         for event in &self.report.events {
             if event.actual_begin >= to {
-                if let Some(channel) = self.channels.get(&event.node).copied() {
-                    self.latencies
-                        .insert(event.node, self.sampler.sample(channel));
+                if let Some((channel, latency)) = self.draws.get_mut(&event.node) {
+                    *latency = self.sampler.sample(*channel);
                 }
             }
         }
-        let actual = causal_times(doc, &result.constraints, &self.latencies)?;
-        let (must_violations, may_violations) = count_violations(&result.constraints, &actual)?;
-        let mut events = Vec::with_capacity(doc.leaves().len());
-        for leaf in doc.leaves() {
-            events.push(make_event(doc, result, &actual, &self.channels, leaf)?);
+        // The whole presentation is rebuilt from zero, so nothing counts as
+        // delivered until the seek below re-marks the head as passed. A
+        // rebuild that fails leaves the history as it was.
+        let begun = mem::take(&mut self.begun);
+        let ended = mem::take(&mut self.ended);
+        if let Err(error) = self.reschedule(doc, result, resolver, TimeMs::ZERO) {
+            self.begun = begun;
+            self.ended = ended;
+            return Err(error);
         }
-        events.sort_by_key(|e| (e.actual_begin, e.node));
-        let freeze_frame_ms = freeze_frame(doc, resolver, &events)?;
-        let total_duration = events
-            .iter()
-            .map(|e| e.actual_end)
-            .max()
-            .unwrap_or(TimeMs::ZERO);
-        self.report = PlaybackReport {
-            events,
-            must_violations,
-            may_violations,
-            freeze_frame_ms,
-            total_duration,
-        };
-        // The rebuilt timeline is complete again: the seek below re-marks
-        // its head as passed.
-        self.timeline = full_timeline(&self.report.events);
-        self.cursor = 0;
-        self.begun.clear();
-        self.ended.clear();
         self.seek(to);
         Ok(())
     }
@@ -701,6 +449,134 @@ impl PlayerSession {
         }
         self.deliver_due();
         self.report
+    }
+
+    /// The one schedule build: relaxes the causal times of a solved
+    /// revision and rebuilds the report and the timeline from `boundary` on,
+    /// keeping the delivered history (`begun` / `ended`) as
+    /// [`PlayerSession::swap_revision`] describes. The new timeline holds
+    /// only undelivered items and the cursor restarts at its head. On an
+    /// empty session at time zero this is the whole presentation.
+    fn reschedule(
+        &mut self,
+        doc: &Document,
+        result: &SolveResult,
+        resolver: &dyn DescriptorResolver,
+        boundary: TimeMs,
+    ) -> Result<()> {
+        // Surviving leaves keep their latency; new leaves, and un-begun
+        // leaves whose channel changed, draw the next sample from the
+        // jitter stream. Leaves that began keep their report entry; every
+        // other leaf gets a fresh one.
+        let leaves = doc.leaves();
+        let mut fresh = Vec::with_capacity(leaves.len());
+        self.draws
+            .reserve(leaves.len().saturating_sub(self.draws.len()));
+        for &leaf in &leaves {
+            let (name, channel) = leaf_label(doc, leaf)?;
+            let begun = self.begun.contains(&leaf);
+            let latency = match self.draws.get(&leaf) {
+                Some(&(drawn_for, latency)) if drawn_for == channel || begun => latency,
+                _ => self.sampler.sample(channel),
+            };
+            self.draws.insert(leaf, (channel, latency));
+            if !begun {
+                fresh.push((leaf, name, channel));
+            }
+        }
+        // A removed leaf keeps its draw only while its entry is history.
+        if self.draws.len() > leaves.len() {
+            let live: HashSet<NodeId> = leaves.into_iter().collect();
+            let begun = &self.begun;
+            self.draws
+                .retain(|node, _| live.contains(node) || begun.contains(node));
+        }
+
+        let latencies = self
+            .draws
+            .iter()
+            .map(|(node, (_, latency))| (node, latency));
+        let actual = causal_times(doc, &result.constraints, latencies)?;
+        let (must_violations, may_violations) = count_violations(&result.constraints, &actual)?;
+
+        let mut events = Vec::with_capacity(self.begun.len() + fresh.len());
+        for event in &self.report.events {
+            if !self.begun.contains(&event.node) {
+                continue;
+            }
+            let mut kept = event.clone();
+            if !self.ended.contains(&event.node) {
+                // Still playing: the revision's end, never before the
+                // boundary; a removed leaf is cut off at the boundary.
+                kept.actual_end = actual
+                    .get(&EventPoint::end(event.node))
+                    .map_or(boundary, |end| end.max(boundary));
+            }
+            events.push(kept);
+        }
+        for (leaf, name, channel) in fresh {
+            let actual_begin = actual[&EventPoint::begin(leaf)];
+            events.push(PlayedEvent {
+                node: leaf,
+                name,
+                channel,
+                scheduled_begin: result
+                    .schedule
+                    .node_times
+                    .get(&leaf)
+                    .map_or(TimeMs::ZERO, |(begin, _)| *begin),
+                actual_begin,
+                actual_end: actual[&EventPoint::end(leaf)].max(actual_begin),
+            });
+        }
+        events.sort_by_key(|e| (e.actual_begin, e.node));
+        let freeze_frame_ms = freeze_frame(doc, resolver, &events)?;
+        let total_duration = events
+            .iter()
+            .map(|e| e.actual_end)
+            .max()
+            .unwrap_or(TimeMs::ZERO);
+
+        // What is left to deliver: the end of each history entry still
+        // playing, and both edges of each fresh entry at or past the
+        // boundary. A fresh entry that begins before the boundary is in the
+        // report but never delivered — its moment has passed.
+        let mut timeline = Vec::with_capacity(2 * events.len());
+        for (index, event) in events.iter().enumerate() {
+            let history = self.begun.contains(&event.node);
+            let due = !history && event.actual_begin >= boundary;
+            if due {
+                timeline.push(TimelineItem {
+                    at: event.actual_begin,
+                    kind: ItemKind::Begin,
+                    event: index,
+                });
+            }
+            if due || (history && !self.ended.contains(&event.node)) {
+                timeline.push(TimelineItem {
+                    at: event.actual_end,
+                    kind: ItemKind::End,
+                    event: index,
+                });
+            }
+        }
+        timeline.sort_by_key(|item| (item.at, item.kind, item.event));
+
+        self.report = PlaybackReport {
+            events,
+            must_violations,
+            may_violations,
+            freeze_frame_ms,
+            total_duration,
+        };
+        self.timeline = timeline;
+        self.cursor = 0;
+        if self.state == SessionState::Finished {
+            // The rebuild may have appended new material past the old end.
+            self.state = SessionState::Ready;
+            self.wall_origin = None;
+        }
+        Ok(())
     }
 
     /// Records (or, with `passed == false`, forgets) that the cursor
@@ -987,6 +863,69 @@ mod tests {
             now += 500;
             s.poll_events();
         }
+    }
+
+    #[test]
+    fn a_failed_rejittered_seek_keeps_the_delivered_history() {
+        use crate::types::ConstraintOrigin;
+        use cmif_core::edit::{DocRevision, Edit};
+        use std::sync::Arc;
+
+        let (doc, result) = solved_doc();
+        let first = doc.find("/first").unwrap();
+        let second = doc.find("/second").unwrap();
+        let mut s = session(&doc, &result, &JitterModel::ideal());
+        // Play the first leaf (0 – 2 s) to its end, into the second.
+        s.tick(0).unwrap();
+        s.tick(3_000).unwrap();
+        s.poll_events();
+
+        // A positive cycle between the two begins fails the rebuild.
+        let mut cyclic = result.clone();
+        for (from, to) in [(first, second), (second, first)] {
+            cyclic.constraints.push(Constraint {
+                source: EventPoint::begin(from),
+                target: EventPoint::begin(to),
+                offset_ms: 1,
+                min_delay_ms: 0,
+                max_delay_ms: None,
+                strictness: Strictness::Must,
+                origin: ConstraintOrigin::Explicit {
+                    carrier: to,
+                    index: 0,
+                },
+            });
+        }
+        let error = s
+            .seek_rejittered(&doc, &cyclic, &doc.catalog, TimeMs::ZERO)
+            .unwrap_err();
+        assert!(matches!(
+            error,
+            SchedulerError::ConstraintCycle {
+                phase: "playback",
+                ..
+            }
+        ));
+        assert_eq!(s.position(), TimeMs::from_secs(3));
+        assert!(s.poll_events().is_empty());
+
+        // The first leaf is still history: a revision that removes it
+        // keeps its entry, times untouched.
+        let rev = DocRevision::initial(Arc::new(doc.clone()));
+        let (next, _) = rev.apply(&Edit::RemoveSubtree { node: first }).unwrap();
+        let new_doc = next.doc().clone();
+        s.swap_revision(&new_doc, &solve(&new_doc), &new_doc.catalog)
+            .unwrap();
+        let kept = s
+            .report_preview()
+            .events
+            .iter()
+            .find(|e| e.node == first)
+            .expect("played history survives the failed seek");
+        assert_eq!(
+            (kept.actual_begin, kept.actual_end),
+            (TimeMs::ZERO, TimeMs::from_secs(2))
+        );
     }
 
     #[test]

@@ -21,8 +21,9 @@ use crate::error::Result;
 use cmif_core::arc::{Anchor, Strictness};
 use cmif_core::descriptor::DescriptorResolver;
 use cmif_core::node::NodeId;
+use cmif_core::symbol::Symbol;
 use cmif_core::time::TimeMs;
-use cmif_core::tree::Document;
+use cmif_core::tree::{unassigned_channel, Document};
 
 use crate::graph::PointTimes;
 use crate::timeline::{Schedule, TimelineEntry};
@@ -74,6 +75,23 @@ impl SolveResult {
     }
 }
 
+/// The name and the channel a leaf is reported under, in that order.
+///
+/// Named leaves copy their interned name. Unnamed leaves fall back to the
+/// `#<index>` node-id form: its vocabulary is bounded by the largest arena
+/// ever seen, so a server playing an unbounded stream of documents cannot
+/// grow the pool through unnamed leaves (a path rendering would leak one
+/// pool entry per distinct structure). A leaf without a channel plays on
+/// [`unassigned_channel`].
+pub(crate) fn leaf_label(doc: &Document, leaf: NodeId) -> Result<(Symbol, Symbol)> {
+    let channel = doc.channel_of(leaf)?.unwrap_or_else(unassigned_channel);
+    let name = match doc.node(leaf)?.name_symbol() {
+        Some(name) => name,
+        None => Symbol::from_owned(format!("{leaf}")),
+    };
+    Ok((name, channel))
+}
+
 pub(crate) fn build_schedule(
     doc: &Document,
     resolver: &dyn DescriptorResolver,
@@ -84,18 +102,7 @@ pub(crate) fn build_schedule(
     for leaf in doc.leaves() {
         let begin = times[&EventPoint::begin(leaf)];
         let end = times[&EventPoint::end(leaf)].max(begin);
-        let channel = doc
-            .channel_of(leaf)?
-            .unwrap_or_else(cmif_core::tree::unassigned_channel);
-        // Named leaves copy their interned name. Unnamed leaves fall back
-        // to the `#<index>` node-id form: its vocabulary is bounded by the
-        // largest arena ever seen, so a server playing an unbounded stream
-        // of documents cannot grow the pool through unnamed leaves (a path
-        // rendering would leak one pool entry per distinct structure).
-        let name = match doc.node(leaf)?.name_symbol() {
-            Some(name) => name,
-            None => cmif_core::symbol::Symbol::from_owned(format!("{leaf}")),
-        };
+        let (name, channel) = leaf_label(doc, leaf)?;
         let medium = doc.medium_of(leaf, resolver)?;
         entries.push(TimelineEntry {
             node: leaf,

@@ -99,40 +99,12 @@ impl Schedule {
         let Some(channel) = Symbol::lookup(channel) else {
             return 0;
         };
-        let mut boundaries: Vec<(TimeMs, i64)> = Vec::new();
-        for entry in self.entries.iter().filter(|e| e.channel == channel) {
-            if entry.begin < entry.end {
-                boundaries.push((entry.begin, 1));
-                boundaries.push((entry.end, -1));
-            }
-        }
-        boundaries.sort_by_key(|(t, delta)| (*t, *delta));
-        let mut current = 0i64;
-        let mut max = 0i64;
-        for (_, delta) in boundaries {
-            current += delta;
-            max = max.max(current);
-        }
-        max.max(0) as usize
+        peak_overlap(self.entries.iter().filter(|e| e.channel == channel))
     }
 
     /// Peak number of simultaneously active events across all channels.
     pub fn peak_concurrency(&self) -> usize {
-        let mut boundaries: Vec<(TimeMs, i64)> = Vec::new();
-        for entry in &self.entries {
-            if entry.begin < entry.end {
-                boundaries.push((entry.begin, 1));
-                boundaries.push((entry.end, -1));
-            }
-        }
-        boundaries.sort_by_key(|(t, delta)| (*t, *delta));
-        let mut current = 0i64;
-        let mut max = 0i64;
-        for (_, delta) in boundaries {
-            current += delta;
-            max = max.max(current);
-        }
-        max.max(0) as usize
+        peak_overlap(self.entries.iter())
     }
 
     /// Renders a proportional text Gantt chart: one row per event, grouped
@@ -178,6 +150,27 @@ impl Schedule {
         }
         out
     }
+}
+
+/// The most entries active at once: a sweep over their begin and end
+/// boundaries. An entry ending at the instant another begins does not
+/// overlap it, and an empty entry overlaps nothing.
+fn peak_overlap<'e>(entries: impl Iterator<Item = &'e TimelineEntry>) -> usize {
+    let mut boundaries: Vec<(TimeMs, i64)> = Vec::new();
+    for entry in entries {
+        if entry.begin < entry.end {
+            boundaries.push((entry.begin, 1));
+            boundaries.push((entry.end, -1));
+        }
+    }
+    boundaries.sort_by_key(|(t, delta)| (*t, *delta));
+    let mut current = 0i64;
+    let mut max = 0i64;
+    for (_, delta) in boundaries {
+        current += delta;
+        max = max.max(current);
+    }
+    max.max(0) as usize
 }
 
 #[cfg(test)]

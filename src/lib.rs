@@ -8,7 +8,7 @@
 //! The individual crates:
 //!
 //! * [`core`] (`cmif-core`) — the CMIF document model;
-//! * [`format`] (`cmif-format`) — the human-readable interchange format;
+//! * [`format`](mod@format) (`cmif-format`) — the human-readable interchange format;
 //! * [`scheduler`] (`cmif-scheduler`) — synchronization, conflicts, playback;
 //! * [`media`] (`cmif-media`) — synthetic media, stores, DDBMS;
 //! * [`pipeline`] (`cmif-pipeline`) — the CWI/Multimedia Pipeline stages;

@@ -20,8 +20,8 @@ use cmif::core::node::{NodeId, NodeKind};
 use cmif::core::time::TimeMs;
 use cmif::core::tree::Document;
 use cmif::scheduler::{
-    derive_structural, Constraint, ConstraintGraph, ConstraintOrigin, EventPoint, PointTimes,
-    SchedulerError,
+    causal_times, derive_structural, Constraint, ConstraintGraph, ConstraintOrigin, EventPoint,
+    PointTimes, SchedulerError,
 };
 
 use proptest::prelude::*;
@@ -268,8 +268,13 @@ fn check(case: &Case) {
     };
     prop_assert_eq!(&warm, &expected_warm, "warm-started injected relaxation");
 
-    // Cold with startup latencies over base ∪ injected.
-    let played = Outcome::of(graph.relax_with_latencies(&case.latencies));
+    // Cold with startup latencies over base ∪ injected: playback's causal
+    // relaxation, the one `PlayerSession` runs.
+    let played = Outcome::of(causal_times(
+        &case.doc,
+        graph.constraints(),
+        &case.latencies,
+    ));
     let expected_played = match reference(&case.points, &combined, Some(&case.latencies), &zero) {
         Ok(times) => settled(times),
         Err(kind) => kind,

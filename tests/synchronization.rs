@@ -6,9 +6,10 @@ use cmif::core::arc::SyncArc;
 use cmif::core::prelude::*;
 use cmif::hyper::navigation::Navigator;
 use cmif::news::evening_news;
+use cmif::pipeline::DeviceProfile;
 use cmif::scheduler::{
-    full_report, invalid_arcs_when_seeking, must_satisfaction_rate, ConstraintGraph,
-    EnvironmentLimits, JitterModel, PlayerSession, ScheduleOptions,
+    full_report, invalid_arcs_when_seeking, must_satisfaction_rate, ConstraintGraph, JitterModel,
+    PlayerSession, ScheduleOptions,
 };
 
 /// Derive-then-relax through the session API (the old one-shot `solve`).
@@ -74,7 +75,7 @@ fn evening_news_schedule_matches_the_paper_narrative() {
         &doc,
         &result,
         &doc.catalog,
-        Some(&EnvironmentLimits::workstation()),
+        Some(&DeviceProfile::workstation().limits()),
     )
     .unwrap();
     assert!(conflicts.is_clean(), "unexpected conflicts: {conflicts}");

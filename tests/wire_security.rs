@@ -283,6 +283,44 @@ fn a_very_deep_style_chain_resolves_on_a_small_stack() {
     );
 }
 
+#[test]
+fn a_very_deep_chain_derives_lints_and_solves_on_a_small_stack() {
+    // 100 000 nested `seq` nodes over one caption. Lint refuses the depth
+    // (L204), but only after deriving the constraint set, and a derivation
+    // that recursed once per level would overflow the thread stack first;
+    // this one walks the tree with its own stack, so lint, derive and solve
+    // all finish on 1 MiB.
+    const DEPTH: usize = 100_000;
+    let mut doc = Document::with_root(cmif::core::node::NodeKind::Seq);
+    let mut parent = doc.root().unwrap();
+    for _ in 1..DEPTH {
+        parent = doc.add_seq(parent).unwrap();
+    }
+    doc.add_imm_text(parent, "x").unwrap();
+    std::thread::Builder::new()
+        .stack_size(1 << 20)
+        .spawn(move || {
+            let analysis = cmif::lint::Linter::new().analyze(&doc, &doc.catalog);
+            assert!(
+                analysis
+                    .report
+                    .denials()
+                    .any(|d| d.code == cmif::core::diag::codes::DEPTH_LIMIT),
+                "{}",
+                analysis.report.render(None)
+            );
+            assert!(analysis.graph.is_some(), "lint derived the constraint set");
+            let options = cmif::scheduler::ScheduleOptions::default();
+            let solved = cmif::scheduler::ConstraintGraph::derive(&doc, &doc.catalog, &options)
+                .and_then(|mut graph| graph.solve(&doc, &doc.catalog))
+                .unwrap();
+            assert_eq!(solved.schedule.entries.len(), 1);
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
