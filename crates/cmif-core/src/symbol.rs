@@ -126,9 +126,9 @@ impl Symbol {
     }
 
     /// The interned text. Resolution is two integer ops under a brief shard
-    /// *read* lock (readers never block each other; only a first-sighting
-    /// intern takes the write side); the returned reference is `'static`
-    /// (the pool never frees), so no lock outlives the call.
+    /// *read* lock (readers never block each other; every intern, a hit
+    /// included, takes the write side); the returned reference is
+    /// `'static` (the pool never frees), so no lock outlives the call.
     pub fn as_str(self) -> &'static str {
         let shard_index = self.0 as usize & (SHARD_COUNT - 1);
         let index = self.0 as usize / SHARD_COUNT;

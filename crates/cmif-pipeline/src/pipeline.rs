@@ -349,10 +349,11 @@ impl PipelineBuilder {
     }
 
     /// Collects the outcome of a live playback started with
-    /// [`PipelineBuilder::play_running`], blocking until it finishes. The
-    /// outcome carries the playback report (or the error that ended the
-    /// run) plus one entry per live edit routed to the document, in
-    /// processing order.
+    /// [`PipelineBuilder::play_running`], blocking until it finishes; like
+    /// [`cmif_scheduler::Engine::wait`], it plays queued runs on the
+    /// calling thread meanwhile. The outcome carries the playback report
+    /// (or the error that ended the run) plus one entry per live edit
+    /// routed to the document, in processing order.
     pub fn wait_running(&self, doc: DocId) -> Result<DocOutcome> {
         let Some(engine) = self.engine.get() else {
             return Err(PipelineError::from(SchedulerError::EditRejected {
@@ -485,9 +486,11 @@ impl PipelineBuilder {
         // submission shares the stage-5a solve (no per-run re-derivation)
         // and resolves descriptors against a snapshot of the store
         // exported *after* filtering, so materialised degradations are
-        // exactly what the sessions see; reports are deterministic per
-        // seed, so the engine's concurrency only changes wall-clock time,
-        // never a report.
+        // exactly what the sessions see. The runs are played by the
+        // engine's workers and by this thread: while it waits for an
+        // outcome, `Engine::wait` plays queued runs here instead of paying
+        // a thread hand-off. Reports are deterministic per seed, so who
+        // plays a run only changes wall-clock time, never a report.
         let started = Instant::now();
         let playback = if options.playback_runs > 0 {
             let catalog: Arc<dyn DescriptorResolver + Send + Sync> =
@@ -620,7 +623,8 @@ impl PipelineBuilder {
             .fetch_blocks_for_traced(host, &keys)
             .map_err(PipelineError::from)?;
         let store = cluster.local_store(host).map_err(PipelineError::from)?;
-        let mut run = self.run(&doc, store)?;
+        // The fetched tree is ours: stage 5c shares it instead of cloning.
+        let mut run = self.run_shared(doc, store)?;
         run.fetch = Some(fetch);
         Ok(run)
     }

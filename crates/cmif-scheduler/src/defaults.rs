@@ -58,8 +58,8 @@ pub fn derive_structural(doc: &Document, node: NodeId, out: &mut Vec<Constraint>
 /// children. Incremental re-solvers re-derive exactly the shells of nodes
 /// whose child list changed.
 pub fn shell_constraints(doc: &Document, node: NodeId, out: &mut Vec<Constraint>) -> Result<()> {
-    let kind = doc.node(node)?.kind.clone();
-    let children = doc.children(node)?.to_vec();
+    let kind = &doc.node(node)?.kind;
+    let children = doc.children(node)?;
     match kind {
         NodeKind::Seq => {
             if let Some(first) = children.first() {
@@ -93,7 +93,7 @@ pub fn shell_constraints(doc: &Document, node: NodeId, out: &mut Vec<Constraint>
             }
         }
         NodeKind::Par => {
-            for child in &children {
+            for child in children {
                 out.push(hard(
                     EventPoint::begin(node),
                     EventPoint::begin(*child),

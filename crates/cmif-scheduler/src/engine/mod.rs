@@ -4,8 +4,21 @@
 //! all state each time — a dead end for a server that must multiplex many
 //! cheap client sessions over shared worker state (Gray's *Locally Served
 //! Network Computers* argument). [`Engine`] is that server side: it admits
-//! N documents, schedules and plays them concurrently across a fixed pool
-//! of worker threads, and returns one [`PlaybackReport`] per document.
+//! N documents, schedules and plays them concurrently, and returns one
+//! [`PlaybackReport`] per document.
+//!
+//! Jobs are played by a fixed pool of worker threads *and* by the callers
+//! waiting for outcomes. A caller blocked in [`Engine::wait`] or
+//! [`Engine::drain`] takes the next queued job in dispatch order and plays
+//! it on its own thread; it sleeps only when nothing is queued. The same
+//! trade as Gray's: do the work where the request already is, rather than
+//! pay a thread hand-off to move it. A waiter plays *any* queued job, not
+//! only its own, so per-tenant FIFO order and the stride weights hold
+//! whoever plays; it re-checks its own outcome after every job, so a
+//! foreign job delays it by at most that one job. It takes work as an
+//! out-of-work worker does, minus a shard of its own: a refill batch from
+//! the tenant plane, whose extras it parks for the workers, or else a
+//! steal.
 //!
 //! The run queue is hand-rolled on `std::sync::{Mutex, Condvar}` (no
 //! registry access, so no tokio) and split into two planes so the shared
@@ -33,15 +46,17 @@
 //! A job can only fail *as itself*: a document whose constraints are
 //! unsatisfiable is rejected with [`SchedulerError::ConstraintCycle`] as
 //! its outcome, and a job that *panics* is contained by `catch_unwind`
-//! into a [`SchedulerError::JobPanicked`] outcome. Either way the worker
-//! keeps serving and `drain()`/`wait()` terminate.
+//! into a [`SchedulerError::JobPanicked`] outcome. Either way the thread
+//! that played it — worker or waiting caller — keeps going and
+//! `drain()`/`wait()` terminate.
 //!
 //! Admission is controlled on two axes:
 //!
 //! * **capacity** — with [`EngineConfig::max_backlog`] set, a full queue
 //!   makes [`Engine::admit`] and [`Engine::submit_batch`] block until a
-//!   worker frees capacity while [`Engine::try_admit`] refuses immediately
-//!   with [`SchedulerError::Backpressure`]. Blocked submitters hold FIFO
+//!   job starts on a worker or completes on a waiting caller, while
+//!   [`Engine::try_admit`] refuses immediately with
+//!   [`SchedulerError::Backpressure`]. Blocked submitters hold FIFO
 //!   tickets: they are admitted in *arrival order*, however the condvar
 //!   orders its wakeups.
 //! * **policy** — a tenant with a [`QuotaConfig`] is refused with
@@ -52,7 +67,7 @@
 //!
 //! [`Engine::close`] stops admission (further admissions get
 //! [`SchedulerError::EngineClosed`]) while the backlog already admitted
-//! keeps draining.
+//! keeps draining — on the workers and on any caller still waiting.
 //!
 //! Determinism: each submission carries its own seeded [`JitterModel`], so
 //! the report produced for a document is identical whether it played alone
@@ -61,9 +76,9 @@
 //!
 //! **Live edits.** Every admitted document owns an edit mailbox for its
 //! whole engine lifetime. [`Engine::apply_edit`] routes a
-//! [`cmif_core::edit::Edit`] into that mailbox from any thread; the owning
-//! worker drains it before solving and again at every tick boundary,
-//! repairing the constraint fixpoint incrementally
+//! [`cmif_core::edit::Edit`] into that mailbox from any thread; the thread
+//! playing the document drains it before solving and again at every tick
+//! boundary, repairing the constraint fixpoint incrementally
 //! ([`crate::author::EditSession`]) and swapping the playing session onto
 //! the new revision ([`crate::session::PlayerSession::swap_revision`]).
 //! Each routed edit is accounted for exactly once in
@@ -208,15 +223,17 @@ pub struct EngineConfig {
     /// session creation); it only exercises the step-wise machinery.
     pub ticks_per_document: u32,
     /// Maximum number of admitted-but-unstarted documents (counting jobs
-    /// parked in worker shards). `None` (the default) admits without bound
-    /// — a fast producer can then grow the queue faster than the workers
-    /// drain it. With `Some(k)`, a full queue makes [`Engine::admit`] and
-    /// [`Engine::submit_batch`] block (FIFO, see
-    /// [`Engine::waiting_submitters`]) until a worker takes a job, and
-    /// [`Engine::try_admit`] return [`SchedulerError::Backpressure`]
-    /// immediately; a batch larger than `k` is refused. `Some(0)` is treated
-    /// as `Some(1)`: jobs reach workers only through the queue, so a
-    /// zero-slot queue would deadlock every blocking admission.
+    /// parked in worker shards, and jobs a waiting caller is playing: such
+    /// a job keeps its slot until its outcome publishes). `None` (the
+    /// default) admits without bound — a fast producer can then grow the
+    /// queue faster than the workers drain it. With `Some(k)`, a full queue
+    /// makes [`Engine::admit`] and [`Engine::submit_batch`] block (FIFO,
+    /// see [`Engine::waiting_submitters`]) until a worker takes a job or a
+    /// job a caller played completes, and [`Engine::try_admit`] return
+    /// [`SchedulerError::Backpressure`] immediately; a batch larger than
+    /// `k` is refused. `Some(0)` is treated as `Some(1)`: jobs reach
+    /// workers only through the queue, so a zero-slot queue would deadlock
+    /// every blocking admission.
     pub max_backlog: Option<usize>,
     /// How many jobs a worker moves from the shared tenant plane into its
     /// own shard per refill — the batch size that amortises the shared
@@ -267,19 +284,19 @@ impl std::fmt::Display for DocId {
 }
 
 /// A mailbox of live edits routed to one admitted document
-/// ([`Engine::apply_edit`]), drained by the owning worker at tick
-/// boundaries. A leaf lock: it may be taken while holding any engine lock,
-/// and no other lock is ever taken while it is held.
+/// ([`Engine::apply_edit`]), drained by the thread playing the document
+/// at tick boundaries. A leaf lock: it may be taken while holding any
+/// engine lock, and no other lock is ever taken while it is held.
 type Mailbox = Arc<Mutex<Vec<Edit>>>;
 
 /// The fate of one live edit routed through [`Engine::apply_edit`],
-/// reported in [`DocOutcome::edits`] in the order the owning worker
-/// processed them.
+/// reported in [`DocOutcome::edits`] in the order the thread playing the
+/// document processed them.
 #[derive(Debug, Clone)]
 pub struct EditOutcome {
     /// The edit as routed.
     pub edit: Edit,
-    /// The presentation time (tick boundary) at which the worker processed
+    /// The presentation time (tick boundary) at which the player processed
     /// the edit; [`TimeMs::ZERO`] when it was folded into the document
     /// before playback began — or never reached a running session at all.
     pub at: TimeMs,
@@ -473,16 +490,21 @@ impl Outcomes {
 /// Lock order (a thread may take locks only downward in this list, and at
 /// most one shard lock at a time):
 ///
-/// 1. `outcomes` (drain's completion predicate peeks at the plane);
+/// 1. `outcomes` (a waiting caller holds it while it looks for a job to
+///    play, and drain's completion predicate peeks at the plane);
 /// 2. `plane` (refill parks shard extras under it, so sleeping workers —
 ///    who decide to sleep under the plane lock — cannot miss parked work);
 /// 3. one shard mutex inside `shards`.
 ///
-/// `in_flight` counts jobs popped from any queue but not yet completed. It
-/// is incremented *before* the pop becomes visible in any queue length and
-/// decremented under the `outcomes` lock, both `SeqCst` — so a `drain()`
-/// that holds `outcomes` and reads every queue empty and `in_flight == 0`
-/// has proof that no job is in transit between the two.
+/// Every job taken off a queue is counted until its outcome publishes: in
+/// `in_flight` when a worker plays it, in `helping` when a waiting caller
+/// does. The counter is raised *before* the pop becomes visible in any
+/// queue length and lowered under the `outcomes` lock, both `SeqCst` — so
+/// a `drain()` that holds `outcomes` and reads every queue empty and both
+/// counters zero has proof that no job is in transit between the two.
+/// Jobs counted in `helping` keep their queue slot (they count in
+/// [`Shared::unstarted`]), so callers that play jobs never push
+/// [`Engine::backlog`] past `max_backlog + workers`.
 struct Shared {
     plane: Mutex<Plane>,
     outcomes: Mutex<Outcomes>,
@@ -494,6 +516,7 @@ struct Shared {
     mailboxes: Mutex<HashMap<u64, Mailbox>>,
     shards: WorkerShards<Job>,
     in_flight: AtomicUsize,
+    helping: AtomicUsize,
     /// Signalled when a job reaches the tenant plane, when refill extras
     /// are parked, or when shutdown begins (workers wait, with `plane`).
     work: Condvar,
@@ -521,10 +544,68 @@ impl Shared {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Admitted-but-unstarted documents: tenant plane plus parked shards.
+    /// Admitted-but-unstarted documents: tenant plane plus parked shards,
+    /// plus the jobs waiting callers are playing, which keep their slot.
     /// This is what `max_backlog` bounds.
     fn unstarted(&self, plane: &Plane) -> usize {
-        plane.run.len() + self.shards.parked()
+        plane.run.len() + self.shards.parked() + self.helping.load(Ordering::SeqCst)
+    }
+
+    /// The counter a job taken by `player` stays in until it completes.
+    fn taken(&self, player: Player) -> &AtomicUsize {
+        match player {
+            Player::Worker => &self.in_flight,
+            Player::Caller => &self.helping,
+        }
+    }
+
+    /// One refill transaction: the next job in weighted-fair order, counted
+    /// in `taken` before the plane visibly shrinks, plus up to
+    /// `refill_batch - 1` extras parked at the back of shard `park` (none
+    /// when there is no shard to park in). Parking happens under the plane
+    /// lock, which a worker deciding to sleep holds too, so it cannot miss
+    /// them. Returns the job and whether extras were parked.
+    fn refill(
+        &self,
+        plane: &mut Plane,
+        park: Option<usize>,
+        taken: &AtomicUsize,
+    ) -> Option<(Job, bool)> {
+        if plane.run.len() == 0 {
+            return None;
+        }
+        taken.fetch_add(1, Ordering::SeqCst);
+        let first = plane
+            .run
+            .pop_fair()
+            // repo_lint: allow(guarded by the nonempty check above)
+            .expect("nonempty tenant plane dispenses a job");
+        let Some(park) = park else {
+            return Some((first, false));
+        };
+        let batch = self.config.refill_batch.max(1);
+        let extras: Vec<Job> = (1..batch).map_while(|_| plane.run.pop_fair()).collect();
+        let parked = !extras.is_empty();
+        self.shards.park_own(park, extras);
+        Some((first, parked))
+    }
+
+    /// The next queued job for a waiting caller to play. The caller takes
+    /// work as an out-of-work worker does, minus a shard of its own: a
+    /// refill from the tenant plane, whose extras it parks in the emptiest
+    /// shard for the workers, or else a steal from the back of any shard.
+    fn take_for_caller(&self, plane: &mut Plane) -> Option<Job> {
+        let Some((job, parked)) = self.refill(plane, self.shards.emptiest(), &self.helping) else {
+            return self.shards.help(&self.helping);
+        };
+        self.shards.note_helped();
+        if parked {
+            self.shards.note_refill(0);
+            // The extras are the workers' to play: wake one in case every
+            // worker is asleep.
+            self.work.notify_one();
+        }
+        Some(job)
     }
 
     /// The clamped bound, if any.
@@ -548,7 +629,9 @@ impl Shared {
 }
 
 /// A pool of worker threads playing many documents concurrently, fairly
-/// across tenants.
+/// across tenants. A caller blocked in [`Engine::wait`] or
+/// [`Engine::drain`] plays queued jobs too, on its own thread, rather than
+/// sleep while work waits for a worker.
 ///
 /// Each outcome is delivered exactly once — by the `wait(id)` or `drain()`
 /// call that first sees it. Memory is bounded by the admission bound
@@ -601,7 +684,20 @@ pub struct Engine {
 impl Engine {
     /// Starts an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Engine {
-        let worker_count = config.workers.max(1);
+        let workers = config.workers.max(1);
+        Engine::spawn(config, workers)
+    }
+
+    /// An engine with no worker threads: its jobs play only on callers
+    /// waiting in `wait` or `drain`, so one thread replays it exactly from
+    /// a seed (the deterministic simulation drives it).
+    #[cfg(test)]
+    fn without_workers(config: EngineConfig) -> Engine {
+        Engine::spawn(config, 0)
+    }
+
+    /// Builds the shared state and starts `worker_count` worker threads.
+    fn spawn(config: EngineConfig, worker_count: usize) -> Engine {
         let default_policy = config.default_tenant_policy.clone();
         let shared = Arc::new(Shared {
             plane: Mutex::new(Plane {
@@ -620,6 +716,7 @@ impl Engine {
             mailboxes: Mutex::new(HashMap::new()),
             shards: WorkerShards::new(worker_count),
             in_flight: AtomicUsize::new(0),
+            helping: AtomicUsize::new(0),
             work: Condvar::new(),
             done: Condvar::new(),
             capacity: Condvar::new(),
@@ -657,8 +754,8 @@ impl Engine {
     /// times clones a pointer 64 times, never the tree.
     ///
     /// With a bounded queue ([`EngineConfig::max_backlog`]) and the queue
-    /// full, this *blocks* until a worker frees a slot; submitters blocked
-    /// this way are admitted in arrival order. Errors with
+    /// full, this *blocks* until a slot frees; submitters blocked this way
+    /// are admitted in arrival order. Errors with
     /// [`SchedulerError::EngineClosed`] if the engine was closed or shut
     /// down — including while blocked waiting for capacity — with
     /// [`SchedulerError::LintRejected`] when the lint gate refuses the
@@ -733,16 +830,17 @@ impl Engine {
         stats
     }
 
-    /// How jobs have reached the workers so far: own-shard pops, direct
-    /// plane pops, refill transactions, steals. The steal ratio is the
-    /// load-imbalance indicator the `ext_engine` bench banners.
+    /// How jobs have reached the threads that played them so far:
+    /// own-shard pops, direct plane pops, refill transactions, steals, and
+    /// jobs waiting callers played. The steal ratio is the load-imbalance
+    /// indicator the `ext_engine` bench banners.
     pub fn queue_stats(&self) -> QueueStats {
         self.shared.shards.stats()
     }
 
-    /// Routes a live edit to an admitted document's mailbox. The owning
-    /// worker drains the mailbox before solving and at every tick
-    /// boundary: it applies the edit to the document's revision chain,
+    /// Routes a live edit to an admitted document's mailbox. The thread
+    /// playing the document drains the mailbox before solving and at every
+    /// tick boundary: it applies the edit to the document's revision chain,
     /// repairs the constraint fixpoint incrementally, and swaps the
     /// playing session onto the new revision without rewriting any event
     /// already delivered.
@@ -890,6 +988,16 @@ impl Engine {
     /// Blocks until the given document has finished (or been rejected) and
     /// returns its outcome.
     ///
+    /// While the outcome is missing, the calling thread plays the next
+    /// queued job in dispatch order — any tenant's, not only this one —
+    /// and re-checks after each; it sleeps only when nothing is queued. A
+    /// job it plays is contained like a worker's: a panic, a `job_hook`
+    /// panic included, becomes that job's
+    /// [`SchedulerError::JobPanicked`] outcome, and this call still
+    /// returns its own. After [`Engine::close`] it keeps playing queued
+    /// jobs until its own outcome arrives, just as the workers keep
+    /// draining the backlog.
+    ///
     /// The outcome is delivered exactly once. Panics if the id was never
     /// issued by this engine, or if its outcome was already taken by an
     /// earlier `wait(id)` or [`Engine::drain`] — a clear error instead of
@@ -909,27 +1017,25 @@ impl Engine {
                 !outcomes.is_delivered(id.0),
                 "the outcome of {id} was already delivered by a previous wait() or drain()"
             );
-            outcomes = self
-                .shared
-                .done
-                .wait(outcomes)
-                .unwrap_or_else(PoisonError::into_inner);
+            outcomes = self.play_or_sleep(outcomes);
         }
     }
 
     /// Blocks until every admitted document has finished and returns the
     /// not-yet-delivered outcomes in admission order (outcomes already
-    /// taken by `wait(id)` are not repeated).
+    /// taken by `wait(id)` are not repeated). Like [`Engine::wait`], the
+    /// calling thread plays queued jobs meanwhile and sleeps only when
+    /// nothing is queued.
     ///
     /// "Every admitted" is a snapshot: producers admitting concurrently
     /// with a `drain` may land their documents after it returned.
     pub fn drain(&self) -> Vec<DocOutcome> {
         let mut outcomes = self.shared.lock_outcomes();
         loop {
-            // Holding `outcomes` freezes both completion (workers record
-            // outcomes under it) and `in_flight` decrements; `in_flight`
+            // Holding `outcomes` freezes both completion (outcomes are
+            // recorded under it) and the counters' decrements; a counter
             // is incremented before any queue length visibly drops. So
-            // "all queues empty and nothing in flight", observed in this
+            // "all queues empty and nothing taken", observed in this
             // order, proves no job is anywhere.
             let unstarted = {
                 let plane = self.shared.lock_plane();
@@ -938,11 +1044,7 @@ impl Engine {
             if unstarted == 0 && self.shared.in_flight.load(Ordering::SeqCst) == 0 {
                 break;
             }
-            outcomes = self
-                .shared
-                .done
-                .wait(outcomes)
-                .unwrap_or_else(PoisonError::into_inner);
+            outcomes = self.play_or_sleep(outcomes);
         }
         let mut finished = std::mem::take(&mut outcomes.finished);
         finished.sort_by_key(|o| o.id);
@@ -954,8 +1056,30 @@ impl Engine {
         finished
     }
 
+    /// One step of a waiting caller: plays the next queued job on this
+    /// thread, or, with nothing queued, sleeps until some job completes.
+    /// The `outcomes` lock is released while the job plays and held again
+    /// on return. Deciding to sleep under that lock cannot miss a
+    /// completion; a job admitted after the check is the workers' to play.
+    fn play_or_sleep<'a>(&'a self, outcomes: MutexGuard<'a, Outcomes>) -> MutexGuard<'a, Outcomes> {
+        let job = self.shared.take_for_caller(&mut self.shared.lock_plane());
+        match job {
+            Some(job) => {
+                drop(outcomes);
+                run_and_complete(&self.shared, job, Player::Caller);
+                self.shared.lock_outcomes()
+            }
+            None => self
+                .shared
+                .done
+                .wait(outcomes)
+                .unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+
     /// Number of documents admitted but not yet finished (queued — in the
-    /// tenant plane or parked in a worker shard — plus in flight).
+    /// tenant plane, parked in a worker shard, or playing on a waiting
+    /// caller — plus in flight on a worker).
     /// Finished-but-undelivered outcomes are *not* counted here — see
     /// [`Engine::undelivered`].
     pub fn backlog(&self) -> usize {
@@ -1065,6 +1189,14 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
+/// Who plays a job: a worker thread, or a caller waiting in
+/// [`Engine::wait`] or [`Engine::drain`].
+#[derive(Clone, Copy)]
+enum Player {
+    Worker,
+    Caller,
+}
+
 /// What the shared-plane check told an out-of-work worker to do next.
 enum Next {
     /// Run this refilled job (`true`: extras were parked, wake a sibling).
@@ -1082,34 +1214,17 @@ fn worker_loop(shared: &Shared, me: usize) {
             // The pop freed one bounded-queue slot (parked jobs count
             // against `max_backlog`).
             shared.poke_capacity();
-            run_and_complete(shared, job);
+            run_and_complete(shared, job, Player::Worker);
             continue;
         }
         // 2. Refill a batch from the tenant plane, or find out why not.
         let next = {
             let mut plane = shared.lock_plane();
             loop {
-                if plane.run.len() > 0 {
-                    // `in_flight` rises before the queue length visibly
-                    // drops — the drain() invariant.
-                    shared.in_flight.fetch_add(1, Ordering::SeqCst);
-                    let first = plane
-                        .run
-                        .pop_fair()
-                        // repo_lint: allow(guarded by the !is_empty() wake condition above)
-                        .expect("nonempty tenant plane dispenses a job");
-                    let mut extras = Vec::new();
-                    for _ in 1..shared.config.refill_batch.max(1) {
-                        match plane.run.pop_fair() {
-                            Some(job) => extras.push(job),
-                            None => break,
-                        }
-                    }
-                    let parked = !extras.is_empty();
+                if let Some((first, parked)) =
+                    shared.refill(&mut plane, Some(me), &shared.in_flight)
+                {
                     shared.shards.note_refill(1);
-                    // Parked under the plane lock: a sibling deciding to
-                    // sleep decides under this lock, so it cannot miss them.
-                    shared.shards.park_own(me, extras);
                     break Next::Run(first, parked);
                 }
                 if shared.shards.parked() > 0 {
@@ -1135,12 +1250,12 @@ fn worker_loop(shared: &Shared, me: usize) {
                     // The refill freed backlog capacity.
                     shared.capacity.notify_all();
                 }
-                run_and_complete(shared, job);
+                run_and_complete(shared, job, Player::Worker);
             }
             Next::Steal => {
                 if let Some(job) = shared.shards.steal(me, &shared.in_flight) {
                     shared.poke_capacity();
-                    run_and_complete(shared, job);
+                    run_and_complete(shared, job, Player::Worker);
                 }
                 // Steal lost the race: loop around — the plane is
                 // re-checked under its lock before any sleep, so nothing
@@ -1152,13 +1267,14 @@ fn worker_loop(shared: &Shared, me: usize) {
 }
 
 /// Runs one job with panic containment and publishes its outcome (with
-/// per-tenant latency accounting) exactly once.
-fn run_and_complete(shared: &Shared, job: Job) {
-    // Contain a panicking job: it must not take the worker down with
-    // `in_flight` still incremented (that wedged every later
-    // `drain()`/`wait()` forever). `AssertUnwindSafe` is sound here:
-    // `run_job` only reads the config and the job, all its mutable state
-    // is local to the call, and no engine lock is held.
+/// per-tenant latency accounting) exactly once. `player` is who took the
+/// job, and so which counter it leaves.
+fn run_and_complete(shared: &Shared, job: Job, player: Player) {
+    // Contain a panicking job: it must not take its thread down with the
+    // job still counted (that wedged every later `drain()`/`wait()`
+    // forever), nor unwind a caller out of `wait`. `AssertUnwindSafe` is
+    // sound here: `run_job` only reads the config and the job, all its
+    // mutable state is local to the call, and no engine lock is held.
     let caught = catch_unwind(AssertUnwindSafe(|| run_job(&shared.config, &job)));
     let (result, mut edits) = match caught {
         Ok(Ok((report, edits))) => (Ok(report), edits),
@@ -1222,9 +1338,13 @@ fn run_and_complete(shared: &Shared, job: Job) {
     outcomes.finished.push(outcome);
     // Under the outcomes lock, so drain() (which holds it) never sees the
     // decrement without the outcome.
-    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+    shared.taken(player).fetch_sub(1, Ordering::SeqCst);
     drop(outcomes);
     shared.done.notify_all();
+    if let Player::Caller = player {
+        // The job held its queue slot until now.
+        shared.poke_capacity();
+    }
 }
 
 /// Empties a document's edit mailbox, returning the routed edits in
@@ -2158,5 +2278,556 @@ mod tests {
             Err(SchedulerError::QuotaExceeded { tenant, .. }) if tenant == TenantId::DEFAULT
         ));
         assert_eq!(engine.drain().len(), 1);
+    }
+}
+
+#[cfg(test)]
+mod sim {
+    //! Deterministic simulation of the engine against a sequential model.
+    //!
+    //! An engine without worker threads plays its jobs only on the caller
+    //! waiting in `wait` or `drain`, so one thread replays it exactly from a
+    //! seed. A seeded script drives such an engine through `admit`,
+    //! `try_admit` and `submit_batch` on a bounded queue, `wait` on random
+    //! undelivered ids, `drain`, live edits routed before a job starts and
+    //! after it completes, one `close`, three tenants weighted 1, 2 and 3 (the
+    //! middle one under a quota that never refills), and a job hook that
+    //! panics on seeded labels. Each step is checked against the model:
+    //!
+    //! * each admitted id is delivered exactly once;
+    //! * `Backpressure`, `EngineClosed` and `QuotaExceeded` occur exactly where
+    //!   the model predicts;
+    //! * start order, which the hook records, is FIFO within each tenant;
+    //! * each routed edit appears exactly once in its outcome;
+    //! * each `Ok` report equals the report a 4-worker engine gives for the
+    //!   same submission.
+    //!
+    //! A failing seed prints itself. Replay it with [`simulate`], and keep it
+    //! as a named regression test once it is understood.
+
+    use std::collections::HashMap;
+    use std::panic::resume_unwind;
+    use std::sync::{Arc, Mutex};
+
+    use cmif_core::edit::{DocRevision, Edit, NodeSpec};
+    use cmif_core::prelude::*;
+    use cmif_core::tree::Document;
+
+    use super::{
+        DocId, DocOutcome, EditOutcome, Engine, EngineConfig, JobHook, QuotaConfig, Submission,
+        TenantId, TenantPolicy,
+    };
+    use crate::environment::JitterModel;
+    use crate::error::{Result, SchedulerError};
+    use crate::player::PlaybackReport;
+
+    #[cfg(not(miri))]
+    const SEEDS: u64 = 96;
+    #[cfg(miri)]
+    const SEEDS: u64 = 2;
+    #[cfg(not(miri))]
+    const STEPS: usize = 48;
+    #[cfg(miri)]
+    const STEPS: usize = 12;
+
+    /// The tenants and their stride weights.
+    const TENANTS: [(TenantId, u32); 3] = [
+        (TenantId::new(1), 1),
+        (TenantId::new(2), 2),
+        (TenantId::new(3), 3),
+    ];
+    /// The tenant whose quota never refills.
+    const METERED: TenantId = TenantId::new(2);
+    /// The payload of the hook's injected panics.
+    const FAULT: &str = "injected fault";
+
+    /// SplitMix64: the script's only source of choices.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn one_in(&mut self, n: usize) -> bool {
+            self.below(n) == 0
+        }
+    }
+
+    /// A voice and a caption playing in parallel for `secs` seconds.
+    fn story(secs: i64) -> Arc<Document> {
+        let doc = DocumentBuilder::new("story")
+            .channel("audio", MediaKind::Audio)
+            .channel("caption", MediaKind::Text)
+            .descriptor(
+                DataDescriptor::new("speech", MediaKind::Audio, "pcm8")
+                    .with_duration(TimeMs::from_secs(secs)),
+            )
+            .root_par(|root| {
+                root.ext("voice", "audio", "speech");
+                root.imm_text("line", "caption", "hello", 1_000);
+            })
+            .build()
+            .expect("the story document is valid");
+        Arc::new(doc)
+    }
+
+    /// What the model knows of one submission, admitted or not.
+    struct Draft {
+        tenant: TenantId,
+        label: String,
+        doc: Arc<Document>,
+        jitter: JitterModel,
+        /// The hook panics when this job starts.
+        doomed: bool,
+    }
+
+    impl Draft {
+        fn submission(&self) -> Submission {
+            Submission::new(Arc::clone(&self.doc), self.jitter.clone())
+                .tenant(self.tenant)
+                .labeled(self.label.clone())
+        }
+    }
+
+    /// An admitted job, as the model tracks it.
+    struct Admitted {
+        draft: Draft,
+        /// Edits routed while it was queued, in routing order.
+        edits: Vec<Edit>,
+        started: bool,
+        delivered: bool,
+    }
+
+    /// What an admission must do, per the model.
+    enum Verdict {
+        Admit,
+        /// The bounded queue has no room: `try_admit` refuses, a blocking
+        /// call would wait for a job to start.
+        Full,
+        Refuse(SchedulerError),
+    }
+
+    /// The sequential model of one engine.
+    struct Model {
+        /// Admitted jobs, indexed by raw [`DocId`] (ids are contiguous).
+        admitted: Vec<Admitted>,
+        by_label: HashMap<String, usize>,
+        limit: usize,
+        /// The metered tenant's remaining quota.
+        tokens: usize,
+        quota_refusals: u64,
+        closed: bool,
+        /// Hook-log entries already matched to jobs.
+        seen: usize,
+        /// Labels counter: labels are unique and rise with submission order.
+        drafted: usize,
+        /// Each `Ok` outcome's report, with the document and jitter the
+        /// reference engine replays.
+        played: Vec<(PlaybackReport, Arc<Document>, JitterModel)>,
+    }
+
+    impl Model {
+        fn queued(&self) -> usize {
+            self.admitted.iter().filter(|job| !job.started).count()
+        }
+
+        /// The ids of the admitted jobs that `keep` selects.
+        fn ids(&self, keep: impl Fn(&Admitted) -> bool) -> Vec<usize> {
+            (0..self.admitted.len())
+                .filter(|&id| keep(&self.admitted[id]))
+                .collect()
+        }
+
+        fn draft(&mut self, rng: &mut Rng, docs: &[Arc<Document>]) -> Draft {
+            let (tenant, _) = TENANTS[rng.below(TENANTS.len())];
+            let doomed = rng.one_in(8);
+            self.drafted += 1;
+            Draft {
+                tenant,
+                label: format!(
+                    "{}/{}{}",
+                    tenant.as_u64(),
+                    self.drafted,
+                    if doomed { "!" } else { "" }
+                ),
+                doc: Arc::clone(&docs[rng.below(docs.len())]),
+                jitter: JitterModel::uniform(rng.below(200) as i64, rng.next()),
+                doomed,
+            }
+        }
+
+        /// The engine's admission path, sequentially: closed, oversized,
+        /// capacity, then quota.
+        fn verdict(&self, drafts: &[Draft]) -> Verdict {
+            let backpressure = SchedulerError::Backpressure {
+                backlog: self.queued(),
+            };
+            if self.closed {
+                return Verdict::Refuse(SchedulerError::EngineClosed);
+            }
+            if drafts.len() > self.limit {
+                return Verdict::Refuse(backpressure);
+            }
+            if self.queued() + drafts.len() > self.limit {
+                return Verdict::Full;
+            }
+            if self.metered(drafts) > self.tokens {
+                return Verdict::Refuse(SchedulerError::QuotaExceeded {
+                    tenant: METERED,
+                    retry_after_ms: u64::MAX,
+                });
+            }
+            Verdict::Admit
+        }
+
+        fn metered(&self, drafts: &[Draft]) -> usize {
+            drafts.iter().filter(|d| d.tenant == METERED).count()
+        }
+
+        /// Checks an admission's result against `verdict` (never `Full` for a
+        /// blocking call) and records it.
+        fn admit(&mut self, drafts: Vec<Draft>, verdict: Verdict, got: Result<Vec<DocId>>) {
+            let refusal = match verdict {
+                Verdict::Admit => None,
+                Verdict::Full => Some(SchedulerError::Backpressure {
+                    backlog: self.queued(),
+                }),
+                Verdict::Refuse(error) => Some(error),
+            };
+            match (refusal, got) {
+                (None, Ok(ids)) => {
+                    let first = self.admitted.len() as u64;
+                    let expected: Vec<DocId> =
+                        (first..first + drafts.len() as u64).map(DocId).collect();
+                    assert_eq!(ids, expected, "admitted under unexpected ids");
+                    self.tokens -= self.metered(&drafts);
+                    for draft in drafts {
+                        self.by_label
+                            .insert(draft.label.clone(), self.admitted.len());
+                        self.admitted.push(Admitted {
+                            draft,
+                            edits: Vec::new(),
+                            started: false,
+                            delivered: false,
+                        });
+                    }
+                }
+                (Some(expected), Err(error)) => {
+                    assert_eq!(format!("{error:?}"), format!("{expected:?}"));
+                    if matches!(error, SchedulerError::QuotaExceeded { .. }) {
+                        self.quota_refusals += self.metered(&drafts) as u64;
+                    }
+                }
+                (expected, got) => panic!("admission: expected {expected:?}, got {got:?}"),
+            }
+        }
+
+        /// Marks every job the hook saw start since the last call.
+        fn sync_starts(&mut self, log: &Mutex<Vec<String>>) {
+            let log = log.lock().expect("hook log");
+            for label in &log[self.seen..] {
+                let id = self.by_label[label];
+                assert!(!self.admitted[id].started, "{label} started twice");
+                self.admitted[id].started = true;
+            }
+            self.seen = log.len();
+        }
+
+        /// Checks one delivered outcome against the model.
+        fn deliver(&mut self, outcome: DocOutcome) {
+            let id = outcome.id;
+            let job = &mut self.admitted[id.0 as usize];
+            assert!(job.started, "{id} delivered without starting");
+            assert!(!job.delivered, "{id} delivered twice");
+            job.delivered = true;
+            assert_eq!(outcome.tenant, job.draft.tenant);
+            assert_eq!(outcome.label, job.draft.label);
+            let mut expected = Vec::new();
+            let mut revision = DocRevision::initial(Arc::clone(&job.draft.doc));
+            for edit in &job.edits {
+                // A doomed job panics in the hook, before its mailbox is ever
+                // drained: every routed edit is stranded.
+                let result = if job.draft.doomed {
+                    Err(SchedulerError::EditRejected {
+                        doc: id,
+                        reason: "document already completed",
+                    })
+                } else {
+                    match revision.apply(edit) {
+                        Ok((next, _)) => {
+                            revision = next;
+                            Ok(())
+                        }
+                        Err(refusal) => Err(refusal.into()),
+                    }
+                };
+                expected.push(EditOutcome {
+                    edit: edit.clone(),
+                    at: TimeMs::ZERO,
+                    result,
+                });
+            }
+            assert_eq!(format!("{:?}", outcome.edits), format!("{expected:?}"));
+            match (job.draft.doomed, outcome.result) {
+                (true, Err(SchedulerError::JobPanicked { message })) => assert_eq!(message, FAULT),
+                (false, Ok(report)) => {
+                    let doc = Arc::clone(revision.doc());
+                    self.played.push((report, doc, job.draft.jitter.clone()));
+                }
+                (doomed, result) => panic!("{id} (doomed: {doomed}) ended in {result:?}"),
+            }
+        }
+    }
+
+    /// Runs the script for `seed`, checking each step, and returns the hook's
+    /// log: the order the jobs started in.
+    fn simulate(seed: u64, reference: &Engine) -> Vec<String> {
+        let mut rng = Rng(seed);
+        let limit = 1 + rng.below(4);
+        let burst = 1 + rng.below(4);
+        let log: Arc<Mutex<Vec<String>>> = Arc::default();
+        let hook_log = Arc::clone(&log);
+        let engine = Engine::without_workers(EngineConfig {
+            max_backlog: Some(limit),
+            job_hook: Some(JobHook::new(move |label| {
+                hook_log.lock().expect("hook log").push(label.to_string());
+                if label.ends_with('!') {
+                    // Unwinds without the panic hook's report on stderr.
+                    resume_unwind(Box::new(FAULT));
+                }
+            })),
+            ..EngineConfig::default()
+        });
+        for (tenant, weight) in TENANTS {
+            let mut policy = TenantPolicy::weighted(weight);
+            if tenant == METERED {
+                policy = policy.with_quota(QuotaConfig::new(burst as u32, 0.0));
+            }
+            engine.set_tenant_policy(tenant, policy);
+        }
+        let docs: Vec<Arc<Document>> = (1..=3).map(story).collect();
+        let mut model = Model {
+            admitted: Vec::new(),
+            by_label: HashMap::new(),
+            limit,
+            tokens: burst,
+            quota_refusals: 0,
+            closed: false,
+            seen: 0,
+            drafted: 0,
+            played: Vec::new(),
+        };
+        let drain = |model: &mut Model| {
+            let outcomes = engine.drain();
+            model.sync_starts(&log);
+            let ids: Vec<usize> = outcomes.iter().map(|o| o.id.0 as usize).collect();
+            let expected = model.ids(|job| !job.delivered);
+            assert_eq!(ids, expected, "drain delivered the wrong outcomes");
+            for outcome in outcomes {
+                model.deliver(outcome);
+            }
+        };
+        let close_at = STEPS / 2 + rng.below(STEPS / 2);
+        for step in 0..STEPS {
+            if step == close_at {
+                engine.close();
+                model.closed = true;
+                continue;
+            }
+            match rng.below(11) {
+                // `admit`, `try_admit` and `submit_batch` (at times one larger
+                // than the bound).
+                op @ 0..=4 => {
+                    let batch = op == 4;
+                    let count = if batch { 1 + rng.below(limit + 1) } else { 1 };
+                    let drafts: Vec<Draft> =
+                        (0..count).map(|_| model.draft(&mut rng, &docs)).collect();
+                    let blocking = batch || op < 2;
+                    let mut verdict = model.verdict(&drafts);
+                    if blocking && matches!(verdict, Verdict::Full) {
+                        // Here only this thread can free capacity, by playing
+                        // queued jobs: drain first, so the call fits.
+                        drain(&mut model);
+                        verdict = model.verdict(&drafts);
+                    }
+                    let submissions = drafts.iter().map(Draft::submission);
+                    let got = if batch {
+                        engine.submit_batch(submissions)
+                    } else if blocking {
+                        engine.admit(drafts[0].submission()).map(|id| vec![id])
+                    } else {
+                        engine.try_admit(drafts[0].submission()).map(|id| vec![id])
+                    };
+                    model.admit(drafts, verdict, got);
+                }
+                // `wait` on a random undelivered id.
+                5..=7 => {
+                    let pending = model.ids(|job| !job.delivered);
+                    if pending.is_empty() {
+                        continue;
+                    }
+                    let id = pending[rng.below(pending.len())];
+                    let was_started = model.admitted[id].started;
+                    let outcome = engine.wait(DocId(id as u64));
+                    model.sync_starts(&log);
+                    if !was_started {
+                        // The waiter stops playing as soon as its own outcome
+                        // exists: its own job was the last one it started.
+                        let last = log.lock().expect("hook log").last().cloned();
+                        assert_eq!(last.as_ref(), Some(&model.admitted[id].draft.label));
+                    }
+                    assert_eq!(outcome.id, DocId(id as u64));
+                    model.deliver(outcome);
+                }
+                8 => drain(&mut model),
+                // A live edit: mostly to a queued job, else to any id, a
+                // finished job's or one never issued.
+                _ => {
+                    let queued = model.ids(|job| !job.started);
+                    let id = if queued.is_empty() || rng.one_in(3) {
+                        rng.below(model.admitted.len() + 1)
+                    } else {
+                        queued[rng.below(queued.len())]
+                    };
+                    let root = docs[0].root().expect("story root");
+                    let edit = if rng.one_in(3) {
+                        Edit::RemoveSubtree { node: root }
+                    } else {
+                        Edit::InsertSubtree {
+                            parent: root,
+                            spec: NodeSpec::imm_text(format!("coda{step}"), "late news")
+                                .on_channel("caption")
+                                .lasting_ms(500 + rng.below(4_000) as i64),
+                        }
+                    };
+                    let got = engine.apply_edit(DocId(id as u64), edit.clone());
+                    let expected = match model.admitted.get_mut(id) {
+                        None => Err(SchedulerError::EditRejected {
+                            doc: DocId(id as u64),
+                            reason: "unknown document",
+                        }),
+                        Some(job) if job.started => Err(SchedulerError::EditRejected {
+                            doc: DocId(id as u64),
+                            reason: "document already completed",
+                        }),
+                        Some(job) => {
+                            job.edits.push(edit);
+                            Ok(())
+                        }
+                    };
+                    assert_eq!(format!("{got:?}"), format!("{expected:?}"));
+                }
+            }
+        }
+        drain(&mut model);
+
+        // Every admitted job played exactly once, on this thread.
+        let played = model.admitted.len() as u64;
+        let stats = engine.queue_stats();
+        assert_eq!((stats.helped, stats.dispatched()), (played, played));
+        assert_eq!((engine.backlog(), engine.undelivered()), (0, 0));
+
+        // Start order is FIFO within each tenant.
+        let log = log.lock().expect("hook log").clone();
+        let mut last_start: HashMap<&str, usize> = HashMap::new();
+        for label in &log {
+            let (tenant, rest) = label.split_once('/').expect("tenant/number label");
+            let number: usize = rest.trim_end_matches('!').parse().expect("label number");
+            let previous = last_start.insert(tenant, number);
+            assert!(
+                previous < Some(number),
+                "tenant {tenant} started {label} after its #{previous:?}"
+            );
+        }
+
+        let rows: Vec<_> = engine
+            .tenant_stats()
+            .into_iter()
+            .map(|row| {
+                (
+                    row.tenant,
+                    row.submitted,
+                    row.quota_refusals,
+                    row.ok,
+                    row.failed,
+                )
+            })
+            .collect();
+        let expected: Vec<_> = TENANTS
+            .iter()
+            .map(|&(tenant, _)| {
+                let jobs = model
+                    .admitted
+                    .iter()
+                    .filter(|job| job.draft.tenant == tenant);
+                let failed = jobs.clone().filter(|job| job.draft.doomed).count() as u64;
+                let submitted = jobs.count() as u64;
+                let refusals = if tenant == METERED {
+                    model.quota_refusals
+                } else {
+                    0
+                };
+                (tenant, submitted, refusals, submitted - failed, failed)
+            })
+            .collect();
+        assert_eq!(rows, expected, "tenant stats");
+
+        // Each report equals the one a threaded engine plays.
+        let ids = reference
+            .submit_batch(
+                model
+                    .played
+                    .iter()
+                    .map(|(_, doc, jitter)| Submission::new(Arc::clone(doc), jitter.clone())),
+            )
+            .expect("the reference engine admits everything");
+        for (id, (report, _, _)) in ids.into_iter().zip(&model.played) {
+            let threaded = reference.wait(id).result.expect("the reference plays");
+            assert_eq!(&threaded, report, "{id} played differently on 4 workers");
+        }
+        log
+    }
+
+    /// Runs `simulate(seed)`, naming the seed if a check fails.
+    fn check(seed: u64, reference: &Engine) -> Vec<String> {
+        struct NameSeed(u64);
+        impl Drop for NameSeed {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    eprintln!("engine simulation failed at seed {}", self.0);
+                }
+            }
+        }
+        let _name = NameSeed(seed);
+        simulate(seed, reference)
+    }
+
+    fn reference() -> Engine {
+        Engine::with_workers(4)
+    }
+
+    #[test]
+    fn seeded_scripts_match_the_sequential_model() {
+        let reference = reference();
+        for seed in 0..SEEDS {
+            check(seed, &reference);
+        }
+    }
+
+    #[test]
+    fn a_seed_replays_the_same_start_order() {
+        let reference = reference();
+        for seed in [SEEDS, SEEDS + 1] {
+            assert_eq!(check(seed, &reference), check(seed, &reference));
+        }
     }
 }

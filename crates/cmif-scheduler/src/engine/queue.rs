@@ -19,17 +19,23 @@
 //! stolen job is executed immediately by the thief, so work in transit is
 //! never parked anywhere a sleeping worker would need to be woken for.
 //!
+//! A caller blocked in `Engine::wait` or `Engine::drain` takes work the
+//! way an out-of-work worker does, but owns no shard: it parks the extras
+//! of its refills in the emptiest shard, and once the tenant plane is
+//! empty it takes the back of any shard, the way a thief does.
+//!
 //! Every transfer is counted ([`QueueStats`]): the `ext_engine` bench
-//! prints the local/refill/steal split so a run shows *where* jobs came
-//! from, not just how fast they went.
+//! prints the local/refill/steal/helped split so a run shows *where* jobs
+//! came from, not just how fast they went.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// How jobs reached the workers: one counter per acquisition path, plus
-/// the number of plane→shard refill transactions. Snapshot via
-/// `Engine::queue_stats`; all counters are cumulative since engine start.
+/// How jobs reached the threads that played them: one counter per
+/// acquisition path, plus the number of plane→shard refill transactions.
+/// Snapshot via `Engine::queue_stats`; all counters are cumulative since
+/// engine start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueStats {
     /// Jobs a worker popped from its own shard (the contention-free path).
@@ -38,19 +44,25 @@ pub struct QueueStats {
     /// worker (the first job of every refill batch).
     pub direct_pops: u64,
     /// Jobs moved from the tenant plane into a worker's shard by refill
-    /// batches (they are later counted in `local_pops` when popped).
+    /// batches (each is counted again where it is taken out: `local_pops`,
+    /// `steals` or `helped`).
     pub refilled: u64,
-    /// Plane→worker refill transactions (each moves `direct + refilled`
-    /// jobs under one plane-lock acquisition).
+    /// Plane→shard refill transactions: each moves `direct + refilled`
+    /// jobs under one plane-lock acquisition. A worker refills when its
+    /// shard runs dry; a waiting caller's plane take counts as one only
+    /// when it parked extras.
     pub refills: u64,
     /// Jobs stolen from a sibling worker's shard.
     pub steals: u64,
+    /// Jobs a caller waiting in `Engine::wait` or `Engine::drain` took
+    /// off the tenant plane or a shard and played on its own thread.
+    pub helped: u64,
 }
 
 impl QueueStats {
-    /// Total jobs dispatched to workers so far.
+    /// Total jobs dispatched so far, to workers and to waiting callers.
     pub fn dispatched(&self) -> u64 {
-        self.local_pops + self.direct_pops + self.steals
+        self.local_pops + self.direct_pops + self.steals + self.helped
     }
 
     /// Fraction of dispatched jobs that arrived by stealing — the
@@ -74,6 +86,11 @@ struct Shard<T> {
 
 /// One deque per worker plus the transfer counters.
 ///
+/// Every pop takes a counter (`in_flight` for a worker, `helping` for a
+/// waiting caller) and raises it *before* the job's shard length visibly
+/// drops, so an `Engine::drain` that observes the queue empty still sees
+/// the job counted (SeqCst on both sides makes the orders compose).
+///
 /// Lock ordering: a shard lock may be taken *while holding* the engine's
 /// plane lock (refill pushes extras under it), but never the other way
 /// around; at most one shard lock is ever held at a time.
@@ -84,12 +101,13 @@ pub(super) struct WorkerShards<T> {
     refilled: AtomicU64,
     refills: AtomicU64,
     steals: AtomicU64,
+    helped: AtomicU64,
 }
 
 impl<T> WorkerShards<T> {
     pub(super) fn new(workers: usize) -> WorkerShards<T> {
         WorkerShards {
-            shards: (0..workers.max(1))
+            shards: (0..workers)
                 .map(|_| Shard {
                     jobs: Mutex::new(VecDeque::new()),
                     len: AtomicUsize::new(0),
@@ -100,6 +118,7 @@ impl<T> WorkerShards<T> {
             refilled: AtomicU64::new(0),
             refills: AtomicU64::new(0),
             steals: AtomicU64::new(0),
+            helped: AtomicU64::new(0),
         }
     }
 
@@ -115,17 +134,14 @@ impl<T> WorkerShards<T> {
             .sum()
     }
 
-    /// Pops the front of `me`'s own shard. `in_flight` is incremented
-    /// *before* the shard's visible length drops, so a `drain()` that
-    /// observes the queue empty is guaranteed to still see this job in
-    /// flight (SeqCst on both sides makes the orders compose).
-    pub(super) fn pop_own(&self, me: usize, in_flight: &AtomicUsize) -> Option<T> {
+    /// Pops the front of `me`'s own shard, counting it in `taken` first.
+    pub(super) fn pop_own(&self, me: usize, taken: &AtomicUsize) -> Option<T> {
         let shard = &self.shards[me];
         let mut jobs = shard.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         if jobs.is_empty() {
             return None;
         }
-        in_flight.fetch_add(1, Ordering::SeqCst);
+        taken.fetch_add(1, Ordering::SeqCst);
         let job = jobs.pop_front();
         shard.len.fetch_sub(1, Ordering::SeqCst);
         self.local_pops.fetch_add(1, Ordering::Relaxed);
@@ -153,14 +169,43 @@ impl<T> WorkerShards<T> {
         self.direct_pops.fetch_add(direct, Ordering::Relaxed);
     }
 
+    /// The shard with the fewest parked jobs, if there is any shard: where
+    /// a waiting caller, which owns none, parks the extras of its refills.
+    pub(super) fn emptiest(&self) -> Option<usize> {
+        (0..self.shards.len()).min_by_key(|&index| self.shards[index].len.load(Ordering::SeqCst))
+    }
+
+    /// Records one job a waiting caller took off the tenant plane.
+    pub(super) fn note_helped(&self) {
+        self.helped.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Steals one job from the back of a sibling's shard, scanning victims
-    /// round-robin from `me + 1`. Same `in_flight` contract as
-    /// [`WorkerShards::pop_own`]. Returns `None` when every sibling came
-    /// up empty (the caller re-checks the plane and may sleep).
-    pub(super) fn steal(&self, me: usize, in_flight: &AtomicUsize) -> Option<T> {
+    /// round-robin from `me + 1` and counting it in `taken` first. Returns
+    /// `None` when every sibling came up empty (the caller re-checks the
+    /// plane and may sleep).
+    pub(super) fn steal(&self, me: usize, taken: &AtomicUsize) -> Option<T> {
+        self.take_back(me + 1, self.shards.len() - 1, taken, &self.steals)
+    }
+
+    /// [`WorkerShards::steal`] for a waiting caller, which owns no shard
+    /// and so scans them all.
+    pub(super) fn help(&self, taken: &AtomicUsize) -> Option<T> {
+        self.take_back(0, self.shards.len(), taken, &self.helped)
+    }
+
+    /// Takes the back job of the first nonempty shard among `victims`
+    /// shards from `start`, counting it in `taken` and then in `count`.
+    fn take_back(
+        &self,
+        start: usize,
+        victims: usize,
+        taken: &AtomicUsize,
+        count: &AtomicU64,
+    ) -> Option<T> {
         let workers = self.shards.len();
-        for offset in 1..workers {
-            let victim = &self.shards[(me + offset) % workers];
+        for offset in 0..victims {
+            let victim = &self.shards[(start + offset) % workers];
             if victim.len.load(Ordering::SeqCst) == 0 {
                 continue;
             }
@@ -168,10 +213,10 @@ impl<T> WorkerShards<T> {
             if jobs.is_empty() {
                 continue;
             }
-            in_flight.fetch_add(1, Ordering::SeqCst);
+            taken.fetch_add(1, Ordering::SeqCst);
             let job = jobs.pop_back();
             victim.len.fetch_sub(1, Ordering::SeqCst);
-            self.steals.fetch_add(1, Ordering::Relaxed);
+            count.fetch_add(1, Ordering::Relaxed);
             return job;
         }
         None
@@ -185,6 +230,7 @@ impl<T> WorkerShards<T> {
             refilled: self.refilled.load(Ordering::Relaxed),
             refills: self.refills.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
+            helped: self.helped.load(Ordering::Relaxed),
         }
     }
 }
@@ -231,6 +277,24 @@ mod tests {
     }
 
     #[test]
+    fn a_waiting_caller_takes_from_any_shard_and_is_counted_as_helped() {
+        let shards: WorkerShards<u32> = WorkerShards::new(2);
+        let helping = AtomicUsize::new(0);
+        assert_eq!(shards.help(&helping), None);
+        shards.park_own(0, vec![1, 2]);
+        // A caller parks its refill extras where the fewest jobs wait.
+        assert_eq!(shards.emptiest(), Some(1));
+        // A caller owns no shard, so worker 0's own shard is fair game.
+        assert_eq!(shards.help(&helping), Some(2));
+        assert_eq!(helping.load(Ordering::SeqCst), 1);
+        let stats = shards.stats();
+        assert_eq!((stats.steals, stats.helped), (0, 1));
+        assert_eq!(stats.dispatched(), 1);
+        // An engine without workers has no shard to park in.
+        assert_eq!(WorkerShards::<u32>::new(0).emptiest(), None);
+    }
+
+    #[test]
     fn steal_ratio_reflects_the_dispatch_split() {
         let stats = QueueStats {
             local_pops: 6,
@@ -238,6 +302,7 @@ mod tests {
             refilled: 6,
             refills: 2,
             steals: 2,
+            helped: 0,
         };
         assert_eq!(stats.dispatched(), 10);
         assert!((stats.steal_ratio() - 0.2).abs() < 1e-12);
