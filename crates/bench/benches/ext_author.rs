@@ -1,27 +1,29 @@
-//! Extension — live authoring: incremental re-solve vs cold full re-solve.
+//! Extension — live authoring: an edit session against a bare cold
+//! re-solve, per edit.
 //!
 //! CMIFed's edit-while-playing loop re-schedules a document after every
-//! authoring gesture, so the cost that matters is *per edit*, not per
-//! document: an author inserting one caption into a 64-story broadcast
-//! should not pay a full constraint derivation plus relaxation of the
-//! whole event-point graph. This bench prices both paths on the same edit
-//! script — single-subtree insert/remove pairs rotating across stories —
-//! at 4/16/64 stories:
+//! authoring gesture, so the cost that matters is *per edit*. This bench
+//! runs one edit script — single-subtree insert/remove pairs rotating
+//! across stories — two ways at 4/16/64 stories:
 //!
-//! * `incremental` — [`EditSession::apply`] (dirty-region re-derive plus
-//!   in-place fixpoint repair) followed by [`EditSession::solve_result`];
-//! * `full` — [`DocRevision::apply`] followed by a cold
-//!   [`ConstraintGraph::derive`] + `solve` of the edited document, the
-//!   only option before the revision plane existed.
+//! * `incremental` — [`EditSession::apply`], then
+//!   [`EditSession::solve_result`];
+//! * `full` — [`DocRevision::apply`], then a cold
+//!   [`ConstraintGraph::derive`] + `solve` of the edited document.
 //!
-//! The two paths produce identical `SolveResult`s (the `edit_sessions`
-//! proptest pins that down; this bench asserts it once per size as a
-//! sanity check), so the ratio is pure efficiency. The banner prints
-//! edits/sec for both plus the speedup, and the probe is appended to
-//! `BENCH_ext_author.json`. Both paths relax on the shared constraint
-//! kernel, which is linear in the constraints, so the speedup is what
-//! skipping re-derivation saves net of the session's bookkeeping — below
-//! 1× on the smallest corpus, where there is little to skip.
+//! Both sides run one cold re-solve per edit, because that is what a
+//! session edit is. The session adds only the clone `solve_result` returns
+//! (3–4, 4–7 and 14–20 µs at 4, 16 and 64 stories on a 2-vCPU VM, a few
+//! per cent of an edit), so the ratio reads about 1.0. The target and
+//! metric names date from when the session repaired its fixpoint in place;
+//! they are kept so the gated targets and the trajectory stay comparable.
+//! The two sides produce identical `SolveResult`s (asserted once per
+//! size). The banner prints edits/sec for both and their ratio, and the
+//! probe is appended to `BENCH_ext_author.json`.
+//!
+//! The criterion targets edit one revision chain for thousands of
+//! iterations. Removed nodes stay in the arena, so their per-edit time
+//! grows with the number of iterations run.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,8 +68,8 @@ fn insert_edit(doc: &Document, stories: usize, serial: usize) -> Edit {
     }
 }
 
-/// Runs `rounds` insert/remove pairs through an [`EditSession`], solving
-/// after every edit. Returns edits/sec.
+/// Runs `rounds` insert/remove pairs through an [`EditSession`], reading
+/// its result after every edit. Returns edits/sec.
 fn incremental_edits_per_sec(doc: &Arc<Document>, stories: usize, rounds: usize) -> f64 {
     let catalog = doc.catalog.clone();
     let mut session = EditSession::begin(
@@ -90,8 +92,8 @@ fn incremental_edits_per_sec(doc: &Arc<Document>, stories: usize, rounds: usize)
     (rounds * 2) as f64 / started.elapsed().as_secs_f64()
 }
 
-/// The same edit script, but every edit pays a cold full re-solve of the
-/// edited document. Returns edits/sec.
+/// The same edit script on a bare revision chain, with a cold re-solve of
+/// the edited document after every edit. Returns edits/sec.
 fn full_edits_per_sec(doc: &Arc<Document>, stories: usize, rounds: usize) -> f64 {
     let mut revision = DocRevision::initial(Arc::clone(doc));
     let started = Instant::now();
@@ -129,7 +131,7 @@ fn assert_equivalent(doc: &Arc<Document>, stories: usize) {
 
 fn bench_author(c: &mut Criterion) {
     let mut run = TrajectoryRun::now("cargo bench ext_author");
-    let mut lines = String::from("stories   incr edits/s   full edits/s   speedup\n");
+    let mut lines = String::from("stories   session edits/s   cold edits/s   ratio\n");
     for stories in [4usize, 16, 64] {
         let doc = corpus(stories);
         assert_equivalent(&doc, stories);
@@ -138,7 +140,7 @@ fn bench_author(c: &mut Criterion) {
         let full = full_edits_per_sec(&doc, stories, rounds);
         let speedup = incremental / full;
         lines.push_str(&format!(
-            "{stories:<9} {incremental:<14.0} {full:<14.0} {speedup:.1}x\n"
+            "{stories:<9} {incremental:<17.0} {full:<14.0} {speedup:.2}x\n"
         ));
         run = run
             .metric(
@@ -149,7 +151,7 @@ fn bench_author(c: &mut Criterion) {
             .metric(format!("stories{stories}/speedup"), speedup);
     }
     banner(
-        "ext: live authoring (incremental repair vs cold re-solve per edit)",
+        "ext: live authoring (edit session vs bare cold re-solve per edit; both re-solve cold)",
         &lines,
     );
     match trajectory::record_run("ext_author", run) {

@@ -7,10 +7,9 @@
 //! scheduler, a playing session, the lint pipeline) keep the revision they
 //! started with while authors advance to new ones.
 //!
-//! Each successful application also reports an [`EditDelta`]: the dirty
-//! region the edit touched, which downstream incremental machinery (the
-//! scheduler's `EditSession`) uses to re-derive only the affected constraints
-//! instead of re-solving the whole document.
+//! Each successful application also reports an [`EditDelta`]: the nodes the
+//! edit created or removed, so the author can refer to them afterwards. The
+//! scheduler re-solves every new revision whole (its `EditSession`).
 
 use std::sync::Arc;
 
@@ -145,7 +144,7 @@ impl NodeSpec {
 ///
 /// Edits apply through [`DocRevision::apply`], which validates them against
 /// the current revision and produces a new revision plus an [`EditDelta`]
-/// describing the dirty region.
+/// naming the nodes the edit created or removed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Edit {
     /// Append a new subtree under an existing composite node.
@@ -208,40 +207,13 @@ impl Edit {
     }
 }
 
-/// The dirty region produced by applying one [`Edit`].
-///
-/// Downstream incremental machinery uses this to re-derive only the
-/// constraints the edit could have changed.
+/// The nodes one [`Edit`] created or removed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EditDelta {
-    /// Composite nodes whose child list changed: their structural shell
-    /// constraints must be re-derived.
-    pub dirty_parents: Vec<NodeId>,
     /// Root of a freshly inserted subtree, when the edit inserted one.
     pub inserted: Option<NodeId>,
     /// Every node of a removed subtree (preorder), when the edit removed one.
     pub removed: Vec<NodeId>,
-    /// Leaves whose duration constraint must be re-derived.
-    pub duration_dirty: Vec<NodeId>,
-    /// Leaves whose channel assignment changed.
-    pub channel_dirty: Vec<NodeId>,
-    /// Whether the explicit arc set (or anything affecting its derivation,
-    /// like path resolution or channel rates) changed.
-    pub arcs_changed: bool,
-    /// When exactly one arc was retimed and nothing else changed, its index:
-    /// incremental solvers may replace that single constraint in place.
-    pub retimed_arc: Option<usize>,
-}
-
-impl EditDelta {
-    /// Whether the edit left the constraint system untouched.
-    pub fn is_clean(&self) -> bool {
-        self.dirty_parents.is_empty()
-            && self.inserted.is_none()
-            && self.removed.is_empty()
-            && self.duration_dirty.is_empty()
-            && !self.arcs_changed
-    }
 }
 
 /// One immutable revision of a document.
@@ -249,7 +221,7 @@ impl EditDelta {
 /// Revisions form a chain: [`DocRevision::apply`] clones the document
 /// (copy-on-write — concurrent readers of the old [`Arc`] are unaffected),
 /// mutates the clone, and wraps it as the child revision. Node ids are
-/// stable across revisions, so dirty regions reported by one revision stay
+/// stable across revisions, so the nodes one revision reports stay
 /// meaningful in the next.
 #[derive(Debug, Clone)]
 pub struct DocRevision {
@@ -278,9 +250,9 @@ impl DocRevision {
         &self.doc
     }
 
-    /// Applies one edit, producing the successor revision and its dirty
-    /// region. `self` is untouched: readers holding the current [`Arc`]
-    /// keep a consistent document.
+    /// Applies one edit, producing the successor revision and the nodes the
+    /// edit created or removed. `self` is untouched: readers holding the
+    /// current [`Arc`] keep a consistent document.
     pub fn apply(&self, edit: &Edit) -> Result<(DocRevision, EditDelta)> {
         let mut doc = Document::clone(&self.doc);
         let delta = apply_to(&mut doc, edit)?;
@@ -315,14 +287,8 @@ fn mark_node_synthetic(doc: &mut Document, node: NodeId) {
     }
 }
 
-/// Builds a [`NodeSpec`] subtree under `parent`, returning its root and the
-/// leaves spawned.
-fn build_spec(
-    doc: &mut Document,
-    parent: NodeId,
-    spec: &NodeSpec,
-    leaves: &mut Vec<NodeId>,
-) -> Result<NodeId> {
+/// Builds a [`NodeSpec`] subtree under `parent`, returning its root.
+fn build_spec(doc: &mut Document, parent: NodeId, spec: &NodeSpec) -> Result<NodeId> {
     let (kind, name) = match spec {
         NodeSpec::Seq { name, .. } => (NodeKind::Seq, name),
         NodeSpec::Par { name, .. } => (NodeKind::Par, name),
@@ -333,11 +299,12 @@ fn build_spec(
     };
     let id = doc.add_child(parent, kind)?;
     doc.set_attr(id, AttrName::Name, AttrValue::Id(Symbol::intern(name)))?;
-    match spec {
+    let (channel, duration_ms) = match spec {
         NodeSpec::Seq { children, .. } | NodeSpec::Par { children, .. } => {
             for child in children {
-                build_spec(doc, id, child, leaves)?;
+                build_spec(doc, id, child)?;
             }
+            (None, None)
         }
         NodeSpec::Ext {
             channel,
@@ -346,27 +313,19 @@ fn build_spec(
             ..
         } => {
             doc.set_attr(id, AttrName::File, AttrValue::Str(file.clone()))?;
-            if let Some(channel) = channel {
-                doc.set_attr(id, AttrName::Channel, AttrValue::Id(*channel))?;
-            }
-            if let Some(ms) = duration_ms {
-                doc.set_attr(id, AttrName::Duration, AttrValue::Number(*ms))?;
-            }
-            leaves.push(id);
+            (*channel, *duration_ms)
         }
         NodeSpec::ImmText {
             channel,
             duration_ms,
             ..
-        } => {
-            if let Some(channel) = channel {
-                doc.set_attr(id, AttrName::Channel, AttrValue::Id(*channel))?;
-            }
-            if let Some(ms) = duration_ms {
-                doc.set_attr(id, AttrName::Duration, AttrValue::Number(*ms))?;
-            }
-            leaves.push(id);
-        }
+        } => (*channel, *duration_ms),
+    };
+    if let Some(channel) = channel {
+        doc.set_attr(id, AttrName::Channel, AttrValue::Id(channel))?;
+    }
+    if let Some(ms) = duration_ms {
+        doc.set_attr(id, AttrName::Duration, AttrValue::Number(ms))?;
     }
     mark_node_synthetic(doc, id);
     Ok(id)
@@ -383,17 +342,8 @@ fn apply_to(doc: &mut Document, edit: &Edit) -> Result<EditDelta> {
                     reason: format!("insertion parent {parent} is a leaf"),
                 });
             }
-            let mut leaves = Vec::new();
-            let inserted = build_spec(doc, *parent, spec, &mut leaves)?;
+            delta.inserted = Some(build_spec(doc, *parent, spec)?);
             mark_node_synthetic(doc, *parent);
-            delta.dirty_parents.push(*parent);
-            delta.inserted = Some(inserted);
-            delta.duration_dirty = leaves.clone();
-            delta.channel_dirty = leaves;
-            // Inserting a named sibling can change how existing arc paths
-            // resolve (e.g. `..`-relative references), so explicit
-            // constraints must be re-derived.
-            delta.arcs_changed = true;
         }
         Edit::RemoveSubtree { node } => {
             let root = doc.root()?;
@@ -437,9 +387,7 @@ fn apply_to(doc: &mut Document, edit: &Edit) -> Result<EditDelta> {
                 mark_node_synthetic(doc, *id);
             }
             mark_node_synthetic(doc, parent);
-            delta.dirty_parents.push(parent);
             delta.removed = subtree;
-            delta.arcs_changed = !doomed.is_empty();
         }
         Edit::RetimeArc {
             index,
@@ -461,8 +409,6 @@ fn apply_to(doc: &mut Document, edit: &Edit) -> Result<EditDelta> {
                 arc.offset = MediaTime::millis(*ms);
             }
             doc.replace_arc(*index, arc)?;
-            delta.arcs_changed = true;
-            delta.retimed_arc = Some(*index);
         }
         Edit::SwapDescriptor { node, file } => {
             let n = doc.node(*node)?;
@@ -473,13 +419,11 @@ fn apply_to(doc: &mut Document, edit: &Edit) -> Result<EditDelta> {
             }
             doc.set_attr(*node, AttrName::File, AttrValue::Str(file.clone()))?;
             mark_node_synthetic(doc, *node);
-            delta.duration_dirty.push(*node);
         }
         Edit::AssignChannel { node, channel } => {
             doc.node(*node)?;
             doc.set_attr(*node, AttrName::Channel, AttrValue::Id(*channel))?;
             mark_node_synthetic(doc, *node);
-            channel_delta(doc, *node, &mut delta)?;
         }
         Edit::ClearChannel { node } => {
             let n = doc.node_mut(*node)?;
@@ -489,23 +433,9 @@ fn apply_to(doc: &mut Document, edit: &Edit) -> Result<EditDelta> {
                 });
             }
             mark_node_synthetic(doc, *node);
-            channel_delta(doc, *node, &mut delta)?;
         }
     }
     Ok(delta)
-}
-
-/// Records the fallout of a channel (re)assignment on `node`: every leaf in
-/// its subtree may now present on a different channel, and explicit arc
-/// offsets expressed in media units may convert at a different rate.
-fn channel_delta(doc: &Document, node: NodeId, delta: &mut EditDelta) -> Result<()> {
-    for id in subtree_preorder(doc, node)? {
-        if doc.node(id)?.kind.is_leaf() {
-            delta.channel_dirty.push(id);
-        }
-    }
-    delta.arcs_changed = true;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -551,10 +481,7 @@ mod tests {
         // Old revision is untouched.
         assert_eq!(rev.doc().node(root).unwrap().children.len(), 2);
         assert_eq!(next.doc().node(root).unwrap().children.len(), 3);
-        assert_eq!(delta.dirty_parents, vec![root]);
         assert!(delta.inserted.is_some());
-        assert_eq!(delta.duration_dirty.len(), 2);
-        assert!(delta.arcs_changed);
     }
 
     #[test]
@@ -582,7 +509,6 @@ mod tests {
         let (next, delta) = rev.apply(&Edit::RemoveSubtree { node: follow }).unwrap();
         assert_eq!(next.doc().arcs().len(), 0, "arc into removed leaf pruned");
         assert_eq!(delta.removed, vec![follow]);
-        assert!(delta.arcs_changed);
         // Old revision keeps its arc.
         assert_eq!(rev.doc().arcs().len(), 1);
     }
@@ -604,7 +530,7 @@ mod tests {
         doc.add_arc(root, SyncArc::hard_start("lead", "follow"))
             .unwrap();
         let rev = DocRevision::initial(Arc::new(doc));
-        let (next, delta) = rev
+        let (next, _) = rev
             .apply(&Edit::RetimeArc {
                 index: 0,
                 min_delay_ms: -40,
@@ -616,8 +542,6 @@ mod tests {
         assert_eq!(arc.min_delay, DelayMs::from_millis(-40));
         assert_eq!(arc.max_delay, MaxDelay::Bounded(DelayMs::from_millis(250)));
         assert_eq!(arc.offset, MediaTime::millis(500));
-        assert_eq!(delta.retimed_arc, Some(0));
-        assert!(delta.dirty_parents.is_empty());
     }
 
     #[test]
@@ -645,13 +569,12 @@ mod tests {
             })
             .is_err());
         let leaf = rev.doc().leaves()[0];
-        let (next, delta) = rev
+        let (next, _) = rev
             .apply(&Edit::SwapDescriptor {
                 node: leaf,
                 file: "other.mpg".to_string(),
             })
             .unwrap();
-        assert_eq!(delta.duration_dirty, vec![leaf]);
         let value = next.doc().own_attr(leaf, &AttrName::File).unwrap().cloned();
         assert_eq!(value, Some(AttrValue::Str("other.mpg".to_string())));
     }
@@ -660,16 +583,24 @@ mod tests {
     fn channel_edits_mark_subtree_leaves() {
         let rev = DocRevision::initial(Arc::new(story_doc()));
         let root = rev.doc().root().unwrap();
-        let (next, delta) = rev
+        let (next, _) = rev
             .apply(&Edit::AssignChannel {
                 node: root,
                 channel: Symbol::intern("alt"),
             })
             .unwrap();
-        assert_eq!(delta.channel_dirty.len(), 2);
-        assert!(delta.arcs_changed);
-        let (cleared, delta2) = next.apply(&Edit::ClearChannel { node: root }).unwrap();
-        assert_eq!(delta2.channel_dirty.len(), 2);
+        let own_channel = |rev: &DocRevision| {
+            rev.doc()
+                .own_attr(root, &AttrName::Channel)
+                .unwrap()
+                .cloned()
+        };
+        assert_eq!(
+            own_channel(&next),
+            Some(AttrValue::Id(Symbol::intern("alt")))
+        );
+        let (cleared, _) = next.apply(&Edit::ClearChannel { node: root }).unwrap();
+        assert_eq!(own_channel(&cleared), None);
         // Clearing an assignment that is not there is an error.
         assert!(cleared.apply(&Edit::ClearChannel { node: root }).is_err());
     }

@@ -281,20 +281,31 @@ impl Document {
     /// 3. the nearest ancestor's own attribute or style expansion — but only
     ///    for attributes that are inherited (§5.2, Figure 7).
     pub fn effective_attr(&self, id: NodeId, name: &AttrName) -> Result<Option<AttrValue>> {
+        self.effective_attr_as(id, name, |value| Some(value.clone()))
+    }
+
+    /// Resolves an attribute like [`Document::effective_attr`] and maps the
+    /// value where it is found, without cloning it.
+    fn effective_attr_as<T>(
+        &self,
+        id: NodeId,
+        name: &AttrName,
+        map: impl Fn(&AttrValue) -> Option<T>,
+    ) -> Result<Option<T>> {
         let mut current = Some(id);
         let mut first = true;
         while let Some(node_id) = current {
             let node = self.node(node_id)?;
             if first || name.is_inherited() {
                 if let Some(value) = node.attrs.get(name) {
-                    return Ok(Some(value.clone()));
+                    return Ok(map(value));
                 }
                 if name != &AttrName::Style {
                     if let Some(style_value) = node.attrs.get(&AttrName::Style) {
                         let names = style_names(style_value)?;
                         let expanded = self.styles.expand_all(names.iter().map(|n| n.as_str()))?;
                         if let Some(value) = expanded.get(name) {
-                            return Ok(Some(value.clone()));
+                            return Ok(map(value));
                         }
                     }
                 }
@@ -307,17 +318,13 @@ impl Document {
 
     /// The effective channel name of a node, if any, as a `Copy` symbol.
     pub fn channel_of(&self, id: NodeId) -> Result<Option<Symbol>> {
-        Ok(self
-            .effective_attr(id, &AttrName::Channel)?
-            .and_then(|v| v.as_symbol()))
+        self.effective_attr_as(id, &AttrName::Channel, AttrValue::as_symbol)
     }
 
     /// The effective file / descriptor key of a node, if any, as a `Copy`
     /// symbol.
     pub fn file_of(&self, id: NodeId) -> Result<Option<Symbol>> {
-        Ok(self
-            .effective_attr(id, &AttrName::File)?
-            .and_then(|v| v.as_symbol()))
+        self.effective_attr_as(id, &AttrName::File, AttrValue::as_symbol)
     }
 
     /// The node's selection (slice, crop or clip attribute), if any.
@@ -506,9 +513,19 @@ impl Document {
     }
 
     /// Finds the direct child of `parent` with the given `name` attribute.
+    ///
+    /// The name is looked up in the symbol pool once and never interned: a
+    /// text the pool has never seen names no `Id`-valued child. `Id` names
+    /// compare by symbol; only `Str`-valued names compare as text.
     pub fn named_child(&self, parent: NodeId, name: &str) -> Result<Option<NodeId>> {
+        let symbol = Symbol::lookup(name);
         for child in self.children(parent)? {
-            if self.node(*child)?.name() == Some(name) {
+            let matches = match self.node(*child)?.attrs.get(&AttrName::Name) {
+                Some(AttrValue::Id(id)) => Some(*id) == symbol,
+                Some(AttrValue::Str(text)) => text == name,
+                _ => false,
+            };
+            if matches {
                 return Ok(Some(*child));
             }
         }
@@ -1022,6 +1039,36 @@ mod tests {
         let (doc, story, video, _) = mini_doc();
         assert_eq!(doc.named_child(story, "video").unwrap(), Some(video));
         assert_eq!(doc.named_child(story, "nope").unwrap(), None);
+    }
+
+    #[test]
+    fn paths_resolve_id_and_str_names_without_interning() {
+        let (mut doc, story, video, _) = mini_doc();
+        let by_text = doc.add_ext(story).unwrap();
+        doc.set_attr(by_text, AttrName::Name, AttrValue::Str("by-text".into()))
+            .unwrap();
+        assert_eq!(doc.named_child(story, "video").unwrap(), Some(video));
+        assert_eq!(doc.named_child(story, "by-text").unwrap(), Some(by_text));
+        assert_eq!(doc.find("/story-1/video").unwrap(), video);
+        assert_eq!(doc.find("/story-1/by-text").unwrap(), by_text);
+        let sibling = |path: &str| doc.resolve_path(by_text, &NodePath::parse(path));
+        assert_eq!(sibling("../video").unwrap(), video);
+        assert_eq!(sibling("../by-text").unwrap(), by_text);
+
+        // A segment the pool has never seen resolves nothing and is not
+        // interned by the attempt.
+        let unseen = "a-path-segment-no-document-names";
+        assert_eq!(Symbol::lookup(unseen), None);
+        assert_eq!(doc.named_child(story, unseen).unwrap(), None);
+        assert!(matches!(
+            doc.find(&format!("/story-1/{unseen}")),
+            Err(CoreError::UnresolvedPath { .. })
+        ));
+        assert!(matches!(
+            sibling(&format!("../{unseen}")),
+            Err(CoreError::UnresolvedPath { .. })
+        ));
+        assert_eq!(Symbol::lookup(unseen), None);
     }
 
     #[test]

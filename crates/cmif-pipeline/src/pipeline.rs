@@ -327,11 +327,12 @@ impl PipelineBuilder {
     }
 
     /// Routes a live edit to a document playing under this builder's
-    /// engine ([`PipelineBuilder::play_running`]). The edit is validated
-    /// and applied at the presentation's next tick boundary —
-    /// already-fired events are never rewritten, the unplayed suffix is
-    /// re-scheduled incrementally — and its outcome lands in the
-    /// document's [`cmif_scheduler::DocOutcome::edits`].
+    /// engine ([`PipelineBuilder::play_running`]). The edit is applied at
+    /// the presentation's next tick boundary and the new revision is
+    /// re-solved cold; the unplayed suffix moves onto it, already-fired
+    /// events are never rewritten, and an edit that is invalid or does not
+    /// solve leaves the presentation on its last revision. Its outcome
+    /// lands in the document's [`cmif_scheduler::DocOutcome::edits`].
     ///
     /// Fails with an `"edit"`-stage error when the ticket is unknown or
     /// the presentation already completed (the edit then went nowhere).

@@ -55,9 +55,8 @@ pub fn derive_structural(doc: &Document, node: NodeId, out: &mut Vec<Constraint>
 
 /// The structural *shell* of one composite node: the default arcs §5.3.1
 /// derives from the node's own child list, without recursing into the
-/// children. Incremental re-solvers re-derive exactly the shells of nodes
-/// whose child list changed.
-pub fn shell_constraints(doc: &Document, node: NodeId, out: &mut Vec<Constraint>) -> Result<()> {
+/// children.
+fn shell_constraints(doc: &Document, node: NodeId, out: &mut Vec<Constraint>) -> Result<()> {
     let kind = &doc.node(node)?.kind;
     let children = doc.children(node)?;
     match kind {
@@ -133,7 +132,7 @@ fn derive_durations(
 
 /// The rigid begin → end relation of one leaf: its intrinsic duration, or
 /// the fill policy of [`ScheduleOptions`] when the duration is unknown.
-pub fn leaf_duration_constraint(
+fn leaf_duration_constraint(
     doc: &Document,
     resolver: &dyn DescriptorResolver,
     options: &ScheduleOptions,
@@ -168,24 +167,13 @@ pub fn leaf_duration_constraint(
     })
 }
 
-/// Explicit arcs, with offsets converted onto the document clock using the
-/// controlling node's rate table.
+/// Explicit arcs in [`Document::arcs`] order, with offsets converted onto
+/// the document clock using the controlling node's rate table.
 fn derive_explicit(
     doc: &Document,
     resolver: &dyn DescriptorResolver,
     out: &mut Vec<Constraint>,
 ) -> Result<()> {
-    out.extend(explicit_constraints(doc, resolver)?);
-    Ok(())
-}
-
-/// The explicit arc constraints of a document, in [`Document::arcs`] order
-/// (constraint `i` corresponds to arc `i`).
-pub fn explicit_constraints(
-    doc: &Document,
-    resolver: &dyn DescriptorResolver,
-) -> Result<Vec<Constraint>> {
-    let mut out = Vec::with_capacity(doc.arcs().len());
     for (index, (carrier, arc, source, destination)) in doc.resolved_arcs()?.into_iter().enumerate()
     {
         let rates = rates_of(doc, source, resolver)?;
@@ -210,7 +198,7 @@ pub fn explicit_constraints(
             origin: ConstraintOrigin::Explicit { carrier, index },
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The rate table of a node: its descriptor's rates when it is an external

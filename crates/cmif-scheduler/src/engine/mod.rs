@@ -78,12 +78,15 @@
 //! whole engine lifetime. [`Engine::apply_edit`] routes a
 //! [`cmif_core::edit::Edit`] into that mailbox from any thread; the thread
 //! playing the document drains it before solving and again at every tick
-//! boundary, repairing the constraint fixpoint incrementally
-//! ([`crate::author::EditSession`]) and swapping the playing session onto
-//! the new revision ([`crate::session::PlayerSession::swap_revision`]).
-//! Each routed edit is accounted for exactly once in
-//! [`DocOutcome::edits`] — applied at a boundary, refused by validation,
-//! or rejected because it arrived after the document completed.
+//! boundary. Every edit advances the document's revision
+//! ([`cmif_core::edit::DocRevision::apply`]). Edits drained before the
+//! solve fold into the revision it schedules; at a boundary, each edit's
+//! revision is re-solved cold ([`ConstraintGraph::derive`] + `solve`) and
+//! the playing session swaps onto it
+//! ([`crate::session::PlayerSession::swap_revision`]), and an edit that
+//! fails either step leaves the document on its last revision. Each routed
+//! edit is accounted for exactly once in [`DocOutcome::edits`] — applied,
+//! refused, or rejected because it arrived after the document completed.
 
 mod queue;
 mod tenant;
@@ -107,7 +110,6 @@ use cmif_core::edit::{DocRevision, Edit};
 use cmif_core::time::TimeMs;
 use cmif_core::tree::Document;
 
-use crate::author::EditSession;
 use crate::environment::JitterModel;
 use crate::error::{Result, SchedulerError};
 use crate::graph::ConstraintGraph;
@@ -301,7 +303,7 @@ pub struct EditOutcome {
     /// before playback began — or never reached a running session at all.
     pub at: TimeMs,
     /// `Ok(())` when the revision applied and the playing session swapped
-    /// onto it; otherwise the validation or repair error that refused it
+    /// onto it; otherwise the validation or re-solve error that refused it
     /// (the document keeps playing its previous revision), or
     /// [`SchedulerError::EditRejected`] when the edit arrived too late to
     /// be applied.
@@ -841,9 +843,10 @@ impl Engine {
     /// Routes a live edit to an admitted document's mailbox. The thread
     /// playing the document drains the mailbox before solving and at every
     /// tick boundary: it applies the edit to the document's revision chain,
-    /// repairs the constraint fixpoint incrementally, and swaps the
-    /// playing session onto the new revision without rewriting any event
-    /// already delivered.
+    /// re-solves the new revision cold, and swaps the playing session onto
+    /// it without rewriting any event already delivered. An edit that is
+    /// invalid or whose re-solve fails leaves the document on its last
+    /// revision.
     ///
     /// `Ok(())` means *routed*, not *applied* — the per-edit verdict
     /// arrives in [`DocOutcome::edits`] when the document's outcome is
@@ -1372,39 +1375,27 @@ fn run_job(config: &EngineConfig, job: &Job) -> Result<(PlaybackReport, Vec<Edit
     // unedited tree must not be trusted past the first applied edit.
     let mut edited_before_start = false;
     for edit in drain_mailbox(&job.edits) {
-        match revision.apply(&edit) {
-            Ok((next, _delta)) => {
-                revision = next;
-                edited_before_start = true;
-                edits.push(EditOutcome {
-                    edit,
-                    at: TimeMs::ZERO,
-                    result: Ok(()),
-                });
-            }
-            Err(refusal) => edits.push(EditOutcome {
-                edit,
-                at: TimeMs::ZERO,
-                result: Err(refusal.into()),
-            }),
-        }
+        let result = revision.apply(&edit).map(|(next, _)| revision = next);
+        edited_before_start |= result.is_ok();
+        edits.push(EditOutcome {
+            edit,
+            at: TimeMs::ZERO,
+            result: result.map_err(SchedulerError::from),
+        });
     }
+    let solve = |doc: &Document| {
+        ConstraintGraph::derive(doc, resolver, &config.options)?.solve(doc, resolver)
+    };
     let owned_solve;
     let solved: &SolveResult = match &job.solve {
         Some(precomputed) if !edited_before_start => precomputed,
         _ => {
-            let doc = revision.doc();
-            let mut graph = ConstraintGraph::derive(doc, resolver, &config.options)?;
-            owned_solve = graph.solve(doc, resolver)?;
+            owned_solve = solve(revision.doc())?;
             &owned_solve
         }
     };
     let mut session = PlayerSession::new(revision.doc(), solved, resolver, &job.jitter)?;
     let ticks = i64::from(config.ticks_per_document.max(1));
-    // The incremental repair session is opened lazily on the first
-    // mid-playback edit (its cold fixpoint costs one full relax) and kept
-    // warm across later edits of the same document.
-    let mut edit_session: Option<EditSession<'_>> = None;
     let mut last_boundary = 0i64;
     for step in 1..=ticks {
         // Applied edits can lengthen (or shorten) the presentation, so the
@@ -1416,35 +1407,25 @@ fn run_job(config: &EngineConfig, job: &Job) -> Result<(PlaybackReport, Vec<Edit
         session.poll_events();
         last_boundary = boundary;
         for edit in drain_mailbox(&job.edits) {
-            let mut repair = match edit_session.take() {
-                Some(open) => open,
-                None => EditSession::begin(revision.clone(), resolver, config.options)?,
+            // The revision and the playing session move only when both the
+            // edit and the re-solve succeed.
+            let applied = revision
+                .apply(&edit)
+                .map_err(SchedulerError::from)
+                .and_then(|(next, _)| Ok((solve(next.doc())?, next)));
+            let result = match applied {
+                Ok((solved, next)) => {
+                    session.swap_revision(next.doc(), &solved, resolver)?;
+                    revision = next;
+                    Ok(())
+                }
+                Err(refusal) => Err(refusal),
             };
-            let applied = repair.apply(&edit).and_then(|_| repair.solve_result());
-            match applied {
-                Ok(solve) => {
-                    revision = repair.revision().clone();
-                    session.swap_revision(revision.doc(), &solve, resolver)?;
-                    edits.push(EditOutcome {
-                        edit,
-                        at: TimeMs::from_millis(boundary),
-                        result: Ok(()),
-                    });
-                    edit_session = Some(repair);
-                }
-                Err(refusal) => {
-                    // A failed repair may leave the session's fixpoint
-                    // poisoned (e.g. a constraint cycle detected
-                    // mid-relaxation); drop it and reopen from the last
-                    // good revision on the next edit. The playing session
-                    // is untouched either way.
-                    edits.push(EditOutcome {
-                        edit,
-                        at: TimeMs::from_millis(boundary),
-                        result: Err(refusal),
-                    });
-                }
-            }
+            edits.push(EditOutcome {
+                edit,
+                at: TimeMs::from_millis(boundary),
+                result,
+            });
         }
     }
     // The loop's final boundary already reached the then-current total;
@@ -2223,6 +2204,99 @@ mod tests {
         assert_eq!(report.total_duration, TimeMs::from_secs(6));
         assert!(report.events.iter().any(|e| e.name.as_str() == "coda"));
         assert!(mailbox.lock().unwrap().is_empty());
+    }
+
+    /// Like [`EditingResolver`], but drops a whole burst of edits into the
+    /// mailbox at once, so a single boundary drain holds all of them.
+    struct BurstResolver {
+        doc: Arc<Document>,
+        mailbox: Mailbox,
+        burst: Mutex<Vec<Edit>>,
+    }
+
+    impl DescriptorResolver for BurstResolver {
+        fn resolve(&self, key: &str) -> Option<DataDescriptor> {
+            let mut burst = self.burst.lock().unwrap();
+            self.mailbox.lock().unwrap().append(&mut burst);
+            self.doc.catalog.resolve(key)
+        }
+    }
+
+    #[test]
+    fn a_mid_playback_edit_whose_re_solve_fails_leaves_the_next_one_applicable() {
+        use cmif_core::edit::NodeSpec;
+        // `voice` (2 s) plays before `line`. An arc on `voice` from
+        // `line`'s begin that tolerates starting 5 s early closes a cycle
+        // of weight 2 - 5 < 0; retiming that window to 0 makes it positive.
+        let mut doc = DocumentBuilder::new("retimed")
+            .channel("audio", MediaKind::Audio)
+            .channel("caption", MediaKind::Text)
+            .descriptor(
+                DataDescriptor::new("speech", MediaKind::Audio, "pcm8")
+                    .with_duration(TimeMs::from_secs(2)),
+            )
+            .root_seq(|root| {
+                root.ext("voice", "audio", "speech");
+                root.imm_text("line", "caption", "hello", 1_000);
+            })
+            .build()
+            .unwrap();
+        let voice = doc.find("/voice").unwrap();
+        doc.add_arc(
+            voice,
+            SyncArc::hard_start("../line", "")
+                .with_window(DelayMs::from_millis(-5_000), MaxDelay::Unbounded),
+        )
+        .unwrap();
+        let doc = Arc::new(doc);
+        let root = doc.root().unwrap();
+        let mailbox: Mailbox = Arc::new(Mutex::new(Vec::new()));
+        let burst = vec![
+            Edit::RetimeArc {
+                index: 0,
+                min_delay_ms: 0,
+                max_delay_ms: None,
+                offset_ms: None,
+            },
+            Edit::InsertSubtree {
+                parent: root,
+                spec: NodeSpec::imm_text("coda", "and one more thing")
+                    .on_channel("caption")
+                    .lasting_ms(3_000),
+            },
+        ];
+        let resolver = BurstResolver {
+            doc: Arc::clone(&doc),
+            mailbox: Arc::clone(&mailbox),
+            burst: Mutex::new(burst),
+        };
+        let job = Job {
+            id: DocId(0),
+            tenant: TenantId::DEFAULT,
+            label: "retimed".to_string(),
+            doc: Arc::clone(&doc),
+            jitter: JitterModel::ideal(),
+            resolver: Some(Arc::new(resolver)),
+            solve: None,
+            edits: Arc::clone(&mailbox),
+            admitted_at: Instant::now(),
+        };
+        let (report, outcomes) = run_job(&EngineConfig::default(), &job).unwrap();
+        assert_eq!(outcomes.len(), 2);
+        assert!(
+            matches!(
+                outcomes[0].result,
+                Err(SchedulerError::ConstraintCycle { phase: "solve", .. })
+            ),
+            "{:?}",
+            outcomes[0]
+        );
+        assert!(outcomes[1].result.is_ok(), "{:?}", outcomes[1]);
+        assert!(outcomes[0].at.as_millis() > 0, "{:?}", outcomes[0].at);
+        assert_eq!(outcomes[0].at, outcomes[1].at, "one drain held both");
+        // voice, line, then the 3 s coda.
+        assert_eq!(report.total_duration, TimeMs::from_secs(6));
+        assert!(report.events.iter().any(|e| e.name.as_str() == "coda"));
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub enum SchedulerError {
     /// relaxation cannot converge (§5.3.3, conflict class 1: an
     /// unsatisfiable specification).
     ConstraintCycle {
-        /// The computation that diverged (`"solve"` or `"playback"`).
+        /// The computation that diverged (`"solve"`, `"playback"` or
+        /// `"lint"`).
         phase: &'static str,
         /// Number of event points in the graph when relaxation was
         /// abandoned.
@@ -37,8 +38,8 @@ pub enum SchedulerError {
     /// cycle takes precedence, so this means the least fixpoint itself is
     /// too large.
     TimeOverflow {
-        /// The computation that overflowed (`"solve"`, `"playback"`,
-        /// `"edit"`).
+        /// The computation that overflowed (`"solve"`, `"playback"` or
+        /// `"lint"`).
         phase: &'static str,
         /// The event point whose time (or bound) is out of range.
         point: EventPoint,

@@ -10,13 +10,14 @@
 //! anywhere below the least fixpoint of base ∪ injected converges to
 //! exactly that fixpoint.
 //!
-//! `ConstraintKernel` is the relaxation itself, shared by solve, playback
-//! ([`causal_times`], with per-leaf startup latencies), live-edit repair
-//! ([`crate::author::EditSession`]) and `cmif-lint`. Lint relaxes a
-//! document's graph once, through [`ConstraintGraph::base_fixpoint`], and
-//! hands the graph on, so the solve that follows does not relax again; only
-//! when that relax has found a positive cycle does lint run [`relax_traced`]
-//! to recover the cycle's route:
+//! `ConstraintKernel` is the relaxation itself, shared by solve (which
+//! every live edit runs, see [`crate::author::EditSession`]), playback
+//! ([`causal_times`], with per-leaf startup latencies) and `cmif-lint`.
+//! Lint relaxes a document's graph once, through
+//! [`ConstraintGraph::base_fixpoint`], and hands the graph on, so the solve
+//! that follows does not relax again; only when that relax has found a
+//! positive cycle does lint run [`relax_traced`] to recover the cycle's
+//! route:
 //!
 //! * **Dense points.** An event point lives at slot `2·node.index() +
 //!   anchor` — arena ids are dense and stable across edits, so nothing is
@@ -133,16 +134,6 @@ impl PointTimes {
         self.times[slot] = TimeMs::ZERO;
     }
 
-    /// Removes a point.
-    pub(crate) fn remove(&mut self, point: &EventPoint) {
-        if let Some(t) = self.times.get_mut(point.slot()) {
-            if *t != ABSENT {
-                *t = ABSENT;
-                self.len -= 1;
-            }
-        }
-    }
-
     fn present(&self, slot: usize) -> bool {
         self.times.get(slot).is_some_and(|t| *t != ABSENT)
     }
@@ -221,19 +212,31 @@ impl ConstraintKernel {
             }
         }
 
-        // Group by source slot; the sort is stable, so each slot's edges
-        // keep constraint order.
-        raw.sort_by_key(|(source, _)| *source);
+        // Group by source slot with a counting sort: it is stable, so each
+        // slot's edges keep constraint order. `offsets[s + 1]` serves as
+        // slot `s`'s fill cursor, so it ends at the end of `s`'s range.
         let mut offsets = vec![0usize; slots + 1];
         let mut in_degree = vec![0usize; slots];
         for (source, edge) in &raw {
             offsets[source + 1] += 1;
             in_degree[edge.target] += 1;
         }
+        let mut start = 0;
         for slot in 0..slots {
-            offsets[slot + 1] += offsets[slot];
+            let count = offsets[slot + 1];
+            offsets[slot + 1] = start;
+            start += count;
         }
-        let edges: Vec<Edge> = raw.into_iter().map(|(_, edge)| edge).collect();
+        let unset = Edge {
+            target: 0,
+            constraint: 0,
+            weight: 0,
+        };
+        let mut edges = vec![unset; raw.len()];
+        for (source, edge) in raw {
+            edges[offsets[source + 1]] = edge;
+            offsets[source + 1] += 1;
+        }
 
         // Kahn: whatever never reaches in-degree zero is on or downstream
         // of a cycle.
@@ -263,9 +266,8 @@ impl ConstraintKernel {
         }
     }
 
-    /// Raises `times` to the least fixpoint above them and returns how many
-    /// times a point rose on the way.
-    pub(crate) fn relax(&self, times: &mut PointTimes, phase: &'static str) -> Result<usize> {
+    /// Raises `times` to the least fixpoint above them.
+    pub(crate) fn relax(&self, times: &mut PointTimes, phase: &'static str) -> Result<()> {
         self.run(times, &[], None)
             .map_err(|stop| self.error(stop, phase))
     }
@@ -287,17 +289,6 @@ impl ConstraintKernel {
         &self.edges[self.offsets[slot]..self.offsets[slot + 1]]
     }
 
-    /// The targets of the edges leaving a point.
-    pub(crate) fn successors(&self, point: &EventPoint) -> impl Iterator<Item = EventPoint> + '_ {
-        let slot = point.slot();
-        let edges = if slot + 1 < self.offsets.len() {
-            self.out(slot)
-        } else {
-            &[]
-        };
-        edges.iter().map(|edge| point_at(edge.target))
-    }
-
     /// The kernel proper. `push` (empty, or one entry per slot) is added to
     /// every bound on its slot; `preds` records, per slot, the source slot
     /// and constraint index of the bound that last raised it.
@@ -306,14 +297,13 @@ impl ConstraintKernel {
         times: &mut PointTimes,
         push: &[i64],
         mut preds: Option<&mut [Option<(usize, usize)>]>,
-    ) -> std::result::Result<usize, Stop> {
-        let mut raises = 0;
+    ) -> std::result::Result<(), Stop> {
         let mut value: Vec<i128> = times.times.iter().map(|t| i128::from(t.0)).collect();
 
         // The acyclic part: every edge once, sources final before use.
         for &slot in &self.order {
             for edge in self.out(slot) {
-                raises += usize::from(raise(&mut value, push, preds.as_deref_mut(), slot, edge));
+                raise(&mut value, push, preds.as_deref_mut(), slot, edge);
             }
         }
 
@@ -335,12 +325,11 @@ impl ConstraintKernel {
                 for &slot in &round {
                     queued[slot] = false;
                     for edge in self.out(slot) {
-                        if raise(&mut value, push, preds.as_deref_mut(), slot, edge) {
-                            raises += 1;
-                            if !queued[edge.target] {
-                                queued[edge.target] = true;
-                                next.push(edge.target);
-                            }
+                        if raise(&mut value, push, preds.as_deref_mut(), slot, edge)
+                            && !queued[edge.target]
+                        {
+                            queued[edge.target] = true;
+                            next.push(edge.target);
                         }
                     }
                 }
@@ -361,7 +350,7 @@ impl ConstraintKernel {
             // In range: checked just above.
             *time = TimeMs(exact as i64);
         }
-        Ok(raises)
+        Ok(())
     }
 
     /// Walks the predecessor chain back from a point raised past the round

@@ -79,10 +79,7 @@ pub use conflict::{
     class_histogram, device_conflicts, full_report, invalid_arcs_when_seeking,
     specification_conflicts, Conflict, ConflictReport,
 };
-pub use defaults::{
-    derive_constraints, derive_structural, explicit_constraints, leaf_duration_constraint,
-    rates_of, shell_constraints,
-};
+pub use defaults::{derive_constraints, derive_structural, rates_of};
 #[doc(hidden)]
 pub use engine::JobHook;
 pub use engine::{

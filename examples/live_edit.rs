@@ -2,11 +2,12 @@
 //!
 //! CMIFed's headline workflow is *edit while playing* — the author changes
 //! a document whose presentation is running and the system re-schedules
-//! only what the change could affect. This example walks both halves:
+//! it. This example walks both halves:
 //!
 //! 1. an [`EditSession`] applies a late-breaking script change to a
-//!    16-story broadcast and repairs the schedule incrementally, printing
-//!    the dirty-region counters that make the repair cheap;
+//!    16-story broadcast. Each edit builds a new revision and re-solves it
+//!    cold, and the session commits both or neither: an edit whose
+//!    re-solve fails leaves the session on its last revision;
 //! 2. a [`PlayerSession`] plays the original cut to the mid-broadcast
 //!    boundary, swaps onto the revised schedule, and finishes — the fired
 //!    history survives the swap verbatim, only the unplayed tail moves.
@@ -26,7 +27,7 @@ fn main() -> Result<()> {
     let doc = Arc::new(SyntheticNews::with_stories(16).build()?);
     let catalog = doc.catalog.clone();
 
-    // ---- 1. Incremental re-authoring. ----------------------------------
+    // ---- 1. Re-authoring. ----------------------------------------------
     let mut author = EditSession::begin(
         DocRevision::initial(Arc::clone(&doc)),
         &catalog,
@@ -48,23 +49,30 @@ fn main() -> Result<()> {
             .on_channel("caption")
             .lasting_ms(2_500),
     })?;
-    let stats = *author.stats();
-    println!(
-        "insert: +{} constraints, -{} replaced, {} points reset, {} fixpoint updates",
-        stats.last_added, stats.last_replaced, stats.last_reset_points, stats.last_updates
-    );
-    author.apply(&Edit::RetimeArc {
+    report("insert", &author)?;
+    let retime = |offset_ms| Edit::RetimeArc {
         index: 24, // story 12's first explicit arc
         min_delay_ms: 0,
         max_delay_ms: None,
-        offset_ms: Some(1_200),
-    })?;
-    let stats = *author.stats();
-    println!(
-        "retime: +{} constraints, -{} replaced, {} points reset, {} fixpoint updates",
-        stats.last_added, stats.last_replaced, stats.last_reset_points, stats.last_updates
-    );
+        offset_ms: Some(offset_ms),
+    };
+    author.apply(&retime(1_200))?;
+    report("retime", &author)?;
+
+    // An offset past the clock's range: the re-solve fails, and the
+    // session stays on the revision it had.
+    let before = author.revision().id();
+    let refused = author
+        .apply(&retime(i64::MAX))
+        .expect_err("the time overflows");
+    println!("refused retime: {refused}");
+    assert_eq!(author.revision().id(), before);
     let revised = author.solve_result()?;
+    println!(
+        "kept the last revision: {} edits applied, rundown {}ms",
+        author.stats().edits_applied,
+        revised.schedule.total_duration.as_millis()
+    );
 
     // ---- 2. Mid-broadcast swap. ----------------------------------------
     let original = ConstraintGraph::derive(&doc, &catalog, &ScheduleOptions::default())?
@@ -105,6 +113,20 @@ fn main() -> Result<()> {
         report.events.len(),
         breaking.actual_begin.as_millis(),
         breaking.actual_end.as_millis()
+    );
+    Ok(())
+}
+
+/// Prints what the session reports after an edit: the size of the cold
+/// re-solve and the rundown's new length.
+fn report(step: &str, author: &EditSession<'_>) -> Result<()> {
+    let stats = author.stats();
+    println!(
+        "{step}: re-solved {} points over {} constraints (was {}); rundown {}ms",
+        stats.last_reset_points,
+        stats.last_updates,
+        stats.last_replaced,
+        author.solve_result()?.schedule.total_duration.as_millis()
     );
     Ok(())
 }

@@ -193,7 +193,7 @@ fn a_time_overflow_is_denied_by_lint_and_typed_by_solve() {
     assert!(
         matches!(
             edits,
-            Err(SchedulerError::TimeOverflow { phase: "edit", .. })
+            Err(SchedulerError::TimeOverflow { phase: "solve", .. })
         ),
         "the live-edit session applies the same rule"
     );
