@@ -26,10 +26,9 @@
 //! p99 at 256 tenants must stay within 2x of the single-tenant p99 (the
 //! tenant plane is a HashMap lookup plus an O(log T) heap push — growing
 //! the tenant table must not grow the admission constant). The banner
-//! prints the measured p99s and the work-stealing split, and the whole
-//! probe is written to `BENCH_ext_engine.json` at the repo root so the
-//! perf trajectory is versioned next to the code instead of expiring with
-//! CI artifacts.
+//! prints the measured p99s, and the whole probe is written to
+//! `BENCH_ext_engine.json` at the repo root so the perf trajectory is
+//! versioned next to the code instead of expiring with CI artifacts.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -99,18 +98,13 @@ struct TenantProbe {
     p50_us: f64,
     p99_us: f64,
     max_us: f64,
-    steal_ratio: f64,
 }
 
 /// Times every individual `admit` call at `tenants` distinct tenant ids and
 /// reports the latency distribution plus the end-to-end rate. This is the
 /// flatness probe: admission cost must not scale with the tenant table.
 fn probe_admission(docs: &[(Arc<Document>, JitterModel)], tenants: usize) -> TenantProbe {
-    let engine = Engine::new(EngineConfig {
-        workers: 4,
-        refill_batch: 4,
-        ..EngineConfig::default()
-    });
+    let engine = Engine::with_workers(4);
     // Warm the tenant table and the worker pool once.
     play_batch_tagged(&engine, docs, tenants);
 
@@ -133,7 +127,6 @@ fn probe_admission(docs: &[(Arc<Document>, JitterModel)], tenants: usize) -> Ten
         let index = ((latencies.len() as f64 * q).ceil() as usize).clamp(1, latencies.len()) - 1;
         latencies[index].as_secs_f64() * 1e6
     };
-    let stats = engine.queue_stats();
     engine.shutdown();
     TenantProbe {
         tenants,
@@ -141,7 +134,6 @@ fn probe_admission(docs: &[(Arc<Document>, JitterModel)], tenants: usize) -> Ten
         p50_us: micros(0.50),
         p99_us: micros(0.99),
         max_us: micros(1.0),
-        steal_ratio: stats.steal_ratio(),
     }
 }
 
@@ -219,19 +211,14 @@ fn bench_engine(c: &mut Criterion) {
     let mut run = TrajectoryRun::now("cargo bench ext_engine");
     let mut lines = format!(
         "host parallelism: {cores} core(s)\n\
-         tenants   docs/sec   admit p50 µs   admit p99 µs   admit max µs   steal%\n"
+         tenants   docs/sec   admit p50 µs   admit p99 µs   admit max µs\n"
     );
     let mut probes = Vec::new();
     for tenants in [1usize, 16, 256] {
         let probe = probe_admission(&tenant_docs, tenants);
         lines.push_str(&format!(
-            "{:<9} {:<10.0} {:<14.1} {:<14.1} {:<14.1} {:.1}\n",
-            probe.tenants,
-            probe.docs_per_sec,
-            probe.p50_us,
-            probe.p99_us,
-            probe.max_us,
-            probe.steal_ratio * 100.0,
+            "{:<9} {:<10.0} {:<14.1} {:<14.1} {:.1}\n",
+            probe.tenants, probe.docs_per_sec, probe.p50_us, probe.p99_us, probe.max_us,
         ));
         run = run
             .metric(
@@ -248,12 +235,7 @@ fn bench_engine(c: &mut Criterion) {
     lines.push_str(&format!(
         "p99 admission spread 1 → 256 tenants: {p99_spread:.2}x (acceptance bar: within 2x)\n"
     ));
-    run = run
-        .metric("tenants/p99_spread_1_to_256", p99_spread)
-        .metric(
-            "steal_ratio",
-            probes.last().map(|p| p.steal_ratio).unwrap_or(0.0),
-        );
+    run = run.metric("tenants/p99_spread_1_to_256", p99_spread);
 
     let (loop_us, batch_us, speedup) = probe_batch_speedup(&tenant_docs, 16);
     lines.push_str(&format!(
@@ -316,11 +298,7 @@ fn bench_engine(c: &mut Criterion) {
     // `tenants/1` means the stride heap or the tenant table leaked into the
     // per-document constant.
     for tenants in [1usize, 16, 256] {
-        let engine = Engine::new(EngineConfig {
-            workers: 4,
-            refill_batch: 4,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::with_workers(4);
         group.bench_with_input(
             BenchmarkId::new("tenants", tenants),
             &tenant_docs,

@@ -6,9 +6,11 @@
 //! bench_delta --trajectory BENCH
 //! ```
 //!
-//! Prints the per-target delta table on stdout. `--fail-prefix` may be
-//! repeated: the job exits non-zero if any target with one of the prefixes
-//! regressed by more than that prefix's threshold. A prefix without its own
+//! Prints the per-target delta table on stdout: the change of each target's
+//! mean and, where both artifacts report one, of its median. `--fail-prefix`
+//! may be repeated: the job exits non-zero if any target with one of the
+//! prefixes regressed by more than that prefix's threshold, comparing
+//! means. A prefix without its own
 //! `:FRACTION` uses the global `--threshold` (default 0.25 = +25 %), so a
 //! tight gate on throughput targets can ride next to a generous one on
 //! noisier parsing targets.

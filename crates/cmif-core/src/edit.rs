@@ -460,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_subtree_appends_and_marks_dirty() {
+    fn insert_subtree_appends_a_child_in_a_new_revision() {
         let rev = DocRevision::initial(Arc::new(story_doc()));
         let root = rev.doc().root().unwrap();
         let edit = Edit::InsertSubtree {

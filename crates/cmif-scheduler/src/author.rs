@@ -162,9 +162,9 @@ mod tests {
     }
 
     fn check_equivalence(session: &EditSession<'_>) {
-        let incremental = session.solve_result().unwrap();
+        let held = session.solve_result().unwrap();
         let cold = cold_solve(session.revision().doc());
-        assert_eq!(incremental, cold);
+        assert_eq!(held, cold);
     }
 
     #[test]
@@ -181,7 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_subtree_repairs_to_the_cold_fixpoint() {
+    fn insert_subtree_matches_a_cold_solve() {
         let doc = Arc::new(bulletin());
         let catalog = doc.catalog.clone();
         let root = doc.root().unwrap();
@@ -210,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_subtree_repairs_to_the_cold_fixpoint() {
+    fn remove_subtree_matches_a_cold_solve() {
         let doc = Arc::new(bulletin());
         let catalog = doc.catalog.clone();
         let story_1 = doc.find("/story-1").unwrap();
@@ -227,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn retime_arc_repairs_to_the_cold_fixpoint() {
+    fn retime_arc_matches_a_cold_solve() {
         let mut doc = bulletin();
         let line_2 = doc.find("/story-2/line-2").unwrap();
         doc.add_arc(
@@ -255,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn descriptor_and_channel_edits_repair_to_the_cold_fixpoint() {
+    fn descriptor_and_channel_edits_match_a_cold_solve() {
         let doc = Arc::new(bulletin());
         let catalog = doc.catalog.clone();
         let lead = doc.find("/story-1/lead").unwrap();

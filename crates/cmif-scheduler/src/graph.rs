@@ -36,8 +36,9 @@
 //! * **Overflow.** Bounds are summed exactly (`i128`) and range-checked
 //!   once the iteration has settled: a positive cycle takes precedence,
 //!   otherwise a least fixpoint beyond `i64` milliseconds is
-//!   [`SchedulerError::TimeOverflow`]. Window checks apply the same rule
-//!   through [`Constraint::lower_bound`]/[`Constraint::upper_bound`].
+//!   [`SchedulerError::TimeOverflow`]. Window checks
+//!   ([`window_violations`]) apply the same rule through
+//!   [`Constraint::reference`]/[`Constraint::upper_bound`].
 
 use std::ops::Index;
 

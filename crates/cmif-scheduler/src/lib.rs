@@ -22,9 +22,9 @@
 //!   how well the Must/May tolerance windows absorb the jitter (the
 //!   Figure 8 experiment); [`player`] keeps the report types;
 //! * [`engine`] multiplexes many documents over a pool of worker threads
-//!   with a hand-rolled, work-stealing run queue ([`engine::Engine`]):
-//!   per-worker sharded deques fed by a weighted-fair tenant plane
-//!   ([`engine::TenantId`], [`engine::TenantPolicy`]), bounded FIFO
+//!   and the callers waiting for outcomes ([`engine::Engine`]), which take
+//!   jobs from one hand-rolled, weighted-fair run queue
+//!   ([`engine::TenantId`], [`engine::TenantPolicy`]), with bounded FIFO
 //!   admission (blocking `admit` vs failing `try_admit`, batched
 //!   `submit_batch`), token-bucket quotas per tenant, graceful `close`,
 //!   and panic containment (a panicking job is a

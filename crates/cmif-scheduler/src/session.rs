@@ -19,7 +19,6 @@
 use std::collections::{HashMap, HashSet};
 use std::mem;
 
-use cmif_core::arc::Strictness;
 use cmif_core::descriptor::DescriptorResolver;
 use cmif_core::node::NodeId;
 use cmif_core::symbol::Symbol;
@@ -27,11 +26,11 @@ use cmif_core::time::TimeMs;
 use cmif_core::tree::Document;
 
 use crate::environment::{JitterModel, JitterSampler};
-use crate::error::{Result, SchedulerError};
-use crate::graph::{causal_times, PointTimes};
+use crate::error::Result;
+use crate::graph::{causal_times, window_violations};
 use crate::player::{PlaybackReport, PlayedEvent};
 use crate::solver::{leaf_label, SolveResult};
-use crate::types::{Constraint, EventPoint, OutOfRange};
+use crate::types::EventPoint;
 
 /// The lifecycle of a playback session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,35 +111,6 @@ struct TimelineItem {
     at: TimeMs,
     kind: ItemKind,
     event: usize,
-}
-
-/// Counts (must, may) window violations of the constraints against the
-/// actual times.
-fn count_violations(constraints: &[Constraint], actual: &PointTimes) -> Result<(usize, usize)> {
-    let mut must_violations = 0;
-    let mut may_violations = 0;
-    for constraint in constraints {
-        let (Some(source_time), Some(target_time)) = (
-            actual.get(&constraint.source),
-            actual.get(&constraint.target),
-        ) else {
-            continue;
-        };
-        let satisfied = constraint
-            .satisfied(source_time, target_time)
-            .map_err(|OutOfRange| SchedulerError::TimeOverflow {
-                phase: "playback",
-                point: constraint.target,
-            })?;
-        if !satisfied {
-            if constraint.strictness == Strictness::Must {
-                must_violations += 1;
-            } else {
-                may_violations += 1;
-            }
-        }
-    }
-    Ok((must_violations, may_violations))
 }
 
 /// Freeze-frame time: gaps between consecutive events on channels that
@@ -497,7 +467,9 @@ impl PlayerSession {
             .iter()
             .map(|(node, (_, latency))| (node, latency));
         let actual = causal_times(doc, &result.constraints, latencies)?;
-        let (must_violations, may_violations) = count_violations(&result.constraints, &actual)?;
+        let violations = window_violations(&result.constraints, &actual, "playback")?;
+        let must_violations = violations.iter().filter(|v| v.is_must()).count();
+        let may_violations = violations.len() - must_violations;
 
         let mut events = Vec::with_capacity(self.begun.len() + fresh.len());
         for event in &self.report.events {
@@ -867,7 +839,8 @@ mod tests {
 
     #[test]
     fn a_failed_rejittered_seek_keeps_the_delivered_history() {
-        use crate::types::ConstraintOrigin;
+        use crate::error::SchedulerError;
+        use crate::types::{Constraint, ConstraintOrigin};
         use cmif_core::edit::{DocRevision, Edit};
         use std::sync::Arc;
 

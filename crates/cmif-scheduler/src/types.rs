@@ -121,29 +121,12 @@ impl Constraint {
         shifted(source_time, self.offset_ms, 0)
     }
 
-    /// The lower bound the constraint imposes on the target given a source
-    /// time.
-    pub fn lower_bound(&self, source_time: TimeMs) -> Result<TimeMs, OutOfRange> {
-        shifted(source_time, self.offset_ms, self.min_delay_ms)
-    }
-
     /// The upper bound the constraint imposes on the target given a source
     /// time, or `None` when unbounded.
     pub fn upper_bound(&self, source_time: TimeMs) -> Result<Option<TimeMs>, OutOfRange> {
         self.max_delay_ms
             .map(|max| shifted(source_time, self.offset_ms, max))
             .transpose()
-    }
-
-    /// True when an actual target time satisfies the window.
-    pub fn satisfied(&self, source_time: TimeMs, target_time: TimeMs) -> Result<bool, OutOfRange> {
-        if target_time < self.lower_bound(source_time)? {
-            return Ok(false);
-        }
-        Ok(match self.upper_bound(source_time)? {
-            Some(upper) => target_time <= upper,
-            None => true,
-        })
     }
 }
 
@@ -213,7 +196,6 @@ mod tests {
     fn bounds_are_source_plus_offset_plus_delay() {
         let c = constraint(-50, Some(200));
         let source = TimeMs::from_millis(1_000);
-        assert_eq!(c.lower_bound(source).unwrap().as_millis(), 1_050);
         assert_eq!(c.upper_bound(source).unwrap().unwrap().as_millis(), 1_300);
         assert_eq!(c.reference(source).unwrap().as_millis(), 1_100);
     }
@@ -222,29 +204,14 @@ mod tests {
     fn bounds_outside_the_time_range_are_errors_not_wraps() {
         let mut c = constraint(-50, Some(i64::MAX));
         c.offset_ms = i64::MAX;
-        // MAX + (-50) + 40 fits: the sum is exact, not stepwise.
-        assert_eq!(
-            c.lower_bound(TimeMs::from_millis(40)),
-            Ok(TimeMs(i64::MAX - 10))
-        );
-        assert_eq!(c.lower_bound(TimeMs::from_millis(60)), Err(OutOfRange));
         assert_eq!(c.upper_bound(TimeMs::ZERO), Err(OutOfRange));
-        assert_eq!(c.satisfied(TimeMs::ZERO, TimeMs(i64::MAX)), Err(OutOfRange));
-    }
-
-    #[test]
-    fn satisfied_checks_both_bounds() {
-        let c = constraint(0, Some(100));
-        let s = TimeMs::from_millis(0);
-        assert_eq!(c.satisfied(s, TimeMs::from_millis(100)), Ok(true));
-        assert_eq!(c.satisfied(s, TimeMs::from_millis(200)), Ok(true));
-        assert_eq!(c.satisfied(s, TimeMs::from_millis(99)), Ok(false));
-        assert_eq!(c.satisfied(s, TimeMs::from_millis(201)), Ok(false));
-        let unbounded = constraint(0, None);
+        // MAX + (-50) + 40 fits: the sum is exact, not stepwise.
+        c.max_delay_ms = Some(-50);
         assert_eq!(
-            unbounded.satisfied(s, TimeMs::from_millis(10_000)),
-            Ok(true)
+            c.upper_bound(TimeMs::from_millis(40)),
+            Ok(Some(TimeMs(i64::MAX - 10)))
         );
+        assert_eq!(c.upper_bound(TimeMs::from_millis(60)), Err(OutOfRange));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! real criterion API (`criterion_group!`, benchmark groups, per-input
 //! benches). This shim keeps those targets compiling and producing useful
 //! wall-clock numbers without a registry: each benchmark is warmed up once,
-//! then timed for `sample_size` batches, and the mean/min per-iteration
-//! times are printed in a criterion-like line format. There is no
-//! statistical analysis, HTML report or regression detection.
+//! then timed for `sample_size` batches, and the min, median and mean
+//! per-iteration times are printed in a criterion-like line format. There
+//! is no statistical analysis, HTML report or regression detection.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -174,14 +174,26 @@ fn run_one<F: FnMut(&mut Bencher)>(criterion: &Criterion, name: &str, mut f: F) 
         samples.push(bencher.elapsed.as_secs_f64() / bencher.iters as f64);
     }
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+    samples.sort_by(f64::total_cmp);
     println!(
-        "{name:<60} time: [min {} mean {}]  ({} samples x {} iters)",
-        format_seconds(min),
+        "{name:<60} time: [min {} median {} mean {}]  ({} samples x {} iters)",
+        format_seconds(samples[0]),
+        format_seconds(median(&samples)),
         format_seconds(mean),
         samples.len(),
         iters_per_sample
     );
+}
+
+/// The median of sorted, nonempty samples: the middle one, or the mean of
+/// the two middle ones for an even count.
+fn median(sorted: &[f64]) -> f64 {
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 0 {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    }
 }
 
 /// Formats a duration in seconds with the unit conventions of this shim's
@@ -244,6 +256,13 @@ mod tests {
             b.iter(|| (0..n).sum::<u64>())
         });
         group.finish();
+    }
+
+    #[test]
+    fn median_takes_the_middle_of_sorted_samples() {
+        assert_eq!(median(&[3.0]), 3.0);
+        assert_eq!(median(&[1.0, 2.0, 9.0]), 2.0);
+        assert_eq!(median(&[1.0, 2.0, 4.0, 9.0]), 3.0);
     }
 
     #[test]

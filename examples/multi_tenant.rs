@@ -6,7 +6,8 @@
 //! flooding the queue, a "kiosk" tenant with triple dispatch weight, and
 //! a "guest" tenant held to a 10-admission quota — all on the same
 //! two-worker engine — then prints the per-tenant scoreboard
-//! (`tenant_stats`) and the work-stealing split (`queue_stats`).
+//! (`tenant_stats`) and how many jobs the workers and the waiting caller
+//! each took off the run queue (`queue_stats`).
 //!
 //! Run with `cargo run --example multi_tenant`.
 
@@ -84,9 +85,10 @@ fn main() -> Result<()> {
     }
     let queue = engine.queue_stats();
     println!(
-        "\nqueue: {} dispatched, {:.1}% stolen between workers",
+        "\nqueue: {} dispatched, {} to workers, {} played by waiting callers",
         queue.dispatched(),
-        queue.steal_ratio() * 100.0
+        queue.refills,
+        queue.helped
     );
     engine.shutdown();
     Ok(())

@@ -1,6 +1,6 @@
 //! Equivalence of the one relaxation kernel with a naive reference.
 //!
-//! Solve, playback, lint and live-edit repair all relax through
+//! Solve, playback, lint and live edits all relax through
 //! `ConstraintKernel` (Kahn order over the acyclic part, a FIFO worklist in
 //! rounds for points on or downstream of a cycle). This suite pins it
 //! against the simplest correct algorithm — repeated full passes over every

@@ -2,10 +2,10 @@
 //!
 //! Two invariants pin the edit-while-playing refactor down:
 //!
-//! 1. **Incremental ≡ cold.** For a random script of edits applied through
-//!    an [`EditSession`], the incrementally repaired fixpoint must assemble
-//!    the *identical* [`SolveResult`] a cold full re-solve of the edited
-//!    document produces — after every single edit, not just at the end.
+//! 1. **Session ≡ cold.** For a random script of edits applied through an
+//!    [`EditSession`], the session's [`SolveResult`] must be *identical* to
+//!    the one a cold full re-solve of its current revision produces — after
+//!    every single edit, applied or refused, not just at the end.
 //! 2. **History is immutable.** Mid-playback revision swaps
 //!    ([`PlayerSession::swap_revision`]), however many, never rewrite
 //!    already-fired events: everything that finished before a swap
@@ -146,9 +146,9 @@ fn cold_solve(doc: &Document, resolver: &cmif::core::descriptor::DescriptorCatal
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Invariant 1: after every applied edit of a random script, the
-    /// incremental repair equals a cold full re-solve of the edited
-    /// document — same schedule, same constraints, same violations.
+    /// Invariant 1: after every edit of a random script, the session's
+    /// result equals a cold full re-solve of its current revision — same
+    /// schedule, same constraints, same violations.
     #[test]
     fn random_edit_scripts_match_a_cold_full_resolve(
         stories in 1usize..5,
@@ -172,10 +172,10 @@ proptest! {
                 Ok(_) => applied += 1,
                 Err(_) => rejected += 1, // session must be undisturbed
             }
-            let incremental = session.solve_result().unwrap();
+            let held = session.solve_result().unwrap();
             let cold = cold_solve(session.revision().doc(), &catalog);
             prop_assert_eq!(
-                &incremental, &cold,
+                &held, &cold,
                 "divergence after {} applied / {} rejected edits (last: {:?})",
                 applied, rejected, edit
             );
@@ -225,7 +225,7 @@ proptest! {
             .collect();
 
         // Edit the document mid-flight: append a coda story and re-solve
-        // incrementally, then swap the session onto the new revision.
+        // the new revision, then swap the session onto it.
         let mut rng = Rng(seed.wrapping_mul(3).wrapping_add(7));
         let mut author = EditSession::begin(
             DocRevision::initial(Arc::clone(&doc)),
