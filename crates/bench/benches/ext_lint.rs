@@ -10,7 +10,13 @@
 //!   the timing passes share one relaxation of the derived constraint
 //!   graph on the scheduler's kernel (each edge once in topological order,
 //!   a worklist only for cyclic regions), so the envelope should grow
-//!   linearly — the per-size figures keep any departure visible.
+//!   linearly — the per-size figures keep any departure visible. Each
+//!   target re-lints one revision.
+//! * `check_fresh` — the same registry at 16/64 stories, but every
+//!   iteration lints a revision the linter has not seen in its last 64
+//!   checks: the loop cycles through 65 separately built documents, each a
+//!   revision of its own. This is what stage 2 runs, since a served request
+//!   decodes a fresh document.
 //! * `check_broken` / `render_broken` — a parsed document with findings in
 //!   every code family (structure, timing, resources), checked and then
 //!   rendered rustc-style against its `SourceMap`. Rendering prices the
@@ -51,6 +57,10 @@ const BROKEN: &str = r#"(cmif
       (imm (name ticker) (channel wire) (duration 2000)
         (data "more at eleven")))))
 "#;
+
+/// Distinct revisions a `check_fresh` target cycles through: more than the
+/// last 64 checks, so no iteration lints a revision seen recently.
+const FRESH_REVISIONS: usize = 65;
 
 fn clean_doc(stories: usize) -> Document {
     SyntheticNews::with_stories(stories)
@@ -122,6 +132,21 @@ fn bench_lint(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("check_clean", stories), &doc, |b, doc| {
             b.iter(|| linter.check(doc));
         });
+    }
+    for stories in [16usize, 64] {
+        // Every build mints a fresh revision id.
+        let docs: Vec<Document> = (0..FRESH_REVISIONS).map(|_| clean_doc(stories)).collect();
+        let mut next = 0;
+        group.bench_with_input(
+            BenchmarkId::new("check_fresh", stories),
+            &docs,
+            |b, docs| {
+                b.iter(|| {
+                    next = (next + 1) % docs.len();
+                    linter.check(&docs[next])
+                });
+            },
+        );
     }
     group.bench_function("check_broken", |b| {
         b.iter(|| linter.check(&broken));

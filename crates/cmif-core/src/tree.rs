@@ -30,9 +30,9 @@ use crate::value::AttrValue;
 /// Every mutation of a document (adding nodes, setting attributes, touching
 /// arcs) replaces its token with a fresh one drawn from a process-global
 /// counter, so two documents share a token id only when one is an unmutated
-/// clone of the other — in which case their contents are identical and any
-/// cache keyed by the id (the linter's constraint-fixpoint cache, an edit
-/// session's derived state) may serve both.
+/// clone of the other — in which case their contents are identical. Edit
+/// chains name their revisions by it (`DocRevision::id` and `parent_id`);
+/// nothing in the workspace caches derived state under it.
 ///
 /// The token deliberately compares equal to every other token: it is an
 /// identity, not content, and must not disturb the document's structural
@@ -128,8 +128,10 @@ impl Document {
     /// The id of this document's current revision token.
     ///
     /// Two documents report the same id only when one is an unmutated clone
-    /// of the other, so the id is a safe cache key for anything derived
-    /// purely from document content (constraint sets, relaxation fixpoints).
+    /// of the other, so anything derived purely from document content
+    /// (constraint sets, relaxation fixpoints) could be keyed by it; a cache
+    /// that did so would also have to key the resolver and options it
+    /// derived with.
     pub fn revision_id(&self) -> u64 {
         self.revision.id()
     }

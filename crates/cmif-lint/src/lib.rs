@@ -26,15 +26,18 @@
 //!
 //! [`Linter::analyze`] is the one lint run: it runs the structural rule set
 //! once, derives the document's constraint graph once, relaxes the graph's
-//! base fixpoint once (or seeds it from the [`LintCache`]), runs the
-//! registry over all three, and returns the report together with the graph,
-//! so a caller about to schedule the same revision — the pipeline's stage
-//! 5a — solves without deriving or relaxing again. [`Linter::check`] and
-//! [`Linter::check_resolved`] are its report half.
+//! base fixpoint once, runs the registry over all three, and returns the
+//! report together with the graph, so a caller about to schedule the same
+//! revision — the pipeline's stage 5a — solves without deriving or relaxing
+//! again. [`Linter::check`] and [`Linter::check_resolved`] are its report
+//! half. A linter keeps nothing between runs: every call analyses its
+//! document afresh.
 //!
 //! [`admission_gate`] packages a configured [`Linter`] as an engine-side
 //! [`cmif_scheduler::LintGate`], so deny-level documents are refused at
 //! admission (`SchedulerError::LintRejected`) before they cost a worker.
+//! The gate resolves descriptors against the resolver the submission's job
+//! will use.
 //!
 //! ```
 //! use cmif_core::prelude::*;
@@ -56,16 +59,10 @@
 
 pub mod passes;
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
 use cmif_core::descriptor::DescriptorResolver;
 use cmif_core::diag::{Diagnostic, Severity, SeverityConfig, SourceMap};
 use cmif_core::tree::Document;
-use cmif_scheduler::{Constraint, ConstraintGraph, LintGate, ScheduleOptions};
-
-use passes::Fixpoint;
+use cmif_scheduler::{ConstraintGraph, LintGate, ScheduleOptions};
 
 pub use cmif_core::diag::{codes, Code};
 pub use passes::{LintContext, Pass};
@@ -88,101 +85,14 @@ impl Default for Limits {
     }
 }
 
-/// A per-revision cache of constraint-relaxation fixpoints.
-///
-/// The L1xx/L2xx timing passes all consult the same longest-path fixpoint
-/// over the derived constraint graph. Relaxing that graph dominates lint
-/// cost on large documents, so the [`Linter`] keeps the result keyed by the
-/// document's [`Document::revision_id`] (plus the derivation options that
-/// shaped the constraints): re-linting an unedited revision — as the live
-/// authoring loop does after every accepted edit of a *different* document,
-/// or the admission gate does when the same document is resubmitted — skips
-/// the relaxation entirely, and the graph it hands on
-/// ([`Analysis::graph`]) starts from the cached fixpoint. A hit is only
-/// honoured when the freshly derived constraints still match the cached
-/// ones, so resolver or catalog changes behind an unchanged tree cannot
-/// serve a stale fixpoint.
-///
-/// The lock guards only the lookup and the insert: a miss relaxes outside
-/// it, so concurrent lint runs sharing one cache (clones of a linter, of a
-/// `PipelineBuilder`, of the [`admission_gate`]) never wait on each
-/// other's relaxation. Two runs that miss on the same revision at once
-/// both relax it; the later insert wins.
-#[derive(Debug, Default)]
-pub struct LintCache {
-    entries: Mutex<HashMap<CacheKey, CacheEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Revision id, default discrete duration, fill-unknown-in-parallel.
-type CacheKey = (u64, i64, bool);
-
-/// A cached fixpoint and the constraint set it was relaxed from.
-type CacheEntry = (Arc<[Constraint]>, Arc<Fixpoint>);
-
-/// Entry bound before the cache wholesale-clears itself; crude, but a lint
-/// cache outliving 64 distinct revisions is churning, not converging.
-const CACHE_CAPACITY: usize = 64;
-
-impl LintCache {
-    /// The analysed graph of `constraints` (freshly derived from `doc`):
-    /// seeded from the cached fixpoint on a hit, relaxed and cached on a
-    /// miss. `None` only when the document has no root.
-    fn lookup_or_compute(
-        &self,
-        doc: &Document,
-        options: &ScheduleOptions,
-        constraints: Vec<Constraint>,
-    ) -> Option<(ConstraintGraph, Arc<Fixpoint>)> {
-        let key = (
-            doc.revision_id(),
-            options.default_discrete_ms,
-            options.fill_unknown_in_parallel,
-        );
-        let cached = self.lock().get(&key).cloned();
-        if let Some((known, fixpoint)) = cached {
-            if *known == *constraints {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                let graph = fixpoint.seed(doc, constraints)?;
-                return Some((graph, fixpoint));
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let known = Arc::from(constraints.as_slice());
-        let (graph, fixpoint) = Fixpoint::analyze(doc, constraints)?;
-        let mut entries = self.lock();
-        if entries.len() >= CACHE_CAPACITY {
-            entries.clear();
-        }
-        entries.insert(key, (known, Arc::clone(&fixpoint)));
-        Some((graph, fixpoint))
-    }
-
-    fn lock(&self) -> MutexGuard<'_, HashMap<CacheKey, CacheEntry>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// A configured lint run: severity policy, resource limits, and the
-/// derivation options used when passes consult the constraint graph.
-///
-/// Cloning a linter shares its [`LintCache`], so the engine admission gate
-/// (which clones per inspection, see [`admission_gate`]) still benefits from
-/// fixpoints cached by earlier inspections.
+/// derivation options used when passes consult the constraint graph. It
+/// holds nothing else: every run analyses its document afresh.
 #[derive(Debug, Clone, Default)]
 pub struct Linter {
     config: SeverityConfig,
     limits: Limits,
     options: ScheduleOptions,
-    cache: Arc<LintCache>,
 }
 
 impl Linter {
@@ -215,11 +125,11 @@ impl Linter {
         &self.config
     }
 
-    /// Fixpoint-cache counters as `(hits, misses)` — a hit means a lint run
-    /// reused a relaxation fixpoint cached for the same document revision
-    /// instead of re-relaxing the constraint graph.
+    /// Always `(0, 0)`: the linter keeps no state between runs, so no run
+    /// hits or misses a cache. It stays only because the committed
+    /// benchmark reads it (perfbench's `lint.cache_hit_ratio`).
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        (0, 0)
     }
 
     /// Runs every registered pass over the document and grades the findings
@@ -240,19 +150,13 @@ impl Linter {
 
     /// Analyses the document once: runs the structural rule set, derives
     /// its constraint graph against `resolver`, relaxes the graph's base
-    /// fixpoint (or seeds it from the [`LintCache`]), runs every registered
-    /// pass over them, and returns the graded report together with the
-    /// graph. A caller about to schedule the same revision against the same
-    /// resolver solves that graph ([`ConstraintGraph::solve`]) instead of
-    /// deriving and relaxing it again — the pipeline's stage 5a does this.
+    /// fixpoint, runs every registered pass over them, and returns the
+    /// graded report together with the graph. A caller about to schedule
+    /// the same revision against the same resolver solves that graph
+    /// ([`ConstraintGraph::solve`]) instead of deriving and relaxing it
+    /// again — the pipeline's stage 5a does this.
     pub fn analyze(&self, doc: &Document, resolver: &dyn DescriptorResolver) -> Analysis {
-        let ctx = LintContext::analyzed(
-            doc,
-            resolver,
-            &self.options,
-            &self.limits,
-            Some(&self.cache),
-        );
+        let ctx = LintContext::with_resolver(doc, resolver, &self.options, &self.limits);
         let mut raw = Vec::new();
         for pass in passes::registry() {
             pass.run(&ctx, &mut raw);
@@ -327,16 +231,19 @@ impl LintReport {
 /// Packages a linter as an engine admission gate
 /// ([`cmif_scheduler::EngineConfig::lint_gate`]).
 ///
-/// A submission's `LintPolicy::Configured` severity config replaces the
-/// linter's own for that document; `LintPolicy::Default` uses the linter as
-/// given (and `LintPolicy::Skip` never reaches the closure).
+/// Each submission is checked ([`Linter::check_resolved`]) against the
+/// descriptor resolver its job will resolve against: the submission's
+/// resolver, else the document's own catalog. A submission's
+/// `LintPolicy::Configured` severity config replaces the linter's own for
+/// that document; `LintPolicy::Default` uses the linter as given (and
+/// `LintPolicy::Skip` never reaches the closure).
 pub fn admission_gate(linter: Linter) -> LintGate {
-    LintGate::new(move |doc, config| {
+    LintGate::new(move |doc, resolver, config| {
         let run = match config {
             Some(config) => linter.clone().with_config(config.clone()),
             None => linter.clone(),
         };
-        run.check(doc).into_diagnostics()
+        run.check_resolved(doc, resolver).into_diagnostics()
     })
 }
 
@@ -616,36 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn the_fixpoint_cache_hits_on_an_unchanged_revision() {
-        let linter = Linter::new();
-        let doc = valid_doc();
-        assert!(linter.check(&doc).is_clean());
-        assert_eq!(linter.cache_stats(), (0, 1), "cold run must miss");
-
-        // An unmutated clone shares the revision id, so the second run hits.
-        assert!(linter.check(&doc.clone()).is_clean());
-        assert_eq!(linter.cache_stats(), (1, 1));
-
-        // Any mutation mints a fresh revision id: back to a miss.
-        let mut edited = doc.clone();
-        let root = edited.root().unwrap();
-        let extra = edited.add_imm_text(root, "more").unwrap();
-        edited
-            .set_attr(extra, AttrName::Name, AttrValue::Id("more".into()))
-            .unwrap();
-        edited
-            .set_attr(extra, AttrName::Channel, AttrValue::Id("audio".into()))
-            .unwrap();
-        assert!(linter.check(&edited).is_clean());
-        assert_eq!(linter.cache_stats(), (1, 2));
-
-        // Clones of the linter share the cache (the admission gate relies
-        // on this — it clones per inspection).
-        assert!(linter.clone().check(&doc).is_clean());
-        assert_eq!(linter.cache_stats(), (2, 2));
-    }
-
-    #[test]
     fn cached_and_cold_cycle_reports_are_identical() {
         let mut doc = valid_doc();
         let root = doc.root().unwrap();
@@ -669,7 +546,6 @@ mod tests {
         let linter = Linter::new();
         let cold = linter.check(&doc);
         let warm = linter.check(&doc);
-        assert_eq!(linter.cache_stats(), (1, 1));
         assert_eq!(cold, warm, "a cached fixpoint must not change findings");
         assert!(cold
             .diagnostics()
@@ -735,10 +611,6 @@ mod tests {
                 });
             }
         });
-        // Each document belongs to one thread: it misses once, then hits.
-        let (hits, misses) = linter.cache_stats();
-        assert_eq!(hits + misses, (docs.len() * ROUNDS) as u64);
-        assert_eq!(misses, docs.len() as u64);
     }
 
     #[test]

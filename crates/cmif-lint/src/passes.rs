@@ -12,8 +12,6 @@
 //! statically, before a document ever costs an engine worker. The other
 //! L2xx passes cover descriptors and resources.
 
-use std::sync::Arc;
-
 use cmif_core::descriptor::DescriptorResolver;
 use cmif_core::diag::{codes, Code, Diagnostic, Related};
 use cmif_core::error::CoreError;
@@ -27,7 +25,7 @@ use cmif_scheduler::{
     ScheduleOptions, SchedulerError,
 };
 
-use crate::{Limits, LintCache};
+use crate::Limits;
 
 /// The relaxed ASAP fixpoint of one document revision's derived constraint
 /// set — or the positive cycle or time overflow that prevents one.
@@ -39,9 +37,8 @@ use crate::{Limits, LintCache};
 /// shares it — L101 reports the cycle, L105 the overflow, L203 reads the
 /// event times — and no pass relaxes on its own. A cycle's route is
 /// recovered with [`relax_traced`] only after the plain relax has found the
-/// cycle. The [`crate::Linter`] caches fixpoints per document revision (see
-/// [`LintCache`]); a cached one seeds the next graph of that revision
-/// ([`ConstraintGraph::from_relaxed`]).
+/// cycle. It lives as long as its [`LintContext`]: nothing keeps it between
+/// lint runs.
 #[derive(Debug)]
 pub struct Fixpoint {
     /// The base fixpoint; `None` when relaxation failed.
@@ -68,9 +65,9 @@ impl Fixpoint {
     pub(crate) fn analyze(
         doc: &Document,
         constraints: Vec<Constraint>,
-    ) -> Option<(ConstraintGraph, Arc<Fixpoint>)> {
+    ) -> Option<(ConstraintGraph, Fixpoint)> {
         let mut graph = ConstraintGraph::from_constraints(doc, constraints).ok()?;
-        let fixpoint = Arc::new(Fixpoint::compute(doc, &mut graph));
+        let fixpoint = Fixpoint::compute(doc, &mut graph);
         Some((graph, fixpoint))
     }
 
@@ -99,21 +96,6 @@ impl Fixpoint {
             cycle,
             overflow,
         }
-    }
-
-    /// A graph over `constraints` — the set this fixpoint was computed
-    /// from, re-derived for the same revision — that starts from this
-    /// fixpoint instead of relaxing again.
-    pub(crate) fn seed(
-        &self,
-        doc: &Document,
-        constraints: Vec<Constraint>,
-    ) -> Option<ConstraintGraph> {
-        match &self.times {
-            Some(times) => ConstraintGraph::from_relaxed(doc, constraints, times.clone()),
-            None => ConstraintGraph::from_constraints(doc, constraints),
-        }
-        .ok()
     }
 
     /// The event times at the fixpoint; `None` when relaxation failed or a
@@ -146,7 +128,7 @@ pub struct LintContext<'a> {
     /// The derived constraint graph with its base fixpoint relaxed, and
     /// that fixpoint; `None` when derivation itself failed (dangling
     /// endpoints and the like — reported by their own passes).
-    analysis: Option<(ConstraintGraph, Arc<Fixpoint>)>,
+    analysis: Option<(ConstraintGraph, Fixpoint)>,
     /// The structural rule set's findings, which the structural passes
     /// render.
     findings: Findings,
@@ -168,23 +150,9 @@ impl<'a> LintContext<'a> {
         options: &'a ScheduleOptions,
         limits: &'a Limits,
     ) -> Self {
-        LintContext::analyzed(doc, resolver, options, limits, None)
-    }
-
-    /// [`LintContext::with_resolver`], consulting `cache` for the fixpoint.
-    pub(crate) fn analyzed(
-        doc: &'a Document,
-        resolver: &'a dyn DescriptorResolver,
-        options: &'a ScheduleOptions,
-        limits: &'a Limits,
-        cache: Option<&LintCache>,
-    ) -> Self {
         let analysis = derive_constraints(doc, resolver, options)
             .ok()
-            .and_then(|constraints| match cache {
-                Some(cache) => cache.lookup_or_compute(doc, options, constraints),
-                None => Fixpoint::analyze(doc, constraints),
-            });
+            .and_then(|constraints| Fixpoint::analyze(doc, constraints));
         LintContext {
             doc,
             options,
@@ -210,7 +178,7 @@ impl<'a> LintContext<'a> {
     /// The shared relaxation fixpoint; `None` when constraint derivation
     /// failed.
     fn fixpoint(&self) -> Option<&Fixpoint> {
-        self.analysis.as_ref().map(|(_, fixpoint)| &**fixpoint)
+        self.analysis.as_ref().map(|(_, fixpoint)| fixpoint)
     }
 
     fn node_span(&self, node: NodeId) -> Option<Span> {
@@ -487,8 +455,7 @@ static PASSES: &[Pass] = &[
 // ---------------------------------------------------------------------------
 
 /// Reports the positive cycle recovered by the shared [`Fixpoint`]
-/// relaxation (computed once per lint run — or reused from the linter's
-/// per-revision cache — instead of per check).
+/// relaxation (computed once per lint run instead of per check).
 fn arc_cycles(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     if ctx.doc.root().is_err() {
         return;
@@ -661,8 +628,8 @@ fn dangling_descriptors(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
 
 fn channel_double_booking(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     // A diverging graph is L101's report; without a fixpoint there are no
-    // times to compare. The times come from the shared (possibly cached)
-    // relaxation — this pass no longer builds and relaxes its own graph.
+    // times to compare. The times come from the shared relaxation — this
+    // pass does not build and relax its own graph.
     let Some(times) = ctx.fixpoint().and_then(Fixpoint::times) else {
         return;
     };

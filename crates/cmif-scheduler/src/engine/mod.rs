@@ -140,9 +140,11 @@ impl fmt::Debug for JobHook {
 ///
 /// The gate wraps a callback so the scheduler does not depend on the lint
 /// crate that sits above it: `cmif-lint` provides the canonical constructor
-/// (`cmif_lint::admission_gate`). The callback receives the document and an
+/// (`cmif_lint::admission_gate`). The callback receives the document, the
+/// descriptor resolver its job will resolve against (the submission's
+/// [`Submission::resolver`], else the document's own catalog) and an
 /// optional per-submission [`SeverityConfig`] override
-/// ([`LintPolicy::Configured`]) and returns every diagnostic it collected;
+/// ([`LintPolicy::Configured`]), and returns every diagnostic it collected;
 /// any deny-severity diagnostic refuses the submission with
 /// [`SchedulerError::LintRejected`] **before** the plane lock is taken, a
 /// quota token charged, or a worker costed.
@@ -151,29 +153,48 @@ pub struct LintGate {
     check: Arc<GateCheck>,
 }
 
-/// The callback shape a [`LintGate`] wraps: document plus optional
-/// per-submission severity override, out come the collected diagnostics.
-type GateCheck = dyn Fn(&Document, Option<&SeverityConfig>) -> Vec<Diagnostic> + Send + Sync;
+/// The callback shape a [`LintGate`] wraps: document, the resolver its job
+/// uses and an optional per-submission severity override, out come the
+/// collected diagnostics.
+type GateCheck = dyn Fn(&Document, &dyn DescriptorResolver, Option<&SeverityConfig>) -> Vec<Diagnostic>
+    + Send
+    + Sync;
 
 impl LintGate {
     /// Wraps a diagnostic-collecting callback as an admission gate.
     pub fn new(
-        check: impl Fn(&Document, Option<&SeverityConfig>) -> Vec<Diagnostic> + Send + Sync + 'static,
+        check: impl Fn(&Document, &dyn DescriptorResolver, Option<&SeverityConfig>) -> Vec<Diagnostic>
+            + Send
+            + Sync
+            + 'static,
     ) -> LintGate {
         LintGate {
             check: Arc::new(check),
         }
     }
 
-    /// Runs the gate under the submission's policy. `Ok(())` admits;
+    /// Runs the gate under the submission's policy, resolving descriptors
+    /// against the document's own catalog. `Ok(())` admits;
     /// [`SchedulerError::LintRejected`] carries every collected diagnostic.
     pub fn inspect(&self, doc: &Document, policy: &LintPolicy) -> Result<()> {
+        self.inspect_resolved(doc, &doc.catalog, policy)
+    }
+
+    /// [`LintGate::inspect`] against an external descriptor resolver — the
+    /// one a store-backed document's job resolves against. The engine
+    /// inspects every submission this way.
+    pub fn inspect_resolved(
+        &self,
+        doc: &Document,
+        resolver: &dyn DescriptorResolver,
+        policy: &LintPolicy,
+    ) -> Result<()> {
         let config = match policy {
             LintPolicy::Skip => return Ok(()),
             LintPolicy::Default => None,
             LintPolicy::Configured(config) => Some(config),
         };
-        let diagnostics = (self.check)(doc, config);
+        let diagnostics = (self.check)(doc, resolver, config);
         if diagnostics.iter().any(Diagnostic::is_deny) {
             return Err(SchedulerError::LintRejected { diagnostics });
         }
@@ -867,7 +888,8 @@ impl Engine {
         // not serialized behind the analysis.
         if let Some(gate) = &shared.config.lint_gate {
             for submission in submissions.as_ref() {
-                gate.inspect(&submission.doc, &submission.lint)?;
+                let resolver = job_resolver(&submission.resolver, &submission.doc);
+                gate.inspect_resolved(&submission.doc, resolver, &submission.lint)?;
             }
         }
         let need = submissions.as_ref().len();
@@ -1288,6 +1310,19 @@ fn drain_mailbox(mailbox: &Mailbox) -> Vec<Edit> {
 /// The benchmark's session probe (`play_directly`) mirrors it.
 const TICKS_PER_DOCUMENT: i64 = 8;
 
+/// What a job resolves descriptors against: its submission's resolver,
+/// else the document's own catalog. The lint gate inspects against the
+/// same one.
+fn job_resolver<'a>(
+    resolver: &'a Option<Arc<dyn DescriptorResolver + Send + Sync>>,
+    doc: &'a Document,
+) -> &'a dyn DescriptorResolver {
+    match resolver {
+        Some(resolver) => resolver.as_ref(),
+        None => &doc.catalog,
+    }
+}
+
 /// One document's full trip through the engine: derive, relax, play —
 /// draining its live-edit mailbox before the solve and again at every tick
 /// boundary. Any scheduler error — a `ConstraintCycle` above all — is the
@@ -1296,10 +1331,7 @@ fn run_job(config: &EngineConfig, job: &Job) -> Result<(PlaybackReport, Vec<Edit
     if let Some(hook) = &config.job_hook {
         hook.fire(&job.label);
     }
-    let resolver: &dyn DescriptorResolver = match &job.resolver {
-        Some(resolver) => resolver.as_ref(),
-        None => &job.doc.catalog,
-    };
+    let resolver = job_resolver(&job.resolver, &job.doc);
     let mut edits: Vec<EditOutcome> = Vec::new();
     let mut revision = DocRevision::initial(Arc::clone(&job.doc));
     // Edits that raced admission fold into the revision before anything is

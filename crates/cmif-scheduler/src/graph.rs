@@ -17,7 +17,9 @@
 //! [`ConstraintGraph::base_fixpoint`], and hands the graph on, so the solve
 //! that follows does not relax again; only when that relax has found a
 //! positive cycle does lint run [`relax_traced`] to recover the cycle's
-//! route:
+//! route. A fixpoint lives only as long as its graph: every graph starts
+//! unrelaxed, and nothing carries a fixpoint from one graph to the next.
+//! The kernel:
 //!
 //! * **Dense points.** An event point lives at slot `2·node.index() +
 //!   anchor` — arena ids are dense and stable across edits, so nothing is
@@ -545,23 +547,6 @@ impl ConstraintGraph {
             zero: PointTimes::zeroed(doc),
             base_times: None,
         })
-    }
-
-    /// Wraps a constraint set whose base fixpoint is already known, so the
-    /// first [`ConstraintGraph::relax`] or [`ConstraintGraph::solve`] starts
-    /// from it instead of relaxing the base. `times` must be
-    /// [`ConstraintGraph::base_fixpoint`] of a graph over the same
-    /// constraints and the same document revision — `cmif-lint` seeds its
-    /// graphs this way from fixpoints it cached per revision. Seeded with
-    /// anything else, the graph solves to a wrong schedule.
-    pub fn from_relaxed(
-        doc: &Document,
-        constraints: Vec<Constraint>,
-        times: PointTimes,
-    ) -> Result<ConstraintGraph> {
-        let mut graph = ConstraintGraph::from_constraints(doc, constraints)?;
-        graph.base_times = Some(times);
-        Ok(graph)
     }
 
     /// Adds one constraint on top of the derived set without invalidating

@@ -3,13 +3,20 @@
 //! rendered, span-carrying cycle diagnostic naming the arcs of the cycle —
 //! while the *same* document, submitted with the cycle code set to
 //! `allow`, reaches the solver and fails there exactly as it did before
-//! static analysis existed.
+//! static analysis existed. The gate resolves descriptors against the
+//! resolver the submission's job uses, so a store-backed document is
+//! judged by the catalog it will play against.
 
 use std::sync::Arc;
 
+use cmif::core::channel::MediaKind;
 use cmif::core::diag::{codes, render_all, SeverityConfig};
+use cmif::core::prelude::DocumentBuilder;
+use cmif::core::tree::Document;
 use cmif::format::parse_document_unvalidated;
 use cmif::lint::{admission_gate, Linter};
+use cmif::media::BlockStore;
+use cmif::pipeline::{CaptureRequest, CaptureTool};
 use cmif::scheduler::{Engine, EngineConfig, JitterModel, LintPolicy, SchedulerError, Submission};
 
 /// Structurally sound except for one thing: `line` begins a second after
@@ -128,4 +135,63 @@ fn clean_documents_pass_the_gate_untouched() {
         .expect("a clean document is admitted");
     assert!(engine.wait(id).result.is_ok());
     engine.shutdown();
+}
+
+/// A store-backed document: its own catalog is empty, and the descriptor of
+/// its one external leaf lives in a block store.
+fn store_backed() -> (Arc<Document>, BlockStore) {
+    let store = BlockStore::new();
+    CaptureTool::new(&store, 5)
+        .capture(&CaptureRequest::audio("speech", 2_000))
+        .unwrap();
+    let doc = DocumentBuilder::new("store-backed")
+        .channel("audio", MediaKind::Audio)
+        .root_seq(|root| {
+            root.ext("voice", "audio", "speech");
+        })
+        .build()
+        .unwrap();
+    (Arc::new(doc), store)
+}
+
+#[test]
+fn the_gate_resolves_descriptors_against_the_submissions_resolver() {
+    let (doc, store) = store_backed();
+    let catalog = Arc::new(store.export_catalog());
+    let engine = gated_engine();
+
+    // Without a resolver the job reads the document's own, empty catalog,
+    // where the leaf's descriptor dangles: the gate refuses it (L202).
+    let err = engine
+        .admit(Submission::new(Arc::clone(&doc), JitterModel::ideal()))
+        .unwrap_err();
+    let SchedulerError::LintRejected { diagnostics } = err else {
+        panic!("expected LintRejected, got {err:?}");
+    };
+    assert!(
+        diagnostics
+            .iter()
+            .any(|d| d.code == codes::DANGLING_DESCRIPTOR && d.is_deny()),
+        "{diagnostics:?}"
+    );
+
+    // With the store's catalog as its resolver, the descriptor resolves
+    // where the job will look for it: admitted, and played to completion.
+    let id = engine
+        .admit(Submission::new(Arc::clone(&doc), JitterModel::ideal()).resolver(catalog.clone()))
+        .expect("the descriptor resolves against the submission's resolver");
+    let gated = engine.wait(id);
+    assert!(gated.is_ok(), "{:?}", gated.result);
+    engine.shutdown();
+
+    // An ungated engine plays the same submission to the same outcome.
+    let ungated = Engine::new(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
+    let id = ungated
+        .admit(Submission::new(doc, JitterModel::ideal()).resolver(catalog))
+        .unwrap();
+    assert_eq!(ungated.wait(id).result, gated.result);
+    ungated.shutdown();
 }
