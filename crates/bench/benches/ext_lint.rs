@@ -23,9 +23,12 @@
 //!   source-line lookup and caret assembly, which only failing documents
 //!   pay.
 //!
-//! The banner prints documents/sec per size plus the broken-document
-//! figures, and the probe is appended to `BENCH_ext_lint.json` at the repo
-//! root so the analyser's perf trajectory is versioned next to the code.
+//! The banner prints checks/sec per size, both re-linting one revision
+//! (`clean/stories*`) and cycling through fresh revisions as
+//! `check_fresh` does (`fresh/stories*`, the rate stage 2 pays), plus the
+//! broken-document figures, and the probe is appended to
+//! `BENCH_ext_lint.json` at the repo root so the analyser's perf
+//! trajectory is versioned next to the code.
 
 use std::time::{Duration, Instant};
 
@@ -68,12 +71,15 @@ fn clean_doc(stories: usize) -> Document {
         .expect("synthetic news builds")
 }
 
-/// Checks `doc` `rounds` times and returns documents/sec (best of two).
-fn docs_per_sec(linter: &Linter, doc: &Document, rounds: usize) -> f64 {
+/// Checks `rounds` documents per pass, cycling through `docs` (the cycle
+/// runs on from one pass to the next), and returns documents/sec (best of
+/// two passes).
+fn docs_per_sec(linter: &Linter, docs: &[Document], rounds: usize) -> f64 {
     let mut best = f64::INFINITY;
+    let mut cycle = docs.iter().cycle();
     for _ in 0..2 {
         let started = Instant::now();
-        for _ in 0..rounds {
+        for doc in cycle.by_ref().take(rounds) {
             let report = linter.check(doc);
             assert!(!report.has_deny(), "clean fixture must stay clean");
         }
@@ -85,15 +91,35 @@ fn docs_per_sec(linter: &Linter, doc: &Document, rounds: usize) -> f64 {
 fn bench_lint(c: &mut Criterion) {
     let linter = Linter::new();
 
-    // Regenerate the artifact: full-registry checks/sec as documents grow.
+    // Every build mints a fresh revision id.
+    let fresh: Vec<(usize, Vec<Document>)> = [16usize, 64]
+        .into_iter()
+        .map(|stories| {
+            let docs = (0..FRESH_REVISIONS).map(|_| clean_doc(stories)).collect();
+            (stories, docs)
+        })
+        .collect();
+
+    // Regenerate the artifact: full-registry checks/sec as documents grow,
+    // re-linting one revision and linting fresh ones.
     let mut run = TrajectoryRun::now("cargo bench ext_lint");
-    let mut lines = String::from("stories   nodes   checks/sec\n");
+    let mut lines = String::from("stories   nodes   re-lint/sec   fresh/sec\n");
     for stories in [4usize, 16, 64] {
         let doc = clean_doc(stories);
         let nodes = doc.node_count();
-        let rate = docs_per_sec(&linter, &doc, 64);
-        lines.push_str(&format!("{stories:<9} {nodes:<7} {rate:.0}\n"));
+        let rate = docs_per_sec(&linter, std::slice::from_ref(&doc), 64);
         run = run.metric(format!("clean/stories{stories}/checks_per_sec"), rate);
+        let fresh_rate = match fresh.iter().find(|(size, _)| *size == stories) {
+            Some((_, docs)) => {
+                let rate = docs_per_sec(&linter, docs, 64);
+                run = run.metric(format!("fresh/stories{stories}/checks_per_sec"), rate);
+                format!("{rate:.0}")
+            }
+            None => "-".to_string(),
+        };
+        lines.push_str(&format!(
+            "{stories:<9} {nodes:<7} {rate:<13.0} {fresh_rate}\n"
+        ));
     }
 
     let broken = parse_document_unvalidated(BROKEN).expect("broken fixture parses");
@@ -133,20 +159,14 @@ fn bench_lint(c: &mut Criterion) {
             b.iter(|| linter.check(doc));
         });
     }
-    for stories in [16usize, 64] {
-        // Every build mints a fresh revision id.
-        let docs: Vec<Document> = (0..FRESH_REVISIONS).map(|_| clean_doc(stories)).collect();
+    for (stories, docs) in &fresh {
         let mut next = 0;
-        group.bench_with_input(
-            BenchmarkId::new("check_fresh", stories),
-            &docs,
-            |b, docs| {
-                b.iter(|| {
-                    next = (next + 1) % docs.len();
-                    linter.check(&docs[next])
-                });
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("check_fresh", stories), docs, |b, docs| {
+            b.iter(|| {
+                next = (next + 1) % docs.len();
+                linter.check(&docs[next])
+            });
+        });
     }
     group.bench_function("check_broken", |b| {
         b.iter(|| linter.check(&broken));

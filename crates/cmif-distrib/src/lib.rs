@@ -52,7 +52,7 @@ pub mod store;
 pub mod traffic;
 pub mod transport;
 
-pub use cmif_format::{WireDocument, WireEncoding, WireFormat};
+pub use cmif_format::WireEncoding;
 pub use error::{DistribError, FetchAttempt, Result};
 pub use fault::{FaultPlan, InjectedFault, TransferDecision};
 pub use health::{HealthPolicy, HealthState, HealthTransition, HostHealth};

@@ -60,7 +60,7 @@ use rand::SeedableRng;
 use cmif_core::descriptor::DataDescriptor;
 use cmif_core::symbol::Symbol;
 use cmif_core::tree::Document;
-use cmif_format::{document_to_bytes, WireEncoding, WireFormat};
+use cmif_format::{document_to_bytes, read_document_bytes, WireEncoding};
 use cmif_media::store::BlockStore;
 use cmif_media::{MediaBlock, MediaError};
 
@@ -490,69 +490,52 @@ impl DistributedStore {
         }
     }
 
-    /// Forces a host's health state, logging the transition; a move to
-    /// `Down`/`Decommissioned` queues its under-replicated objects.
-    fn force_health(&self, host: &str, state: HealthState, cause: &'static str) {
-        let previous = {
+    /// Moves a host's health record one step and logs the transition.
+    /// `step` returns the record's new state when it changed; a host that
+    /// leaves service (`Down`, `Decommissioned`) has its objects queued for
+    /// repair.
+    fn transition(
+        &self,
+        host: &str,
+        cause: &'static str,
+        step: impl FnOnce(&mut HostHealth) -> Option<HealthState>,
+    ) {
+        let moved = {
             let mut health = self.health.write();
-            health.get_mut(host).and_then(|record| record.force(state))
+            health.get_mut(host).and_then(|record| {
+                let from = record.state();
+                step(record).map(|to| (from, to))
+            })
         };
-        if let Some(from) = previous {
+        if let Some((from, to)) = moved {
             self.health_log.lock().push(HealthTransition {
                 host: host.to_string(),
                 from,
-                to: state,
+                to,
                 cause,
             });
-            if !state.is_serviceable() {
+            if !to.is_serviceable() {
                 self.scan_for_repairs(host);
             }
         }
     }
 
-    /// Records a failed transfer against a host's health; an observed
-    /// `Down` transition queues the host's objects for repair.
+    /// Forces a host's health state (an administrative or scripted move).
+    fn force_health(&self, host: &str, state: HealthState, cause: &'static str) {
+        self.transition(host, cause, |record| record.force(state).map(|_| state));
+    }
+
+    /// Records a failed transfer against a host's health.
     fn observe_failure(&self, host: &str) {
-        let transition = {
-            let mut health = self.health.write();
-            health.get_mut(host).and_then(|record| {
-                let from = record.state();
-                record
-                    .observe_failure(&self.health_policy)
-                    .map(|to| (from, to))
-            })
-        };
-        if let Some((from, to)) = transition {
-            self.health_log.lock().push(HealthTransition {
-                host: host.to_string(),
-                from,
-                to,
-                cause: "observed-failure",
-            });
-            if to == HealthState::Down {
-                self.scan_for_repairs(host);
-            }
-        }
+        self.transition(host, "observed-failure", |record| {
+            record.observe_failure(&self.health_policy)
+        });
     }
 
     /// Records a successful transfer against a host's health (one good
     /// round trip recovers a `Suspect` host).
     fn observe_success(&self, host: &str) {
-        let transition = {
-            let mut health = self.health.write();
-            health.get_mut(host).and_then(|record| {
-                let from = record.state();
-                record.observe_success().map(|to| (from, to))
-            })
-        };
-        if let Some((from, to)) = transition {
-            self.health_log.lock().push(HealthTransition {
-                host: host.to_string(),
-                from,
-                to,
-                cause: "observed-success",
-            });
-        }
+        self.transition(host, "observed-success", HostHealth::observe_success);
     }
 
     /// Administratively marks a host down (maintenance, or a drill). Its
@@ -1195,7 +1178,7 @@ impl DistributedStore {
         let name = Symbol::lookup(name).ok_or_else(missing)?;
         let documents = shard.documents.read();
         let bytes = documents.get(&name).ok_or_else(missing)?;
-        Ok(Document::from_read(&mut bytes.as_slice())?)
+        Ok(read_document_bytes(bytes)?.0)
     }
 
     /// Opens `name` on `to`, fetching the wire bytes from the nearest

@@ -21,9 +21,9 @@
 //! Next to the text form lives the **binary wire form** ([`binary`]): a
 //! versioned, checksummed, length-prefixed encoding of the same document
 //! model that round-trips exactly with the canonical text. The [`wire`]
-//! module ties the two together behind one [`WireFormat`] interface with
-//! auto-detection by magic bytes, so transports never need to know which
-//! form a peer sent.
+//! module ties the two together: [`read_document_bytes`] decodes either
+//! form, detected by its magic bytes, so transports never need to know
+//! which form a peer sent.
 //!
 //! ```
 //! use cmif_format::{parse_document, write_document};
@@ -69,5 +69,5 @@ pub use binary::{decode_document, decode_document_unvalidated, encode_document_t
 pub use error::{FormatError, Position, Result, Span};
 pub use parser::{parse_document, parse_document_unvalidated};
 pub use treeview::{channel_view, conventional_view, embedded_view};
-pub use wire::{document_to_bytes, read_document_bytes, WireDocument, WireEncoding, WireFormat};
+pub use wire::{document_to_bytes, read_document_bytes, WireEncoding};
 pub use writer::{write_arc, write_document, write_document_to};

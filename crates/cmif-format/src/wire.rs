@@ -1,13 +1,13 @@
-//! One wire interface over both interchange forms.
+//! One wire read and one wire write over both interchange forms.
 //!
 //! A CMIF document travels either as canonical text ([`crate::writer`]) or
 //! as the compact binary form ([`crate::binary`]). Transports should not
-//! care which: the [`WireFormat`] trait reads a document from any
-//! [`io::Read`] and writes it to any [`io::Write`], auto-detecting the
-//! form by its leading bytes. Binary documents start with
-//! [`BINARY_MAGIC`]; text documents start with `(`, whitespace or a `;`
-//! comment — the first magic byte is outside ASCII, so the two can never
-//! be confused.
+//! care which: [`read_document_bytes`] decodes either form in place,
+//! auto-detecting it by its leading bytes, and [`document_to_bytes`] (or
+//! [`WireEncoding::encode`], onto any [`io::Write`]) writes the form the
+//! caller names. Binary documents start with [`BINARY_MAGIC`]; text
+//! documents start with `(`, whitespace or a `;` comment — the first magic
+//! byte is outside ASCII, so the two can never be confused.
 
 use std::io;
 
@@ -69,16 +69,6 @@ impl std::fmt::Display for WireEncoding {
     }
 }
 
-/// The wire interface: anything that can be read off a transport stream
-/// and written back onto one.
-pub trait WireFormat: Sized {
-    /// Reads one value from a stream, auto-detecting its wire form.
-    fn from_read<R: io::Read>(reader: &mut R) -> Result<Self>;
-
-    /// Writes the value onto a stream in its wire form.
-    fn write_to<W: io::Write>(&self, writer: &mut W) -> Result<()>;
-}
-
 /// Decodes a document from raw wire bytes, reporting which form it was in.
 ///
 /// Both decode paths validate the document structurally — a transported
@@ -105,53 +95,6 @@ pub fn document_to_bytes(doc: &Document, encoding: WireEncoding) -> Result<Vec<u
     let mut out = Vec::new();
     encoding.encode(doc, &mut out)?;
     Ok(out)
-}
-
-impl WireFormat for Document {
-    /// Reads a document in either wire form (detected by magic bytes).
-    fn from_read<R: io::Read>(reader: &mut R) -> Result<Document> {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        Ok(read_document_bytes(&bytes)?.0)
-    }
-
-    /// Writes the document in the default wire form (binary).
-    fn write_to<W: io::Write>(&self, writer: &mut W) -> Result<()> {
-        WireEncoding::Binary.encode(self, writer)
-    }
-}
-
-/// A document paired with the wire encoding it arrived in (or should leave
-/// in). Lets a store fetch from one peer and republish to another without
-/// silently changing the representation on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireDocument {
-    /// The decoded document.
-    pub document: Document,
-    /// The form the document was read in, and will be written in.
-    pub encoding: WireEncoding,
-}
-
-impl WireDocument {
-    /// Wraps a document with an explicit target encoding.
-    pub fn new(document: Document, encoding: WireEncoding) -> WireDocument {
-        WireDocument { document, encoding }
-    }
-}
-
-impl WireFormat for WireDocument {
-    /// Reads a document and records which form it was in.
-    fn from_read<R: io::Read>(reader: &mut R) -> Result<WireDocument> {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        let (document, encoding) = read_document_bytes(&bytes)?;
-        Ok(WireDocument { document, encoding })
-    }
-
-    /// Writes the document back in the same form it was read in.
-    fn write_to<W: io::Write>(&self, writer: &mut W) -> Result<()> {
-        self.encoding.encode(&self.document, writer)
-    }
 }
 
 #[cfg(test)]
@@ -182,20 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn document_round_trips_through_the_trait() {
-        let doc = sample_doc();
-        let mut buf = Vec::new();
-        doc.write_to(&mut buf).unwrap();
-        // The default wire form is binary.
-        assert_eq!(WireEncoding::detect(&buf), WireEncoding::Binary);
-        let again = Document::from_read(&mut buf.as_slice()).unwrap();
-        assert_eq!(
-            write_document(&doc).unwrap(),
-            write_document(&again).unwrap()
-        );
-    }
-
-    #[test]
     fn both_forms_decode_to_the_same_document() {
         let doc = sample_doc();
         let text = document_to_bytes(&doc, WireEncoding::Text).unwrap();
@@ -212,18 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_document_preserves_its_encoding() {
-        let doc = sample_doc();
-        let text = document_to_bytes(&doc, WireEncoding::Text).unwrap();
-        let wired = WireDocument::from_read(&mut text.as_slice()).unwrap();
-        assert_eq!(wired.encoding, WireEncoding::Text);
-        let mut back = Vec::new();
-        wired.write_to(&mut back).unwrap();
-        // Round-tripping through the recorded encoding is a fixed point.
-        assert_eq!(back, text);
-    }
-
-    #[test]
     fn invalid_utf8_text_is_a_wire_error() {
         let err = read_document_bytes(&[b'(', 0xFF, 0xFE]).unwrap_err();
         assert!(matches!(err, FormatError::Wire { .. }));
@@ -234,6 +151,6 @@ mod tests {
     fn garbage_never_panics() {
         assert!(read_document_bytes(b"not a document").is_err());
         assert!(read_document_bytes(&[0xC3, 0x00]).is_err());
-        assert!(Document::from_read(&mut &b"\xc3MIF"[..]).is_err());
+        assert!(read_document_bytes(b"\xc3MIF").is_err());
     }
 }

@@ -11,7 +11,7 @@
 //! 4. **constraint filtering** — plan and (optionally) apply the device
 //!    mapping;
 //! 5. **viewing** — schedule, conflict report, table of contents and
-//!    storyboard, with playback driven through a bounded
+//!    storyboard, with playback driven through a
 //!    [`cmif_scheduler::Engine`] (one per builder, kept across runs).
 //!
 //! Each stage is timed so the Figure 1 benchmark can report where pipeline
@@ -46,26 +46,22 @@ use crate::viewer::{storyboard, table_of_contents, StoryboardFrame};
 /// builder setter of the same name.
 #[derive(Debug, Clone)]
 struct PipelineOptions {
-    schedule: ScheduleOptions,
     materialize_filters: bool,
     storyboard_step_ms: i64,
     jitter: JitterModel,
     playback_runs: u32,
     playback_workers: usize,
-    playback_backlog: Option<usize>,
     lint: Linter,
 }
 
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
-            schedule: ScheduleOptions::default(),
             materialize_filters: false,
             storyboard_step_ms: 1_000,
             jitter: JitterModel::ideal(),
             playback_runs: 1,
             playback_workers: 1,
-            playback_backlog: None,
             lint: Linter::new(),
         }
     }
@@ -148,10 +144,8 @@ impl PipelineRun {
 /// the document's [`ConstraintGraph`] once, in stage 2's analysis
 /// ([`Linter::analyze`]), solves that same graph in stage 5a (deriving
 /// afresh only when stage 4 materialised filtered media), and drives
-/// playback through a stage-5c [`cmif_scheduler::Engine`] — bounded
-/// admission included: set
-/// [`PipelineBuilder::playback_backlog`] and an overloaded engine surfaces
-/// `Backpressure` as a `"playback"`-tagged error instead of stalling.
+/// playback through a stage-5c [`cmif_scheduler::Engine`]. Every stage
+/// schedules under [`ScheduleOptions::default`].
 ///
 /// The engine is created lazily on the first run that plays anything and
 /// then *kept*, so repeat runs (and clones of this builder, which share
@@ -197,8 +191,6 @@ impl PipelineBuilder {
         self.engine.get_or_init(|| {
             Engine::new(EngineConfig {
                 workers: self.options.playback_workers,
-                options: self.options.schedule,
-                max_backlog: self.options.playback_backlog,
                 job_hook: self.job_hook.clone(),
                 ..EngineConfig::default()
             })
@@ -211,13 +203,6 @@ impl PipelineBuilder {
     /// previously spawned pool.
     fn reset_engine(&mut self) {
         self.engine = Arc::new(OnceLock::new());
-    }
-
-    /// Sets the scheduling policy.
-    pub fn schedule(mut self, schedule: ScheduleOptions) -> PipelineBuilder {
-        self.options.schedule = schedule;
-        self.reset_engine();
-        self
     }
 
     /// Whether the filter plan is applied to the block store.
@@ -252,33 +237,15 @@ impl PipelineBuilder {
         self
     }
 
-    /// Admission budget of the stage-5c playback engine. `None` (the
-    /// default) admits every run; `Some(k)` bounds the engine's queue to
-    /// `k` and makes stage 5c admit *without blocking* — a document whose
-    /// `playback_runs` outpace the bounded engine surfaces
-    /// [`cmif_scheduler::SchedulerError::Backpressure`] as a
-    /// stage-tagged [`PipelineError`] instead of stalling the pipeline.
-    ///
-    /// Like any non-blocking admission, whether runs in the window
-    /// `k < playback_runs ≤ k + in-flight` squeeze through depends on how
-    /// fast the workers drain — choose `k ≥ playback_runs` for a bound
-    /// that never rejects this document, or `None` to opt out of
-    /// admission control entirely.
-    pub fn playback_backlog(mut self, backlog: Option<usize>) -> PipelineBuilder {
-        self.options.playback_backlog = backlog;
-        self.reset_engine();
-        self
-    }
-
     /// The stage-2 linter. Its severity config decides which findings
     /// refuse a run (deny) and which merely ride along on the
     /// [`PipelineRun`] (warn); the registry defaults match what the old
-    /// fail-fast validator rejected. At run time the linter's schedule
-    /// options are replaced by the policy set with
-    /// [`PipelineBuilder::schedule`], so the timing passes analyse the same
+    /// fail-fast validator rejected. The linter's schedule options are
+    /// replaced by [`ScheduleOptions::default`], the policy every later
+    /// stage schedules under, so the timing passes analyse the same
     /// constraint set stage 5a solves.
     pub fn lint(mut self, linter: Linter) -> PipelineBuilder {
-        self.options.lint = linter;
+        self.options.lint = linter.with_options(ScheduleOptions::default());
         self
     }
 
@@ -316,14 +283,9 @@ impl PipelineBuilder {
         if let Some(solve) = graph.and_then(|mut graph| graph.solve(&shared, store).ok()) {
             submission = submission.solved(solve);
         }
-        let engine = self.stage5_engine();
-        let admitted = match self.options.playback_backlog {
-            None => engine.admit(submission),
-            // A bounded stage never blocks the caller: overload surfaces
-            // as stage-tagged backpressure, like `run`'s stage 5c.
-            Some(_) => engine.try_admit(submission),
-        };
-        admitted.map_err(|e| PipelineError::from(e).in_stage("playback"))
+        self.stage5_engine()
+            .admit(submission)
+            .map_err(|e| PipelineError::from(e).in_stage("playback"))
     }
 
     /// Routes a live edit to a document playing under this builder's
@@ -369,13 +331,12 @@ impl PipelineBuilder {
     /// Runs pipeline stages 2–5 for a document whose media already sit in
     /// `store`.
     ///
-    /// Stage 5c's engine jobs need shared ownership of the document, so a
-    /// run that plays anything clones the tree once — only then, and only
-    /// after validation; a caller that already holds (or re-runs) the
-    /// document should use [`PipelineBuilder::run_shared`] and pay a
-    /// pointer clone instead.
+    /// Stage 5c's engine jobs need shared ownership of the document, so
+    /// this clones the tree once, up front; a caller that already holds
+    /// (or re-runs) the document should use [`PipelineBuilder::run_shared`]
+    /// and pay a pointer clone instead.
     pub fn run(&self, doc: &Document, store: &BlockStore) -> Result<PipelineRun> {
-        self.run_inner(doc, None, store)
+        self.run_inner(Arc::new(doc.clone()), store)
     }
 
     /// Runs the pipeline for a document arriving as interchange bytes —
@@ -401,19 +362,11 @@ impl PipelineBuilder {
         doc: impl Into<Arc<Document>>,
         store: &BlockStore,
     ) -> Result<PipelineRun> {
-        let shared = doc.into();
-        self.run_inner(&shared, Some(&shared), store)
+        self.run_inner(doc.into(), store)
     }
 
-    /// The stages themselves. `shared` is the document's `Arc` when the
-    /// caller already has one; stage 5c otherwise clones the tree into a
-    /// fresh `Arc` — the one place shared ownership is actually needed.
-    fn run_inner(
-        &self,
-        doc: &Document,
-        shared: Option<&Arc<Document>>,
-        store: &BlockStore,
-    ) -> Result<PipelineRun> {
+    /// The stages themselves, on a document stage 5c's engine jobs share.
+    fn run_inner(&self, doc: Arc<Document>, store: &BlockStore) -> Result<PipelineRun> {
         let device = &self.device;
         let options = &self.options;
         let mut timings = StageTimings::default();
@@ -425,18 +378,18 @@ impl PipelineBuilder {
         // The analysis keeps the constraint graph it derived and relaxed,
         // for stage 5a.
         let started = Instant::now();
-        let Analysis { report, graph } = self.structure(doc, store)?;
+        let Analysis { report, graph } = self.structure(&doc, store)?;
         let diagnostics = report.into_diagnostics();
         timings.validate = started.elapsed();
 
         // Stage 3: presentation mapping (target-system independent).
         let started = Instant::now();
-        let presentation = map_presentation(doc).map_err(|e| e.in_stage("presentation"))?;
+        let presentation = map_presentation(&doc).map_err(|e| e.in_stage("presentation"))?;
         timings.presentation = started.elapsed();
 
         // Stage 4: constraint filtering (target-system dependent).
         let started = Instant::now();
-        let filter_plan = plan_filters(doc, store, device).map_err(|e| e.in_stage("filtering"))?;
+        let filter_plan = plan_filters(&doc, store, device).map_err(|e| e.in_stage("filtering"))?;
         let materialized = if options.materialize_filters {
             apply_plan(&filter_plan, store).map_err(|e| e.in_stage("filtering"))?
         } else {
@@ -452,26 +405,26 @@ impl PipelineBuilder {
         let started = Instant::now();
         let mut graph = match graph {
             Some(graph) if materialized == 0 => graph,
-            _ => ConstraintGraph::derive(doc, store, &options.schedule)
+            _ => ConstraintGraph::derive(&doc, store, &ScheduleOptions::default())
                 .map_err(|e| PipelineError::from(e).in_stage("scheduling"))?,
         };
         // Behind an `Arc` so stage 5c's engine jobs can share it; unwrapped
         // (clone-free) below once the jobs are done with their references.
         let solve_result = Arc::new(
             graph
-                .solve(doc, store)
+                .solve(&doc, store)
                 .map_err(|e| PipelineError::from(e).in_stage("scheduling"))?,
         );
-        let conflicts = full_report(doc, &solve_result, store, Some(&device.limits()))
+        let conflicts = full_report(&doc, &solve_result, store, Some(&device.limits()))
             .map_err(|e| PipelineError::from(e).in_stage("scheduling"))?;
         timings.scheduling = started.elapsed();
 
         // Stage 5b: viewing tools.
         let started = Instant::now();
         let toc =
-            table_of_contents(doc, &solve_result.schedule).map_err(|e| e.in_stage("viewing"))?;
+            table_of_contents(&doc, &solve_result.schedule).map_err(|e| e.in_stage("viewing"))?;
         let frames = storyboard(
-            doc,
+            &doc,
             &solve_result.schedule,
             &presentation,
             Some(&filter_plan),
@@ -481,82 +434,47 @@ impl PipelineBuilder {
         .map_err(|e| e.in_stage("viewing"))?;
         timings.viewing = started.elapsed();
 
-        // Stage 5c: playback sessions, driven through the same bounded
-        // `Engine` the server side uses (started once per builder, shared
-        // across runs and clones — no per-run thread spawn). Each
-        // submission shares the stage-5a solve (no per-run re-derivation)
-        // and resolves descriptors against a snapshot of the store
-        // exported *after* filtering, so materialised degradations are
-        // exactly what the sessions see. The runs are played by the
-        // engine's workers and by this thread: while it waits for an
-        // outcome, `Engine::wait` plays queued runs here instead of paying
-        // a thread hand-off. Reports are deterministic per seed, so who
-        // plays a run only changes wall-clock time, never a report.
+        // Stage 5c: playback sessions, driven through the builder's engine
+        // (started once per builder, shared across runs and clones — no
+        // per-run thread spawn). Every run is admitted in one batch and
+        // waited for, so the engine never holds more than the runs its
+        // callers are waiting on. Each submission shares the stage-5a
+        // solve (no per-run re-derivation) and resolves descriptors
+        // against a snapshot of the store exported *after* filtering, so
+        // materialised degradations are exactly what the sessions see.
+        // The runs are played by the engine's workers and by this thread:
+        // while it waits for an outcome, `Engine::wait` plays queued runs
+        // here instead of paying a thread hand-off. Reports are
+        // deterministic per seed, so who plays a run only changes
+        // wall-clock time, never a report.
         let started = Instant::now();
         let playback = if options.playback_runs > 0 {
             let catalog: Arc<dyn DescriptorResolver + Send + Sync> =
                 Arc::new(store.export_catalog());
-            let shared_doc = match shared {
-                Some(arc) => Arc::clone(arc),
-                None => Arc::new(doc.clone()),
-            };
             let engine = self.stage5_engine();
             let submissions = (0..options.playback_runs).map(|run| {
                 let jitter = JitterModel {
                     seed: options.jitter.seed.wrapping_add(run as u64),
                     ..options.jitter.clone()
                 };
-                Submission::new(Arc::clone(&shared_doc), jitter)
+                Submission::new(Arc::clone(&doc), jitter)
                     .resolver(Arc::clone(&catalog))
                     .solved(Arc::clone(&solve_result))
             });
-            let mut ids = Vec::with_capacity(options.playback_runs as usize);
-            let mut admission_error = None;
-            match options.playback_backlog {
-                // Unbounded: all runs admitted under one queue transaction
-                // (all-or-nothing, one lock acquisition for the batch).
-                None => match engine.submit_batch(submissions) {
-                    Ok(batch) => ids = batch,
-                    Err(e) => admission_error = Some(e),
-                },
-                // A bounded stage never blocks the pipeline on a full
-                // queue: each run is offered non-blockingly, the ones that
-                // fit still play, and overload surfaces as a stage-tagged
-                // error.
-                Some(_) => {
-                    for submission in submissions {
-                        match engine.try_admit(submission) {
-                            Ok(id) => ids.push(id),
-                            Err(e) => {
-                                admission_error = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            // Collect every admitted outcome by its own ticket — even on
-            // the error paths, so nothing is left undelivered in the
-            // long-lived engine — then report the first failure.
-            let mut last = None;
-            let mut job_error = None;
+            let ids = engine
+                .submit_batch(submissions)
+                .map_err(|e| PipelineError::from(e).in_stage("playback"))?;
+            // Collect every outcome by its own ticket — even after a
+            // failure, so nothing is left undelivered in the long-lived
+            // engine — then report the first failure, else the last run.
+            let mut last = Ok(None);
             for id in ids {
-                match engine.wait(id).result {
-                    Ok(report) => last = Some(report),
-                    Err(e) => {
-                        if job_error.is_none() {
-                            job_error = Some(e);
-                        }
-                    }
+                let result = engine.wait(id).result;
+                if last.is_ok() {
+                    last = result.map(Some);
                 }
             }
-            // A job failure (above all a `JobPanicked` with its message)
-            // is the actionable signal; an admission refusal is only the
-            // configured overload response, so it reports second.
-            if let Some(e) = job_error.or(admission_error) {
-                return Err(PipelineError::from(e).in_stage("playback"));
-            }
-            last
+            last.map_err(|e| PipelineError::from(e).in_stage("playback"))?
         } else {
             None
         };
@@ -580,16 +498,10 @@ impl PipelineBuilder {
         })
     }
 
-    /// Stage 2: lints the document against `store` with the stage-5a
-    /// schedule options, refusing it on a deny finding.
+    /// Stage 2: lints the document against `store`, refusing it on a
+    /// deny finding.
     fn structure(&self, doc: &Document, store: &BlockStore) -> Result<Analysis> {
-        let analysis = self
-            .options
-            .lint
-            .clone()
-            .with_options(self.options.schedule)
-            .analyze(doc, store);
-        refuse_denied(analysis)
+        refuse_denied(self.options.lint.analyze(doc, store))
     }
 
     /// Runs the pipeline for a document published on a distributed store,
@@ -772,61 +684,35 @@ mod tests {
     }
 
     #[test]
-    fn bounded_playback_with_enough_budget_succeeds() {
+    fn a_failed_playback_run_leaves_nothing_behind() {
+        // Stage 5c waits for every run it admitted, even after one fails:
+        // the middle run panics, the run fails with that panic, and the
+        // long-lived engine holds no job and no uncollected outcome.
+        use cmif_scheduler::JobHook;
+
         let (doc, store) = build_fixture();
-        let run = PipelineBuilder::new(DeviceProfile::workstation())
+        let builder = PipelineBuilder::new(DeviceProfile::workstation())
             .playback_runs(3)
-            .playback_workers(2)
-            .playback_backlog(Some(16))
-            .run(&doc, &store)
-            .unwrap();
-        assert!(run.playback.is_some());
-        assert_eq!(run.playback.unwrap().must_violations, 0);
-    }
-
-    #[test]
-    fn saturated_playback_backlog_surfaces_stage_tagged_backpressure() {
-        // One worker, a single queue slot, 64 runs: each job plays a full
-        // session (submissions carry the stage-5a solve, so no derive —
-        // but sampling, ticking and report assembly are still microseconds
-        // of work) while an admission is a queue push (nanoseconds). The
-        // producer laps the worker long before 64 admissions, so the
-        // non-blocking stage hits the bound.
-        let (doc, store) = build_fixture();
-        let err = PipelineBuilder::new(DeviceProfile::workstation())
-            .playback_runs(64)
-            .playback_workers(1)
-            .playback_backlog(Some(1))
-            .run(&doc, &store)
-            .unwrap_err();
+            .playback_hook(JobHook::new(|label| {
+                if label == "doc#1" {
+                    panic!("injected playback fault in {label}");
+                }
+            }));
+        let err = builder.run(&doc, &store).unwrap_err();
         assert_eq!(err.stage(), "playback");
-        assert!(matches!(
-            err,
-            crate::error::PipelineError::Scheduler {
-                source: cmif_scheduler::SchedulerError::Backpressure { .. },
+        match err {
+            PipelineError::Scheduler {
+                source: SchedulerError::JobPanicked { ref message },
                 ..
-            }
-        ));
-    }
-
-    #[test]
-    fn bounded_playback_report_matches_the_unbounded_one() {
-        // Admission control must not change what plays: same seed, same
-        // report, whether stage 5c ran unbounded or squeezed through a
-        // bounded single-worker engine.
-        let (doc, store) = build_fixture();
-        let unbounded = PipelineBuilder::new(DeviceProfile::workstation())
-            .jitter(JitterModel::uniform(120, 9))
-            .playback_runs(2)
-            .run(&doc, &store)
-            .unwrap();
-        let bounded = PipelineBuilder::new(DeviceProfile::workstation())
-            .jitter(JitterModel::uniform(120, 9))
-            .playback_runs(2)
-            .playback_backlog(Some(64))
-            .run(&doc, &store)
-            .unwrap();
-        assert_eq!(unbounded.playback, bounded.playback);
+            } => assert!(message.contains("injected playback fault"), "{message}"),
+            other => panic!("expected a panicked playback run, got {other:?}"),
+        }
+        let engine = builder.engine.get().expect("stage 5c started its engine");
+        assert_eq!(engine.undelivered(), 0);
+        assert_eq!(engine.backlog(), 0);
+        // The next run's tickets are doc#3 onwards: it plays cleanly.
+        let run = builder.run(&doc, &store).unwrap();
+        assert_eq!(run.playback.unwrap().must_violations, 0);
     }
 
     #[test]

@@ -221,7 +221,10 @@ pub enum LintPolicy {
     Configured(SeverityConfig),
 }
 
-/// Configuration of an [`Engine`].
+/// Configuration of an [`Engine`]. Tenant policies are not part of it:
+/// set them with [`Engine::set_tenant_policy`] (untagged work runs as
+/// [`TenantId::DEFAULT`]); a tenant never configured gets
+/// [`TenantPolicy::default`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Number of worker threads. Zero is clamped to one.
@@ -241,9 +244,6 @@ pub struct EngineConfig {
     /// workers only through the queue, so a zero-slot queue would deadlock
     /// every blocking admission.
     pub max_backlog: Option<usize>,
-    /// Policy applied to tenants that never got an explicit
-    /// [`Engine::set_tenant_policy`]: by default weight 1, no quota.
-    pub default_tenant_policy: TenantPolicy,
     /// Admission-time static analysis: when set, every submission is
     /// checked **before** it takes the plane lock or charges a quota
     /// token, and documents with deny-severity findings are refused with
@@ -263,7 +263,6 @@ impl Default for EngineConfig {
                 .unwrap_or(1),
             options: ScheduleOptions::default(),
             max_backlog: None,
-            default_tenant_policy: TenantPolicy::default(),
             lint_gate: None,
             job_hook: None,
         }
@@ -688,10 +687,9 @@ impl Engine {
 
     /// Builds the shared state and starts `worker_count` worker threads.
     fn spawn(config: EngineConfig, worker_count: usize) -> Engine {
-        let default_policy = config.default_tenant_policy.clone();
         let shared = Arc::new(Shared {
             plane: Mutex::new(Plane {
-                run: TenantRunQueue::new(default_policy),
+                run: TenantRunQueue::new(),
                 stats: QueueStats::default(),
                 gate: TicketGate::default(),
                 next_id: 0,
@@ -791,7 +789,8 @@ impl Engine {
     /// for one tenant. Takes effect for subsequent dispatches and
     /// admissions; the tenant's quota bucket restarts full under the new
     /// configuration. Tenants never configured use
-    /// [`EngineConfig::default_tenant_policy`].
+    /// [`TenantPolicy::default`] (weight 1, no quota); untagged work is
+    /// configured through [`TenantId::DEFAULT`].
     pub fn set_tenant_policy(&self, tenant: TenantId, policy: TenantPolicy) {
         let mut plane = self.shared.lock_plane();
         plane.run.set_policy(tenant, policy, Instant::now());
@@ -2298,9 +2297,12 @@ mod tests {
     fn default_tenant_policy_applies_quota_to_untagged_work() {
         let engine = Engine::new(EngineConfig {
             workers: 1,
-            default_tenant_policy: TenantPolicy::default().with_quota(QuotaConfig::new(1, 0.0)),
             ..EngineConfig::default()
         });
+        engine.set_tenant_policy(
+            TenantId::DEFAULT,
+            TenantPolicy::default().with_quota(QuotaConfig::new(1, 0.0)),
+        );
         let doc = Arc::new(story("default", 2));
         engine
             .admit(Submission::new(Arc::clone(&doc), JitterModel::ideal()))

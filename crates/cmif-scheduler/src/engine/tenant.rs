@@ -209,7 +209,6 @@ pub(super) struct TenantRunQueue<T> {
     /// Min-heap of `(pass, entry_seq, tenant)`; entries are lazily
     /// invalidated via `TenantState::live_entry`.
     ready: BinaryHeap<Reverse<(u64, u64, TenantId)>>,
-    default_policy: TenantPolicy,
     /// Pass of the most recently dispatched tenant: the floor newly
     /// activated tenants start from, so idling banks no credit.
     global_pass: u64,
@@ -218,11 +217,10 @@ pub(super) struct TenantRunQueue<T> {
 }
 
 impl<T> TenantRunQueue<T> {
-    pub(super) fn new(default_policy: TenantPolicy) -> TenantRunQueue<T> {
+    pub(super) fn new() -> TenantRunQueue<T> {
         TenantRunQueue {
             tenants: HashMap::new(),
             ready: BinaryHeap::new(),
-            default_policy,
             global_pass: 0,
             entry_seq: 0,
             len: 0,
@@ -235,10 +233,9 @@ impl<T> TenantRunQueue<T> {
     }
 
     fn state_mut(&mut self, tenant: TenantId, now: Instant) -> &mut TenantState<T> {
-        let default_policy = self.default_policy.clone();
         self.tenants
             .entry(tenant)
-            .or_insert_with(|| TenantState::new(default_policy, now))
+            .or_insert_with(|| TenantState::new(TenantPolicy::default(), now))
     }
 
     /// Replaces a tenant's policy. The quota bucket restarts full under
@@ -486,7 +483,7 @@ mod tests {
     #[test]
     fn equal_weights_interleave_instead_of_draining_the_flood_first() {
         let now = Instant::now();
-        let mut queue = TenantRunQueue::new(TenantPolicy::default());
+        let mut queue = TenantRunQueue::new();
         let flood = TenantId::new(1);
         let small = TenantId::new(2);
         for _ in 0..100 {
@@ -504,7 +501,7 @@ mod tests {
     #[test]
     fn weights_buy_proportional_dispatch_share() {
         let now = Instant::now();
-        let mut queue = TenantRunQueue::new(TenantPolicy::default());
+        let mut queue = TenantRunQueue::new();
         let heavy = TenantId::new(1);
         let light = TenantId::new(2);
         queue.set_policy(heavy, TenantPolicy::weighted(3), now);
@@ -525,7 +522,7 @@ mod tests {
     #[test]
     fn idling_banks_no_credit() {
         let now = Instant::now();
-        let mut queue = TenantRunQueue::new(TenantPolicy::default());
+        let mut queue = TenantRunQueue::new();
         let active = TenantId::new(1);
         let sleeper = TenantId::new(2);
         // The active tenant dispatches 1000 jobs while the sleeper idles.
@@ -552,7 +549,7 @@ mod tests {
     #[test]
     fn charge_is_all_or_nothing_across_the_batch() {
         let now = Instant::now();
-        let mut queue: TenantRunQueue<&str> = TenantRunQueue::new(TenantPolicy::default());
+        let mut queue: TenantRunQueue<&str> = TenantRunQueue::new();
         let limited = TenantId::new(1);
         let free = TenantId::new(2);
         queue.set_policy(
@@ -624,7 +621,7 @@ mod tests {
     #[test]
     fn empty_queue_and_unknown_tenants_are_harmless() {
         let now = Instant::now();
-        let mut queue: TenantRunQueue<&str> = TenantRunQueue::new(TenantPolicy::default());
+        let mut queue: TenantRunQueue<&str> = TenantRunQueue::new();
         assert_eq!(queue.pop_fair(), None);
         assert_eq!(queue.len(), 0);
         // Charging a never-seen tenant with no default quota succeeds and

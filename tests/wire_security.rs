@@ -3,11 +3,11 @@
 //! never a stack overflow, never an allocation unbounded by input length.
 //!
 //! The unit tests inside `cmif-format` cover each decoder mechanism; this
-//! suite attacks the public wire entry points ([`read_document_bytes`],
-//! [`Document::from_read`]) the way a transport peer would.
+//! suite attacks the public wire entry point ([`read_document_bytes`]) the
+//! way a transport peer would.
 
 use cmif::core::tree::Document;
-use cmif::format::{document_to_bytes, read_document_bytes, FormatError, WireEncoding, WireFormat};
+use cmif::format::{document_to_bytes, read_document_bytes, FormatError, WireEncoding};
 use cmif::news::evening_news;
 use cmif::synthetic::SyntheticNews;
 use proptest::prelude::*;
@@ -73,8 +73,6 @@ fn depth_bombs_in_either_form_are_rejected_with_too_deep() {
         read_document_bytes(bomb.as_bytes()).unwrap_err(),
         FormatError::TooDeep { .. }
     ));
-    // The same nesting arriving through the io::Read entry point.
-    assert!(Document::from_read(&mut bomb.as_bytes()).is_err());
 }
 
 #[test]
@@ -329,7 +327,6 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
         let _ = read_document_bytes(&bytes);
-        let _ = Document::from_read(&mut bytes.as_slice());
     }
 
     /// Arbitrary bytes stamped with the binary magic exercise the hardened
