@@ -75,20 +75,39 @@ pub struct Trajectory {
     pub runs: Vec<TrajectoryRun>,
 }
 
-/// The repository root, derived from this crate's manifest location
-/// (`crates/bench` → two levels up). Trajectory files live there so they
-/// are committed next to ROADMAP.md, not buried in `target/`.
+/// The root of the checkout the process runs in: the nearest ancestor of
+/// the working directory (itself included) whose `Cargo.toml` declares a
+/// `[workspace]`, or the working directory when none does. Cargo runs a
+/// bench in its package directory (`crates/bench`), so a bench binary
+/// built in one checkout and run from another writes to the one it runs
+/// in. Trajectory files live there so they are committed next to
+/// ROADMAP.md, not buried in `target/`.
 pub fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    workspace_root_of(&cwd)
+}
+
+fn workspace_root_of(start: &Path) -> PathBuf {
+    let declares_workspace = |dir: &Path| {
+        fs::read_to_string(dir.join("Cargo.toml"))
+            .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
+    };
+    start
         .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the repo root") // repo_lint: allow(compile-time path invariant)
+        .find(|dir| declares_workspace(dir))
+        .unwrap_or(start)
         .to_path_buf()
 }
 
-/// The in-repo path of a bench's trajectory file.
+/// The path of a bench's trajectory file in the checkout at `root`.
+pub fn trajectory_path_in(root: &Path, bench: &str) -> PathBuf {
+    root.join(format!("BENCH_{bench}.json"))
+}
+
+/// The path of a bench's trajectory file in the checkout the process runs
+/// in.
 pub fn trajectory_path(bench: &str) -> PathBuf {
-    repo_root().join(format!("BENCH_{bench}.json"))
+    trajectory_path_in(&repo_root(), bench)
 }
 
 /// Loads a bench's trajectory. Missing or unreadable files are an empty
@@ -574,6 +593,27 @@ mod tests {
         fs::write(&path, "{ not json").unwrap();
         assert_eq!(load_from(&path, "test").runs.len(), 0);
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn trajectories_land_in_the_checkout_the_bench_runs_in() {
+        let dir = std::env::temp_dir().join(format!("cmif-checkout-{}", std::process::id()));
+        let checkout = dir.join("checkout");
+        let bench = checkout.join("crates").join("bench");
+        fs::create_dir_all(&bench).unwrap();
+        fs::write(checkout.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+        fs::write(bench.join("Cargo.toml"), "[package]\nname = \"b\"\n").unwrap();
+        // From the bench's package directory and from the root itself.
+        assert_eq!(workspace_root_of(&bench), checkout);
+        assert_eq!(workspace_root_of(&checkout), checkout);
+        assert_eq!(
+            trajectory_path_in(&workspace_root_of(&bench), "ext_lint"),
+            checkout.join("BENCH_ext_lint.json")
+        );
+        let _ = fs::remove_dir_all(&dir);
+        // This test runs in crates/bench of the repository.
+        let root = repo_root();
+        assert!(root.join("crates/bench/Cargo.toml").is_file(), "{root:?}");
     }
 
     #[test]

@@ -16,22 +16,26 @@
 //!   plan (dropped channels are marked rather than silently omitted).
 //!
 //! The storyboard is one sweep over the timeline: it costs
-//! O(entries · log entries + frames × active), where `active` is the number
-//! of entries playing at a sampled instant, and describes each entry once.
-//! A document that would sample more than [`MAX_STORYBOARD_FRAMES`] frames
-//! is refused with [`PipelineError::TooManyFrames`] before anything is
-//! allocated.
+//! O(entries · log entries + frames + changes × active), where `changes` is
+//! the number of sampled instants at which an entry joined or left and
+//! `active` the number of entries playing there. Each entry is described
+//! once, placement first, into one buffer the whole call reuses, so
+//! describing an entry allocates only its shared line, besides what the
+//! resolver's lookup costs. A frame at which nothing joined or left shares
+//! its predecessor's line list. A document that would sample more than
+//! [`MAX_STORYBOARD_FRAMES`] frames is refused with
+//! [`PipelineError::TooManyFrames`] before anything is allocated.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::error::{PipelineError, Result};
 use cmif_core::descriptor::DescriptorResolver;
-use cmif_core::node::NodeId;
+use cmif_core::node::{NodeId, NodeKind};
 use cmif_core::symbol::Symbol;
 use cmif_core::time::TimeMs;
 use cmif_core::tree::Document;
-use cmif_scheduler::{Schedule, TimelineEntry};
+use cmif_scheduler::Schedule;
 
 use crate::constraint::FilterPlan;
 use crate::presentation::{Placement, PresentationMap};
@@ -42,39 +46,39 @@ use crate::presentation::{Placement, PresentationMap};
 /// step of an arbitrarily long timeline.
 pub const MAX_STORYBOARD_FRAMES: usize = 1 << 17;
 
+/// The width, in characters, a table-of-contents name is padded to.
+const NAME_WIDTH: usize = 24;
+
 /// Renders the reading view: an indented table of contents with node kinds,
 /// names and scheduled times.
 pub fn table_of_contents(doc: &Document, schedule: &Schedule) -> Result<String> {
     let mut out = String::new();
-    let root = doc.root()?;
-    render_toc(doc, schedule, root, 0, &mut out)?;
-    Ok(out)
-}
-
-fn render_toc(
-    doc: &Document,
-    schedule: &Schedule,
-    node: NodeId,
-    depth: usize,
-    out: &mut String,
-) -> Result<()> {
-    let n = doc.node(node)?;
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    let name = n.name().unwrap_or("(unnamed)");
-    let _ = write!(out, "{} {:<24} [", n.kind.keyword(), name);
-    match schedule.node_times.get(&node) {
-        Some((begin, end)) => {
-            let _ = write!(out, "{begin} .. {end}");
+    // Preorder, with a stack of (node, depth) rather than recursion.
+    let mut stack = vec![(doc.root()?, 0)];
+    while let Some((node, depth)) = stack.pop() {
+        let n = doc.node(node)?;
+        for _ in 0..depth {
+            out.push_str("  ");
         }
-        None => out.push_str("unscheduled"),
+        let name = n.name().unwrap_or("(unnamed)");
+        out.push_str(n.kind.keyword());
+        out.push(' ');
+        out.push_str(name);
+        // Padded by characters, not bytes, as `{:<24}` pads.
+        for _ in name.chars().count()..NAME_WIDTH {
+            out.push(' ');
+        }
+        out.push_str(" [");
+        match schedule.node_times.get(&node) {
+            Some((begin, end)) => {
+                let _ = write!(out, "{begin} .. {end}");
+            }
+            None => out.push_str("unscheduled"),
+        }
+        out.push_str("]\n");
+        stack.extend(n.children.iter().rev().map(|&child| (child, depth + 1)));
     }
-    out.push_str("]\n");
-    for &child in &n.children {
-        render_toc(doc, schedule, child, depth + 1, out)?;
-    }
-    Ok(())
+    Ok(out)
 }
 
 /// One moment of the storyboard: what every channel is doing at `at`.
@@ -84,8 +88,18 @@ pub struct StoryboardFrame {
     pub at: TimeMs,
     /// `(channel, description)` pairs, one per channel with activity,
     /// ordered by channel name, then description. A description is shared
-    /// by every frame its entry is active in.
-    pub lines: Vec<(Symbol, Arc<str>)>,
+    /// by every frame its entry is active in, and frames between which no
+    /// entry joined or left share one list.
+    pub lines: Arc<[(Symbol, Arc<str>)]>,
+}
+
+/// An entry playing at the sweep's current instant.
+struct Active {
+    end: TimeMs,
+    /// The channel's name, read from the pool once, for ordering.
+    channel: &'static str,
+    symbol: Symbol,
+    text: Arc<str>,
 }
 
 /// Renders the viewing view: samples the schedule every `step_ms`
@@ -96,7 +110,9 @@ pub struct StoryboardFrame {
 ///
 /// The schedule is swept once in begin order: an entry joins the active
 /// set when the sweep passes its begin and leaves at its end, and its line
-/// is built the first time it is active at a sampled instant. Refuses with
+/// is built the first time it is active at a sampled instant. A frame's
+/// list is built only where an entry joined or left; every other frame
+/// shares its predecessor's. Refuses with
 /// [`PipelineError::TooManyFrames`] when the document would take more than
 /// [`MAX_STORYBOARD_FRAMES`] frames; fails when an entry active at a
 /// sampled instant names a node the document cannot describe.
@@ -127,63 +143,71 @@ pub fn storyboard(
     let mut order: Vec<usize> = (0..entries.len()).collect();
     order.sort_by_key(|&i| entries[i].begin);
     let mut pending = order.into_iter().peekable();
-    // `(end, line)` for every entry playing at the current instant, kept
-    // in line order so no frame needs sorting.
-    let mut active: Vec<(TimeMs, (Symbol, Arc<str>))> = Vec::new();
+    // Kept in line order, so no frame needs sorting.
+    let mut active: Vec<Active> = Vec::new();
     let mut fresh = Vec::new();
-    let mut frames = Vec::with_capacity(count as usize);
+    // Every description is written here, then copied into its line.
+    let mut text = String::new();
+    let mut frames: Vec<StoryboardFrame> = Vec::with_capacity(count as usize);
     for k in 0..count as i64 {
         // k < count, so k · step < total: no instant can overflow.
         let at = TimeMs::from_millis(k * step);
-        active.retain(|(end, _)| at < *end);
+        let playing = active.len();
+        active.retain(|line| at < line.end);
         while let Some(i) = pending.next_if(|&i| entries[i].begin <= at) {
             if at < entries[i].end {
                 fresh.push(i);
             }
         }
+        let changed = active.len() != playing || !fresh.is_empty();
         // In schedule order, so an undescribable node fails with the same
         // error a per-instant scan of the schedule would report first.
         fresh.sort_unstable();
         for i in fresh.drain(..) {
             let entry = &entries[i];
-            let line = (
-                entry.channel,
-                describe_entry(doc, entry, presentation, filter, resolver)?,
-            );
-            let key = (line.0.as_str(), &*line.1);
-            let slot =
-                active.partition_point(|(_, (channel, text))| (channel.as_str(), &**text) <= key);
-            active.insert(slot, (entry.end, line));
+            text.clear();
+            write_place(&mut text, entry.channel, presentation, filter);
+            describe_node(doc, entry.node, resolver, &mut text)?;
+            let channel = entry.channel.as_str();
+            let slot = active
+                .partition_point(|line| (line.channel, &*line.text) <= (channel, text.as_str()));
+            let line = Active {
+                end: entry.end,
+                channel,
+                symbol: entry.channel,
+                text: Arc::from(text.as_str()),
+            };
+            active.insert(slot, line);
         }
-        frames.push(StoryboardFrame {
-            at,
-            lines: active.iter().map(|(_, line)| line.clone()).collect(),
-        });
+        let lines = match frames.last() {
+            Some(previous) if !changed => Arc::clone(&previous.lines),
+            _ => active
+                .iter()
+                .map(|line| (line.symbol, Arc::clone(&line.text)))
+                .collect(),
+        };
+        frames.push(StoryboardFrame { at, lines });
     }
     Ok(frames)
 }
 
-/// The storyboard line for one timeline entry: where its channel appears
-/// (or that the device dropped it) and what the entry presents.
-fn describe_entry(
-    doc: &Document,
-    entry: &TimelineEntry,
+/// Writes where a channel's lines say it appears (`screen (x,y) wxh: `,
+/// `speaker n: ` or `unplaced: `), or that the device dropped it.
+fn write_place(
+    out: &mut String,
+    channel: Symbol,
     presentation: &PresentationMap,
     filter: Option<&FilterPlan>,
-    resolver: &dyn DescriptorResolver,
-) -> Result<Arc<str>> {
-    let content = describe_content(doc, entry.node, resolver)?;
-    let dropped = filter.is_some_and(|plan| plan.dropped_channels.contains(&entry.channel));
-    let description = if dropped {
-        format!("[dropped on this device] {content}")
-    } else {
-        match presentation.placement_symbol(entry.channel) {
-            Some(Placement::Screen(region)) => format!("screen {region}: {content}"),
-            Some(Placement::Speaker { slot }) => format!("speaker {slot}: {content}"),
-            None => format!("unplaced: {content}"),
-        }
+) {
+    if filter.is_some_and(|plan| plan.dropped_channels.contains(&channel)) {
+        out.push_str("[dropped on this device] ");
+        return;
+    }
+    let _ = match presentation.placement_symbol(channel) {
+        Some(Placement::Screen(region)) => write!(out, "screen {region}: "),
+        Some(Placement::Speaker { slot }) => write!(out, "speaker {slot}: "),
+        None => write!(out, "unplaced: "),
     };
-    Ok(description.into())
 }
 
 /// Renders a storyboard as plain text.
@@ -194,51 +218,62 @@ pub fn render_storyboard(frames: &[StoryboardFrame]) -> String {
         if frame.lines.is_empty() {
             let _ = writeln!(out, "  (silence / empty screen)");
         }
-        for (channel, description) in &frame.lines {
+        for (channel, description) in frame.lines.iter() {
             let _ = writeln!(out, "  {channel:<10} {description}");
         }
     }
     out
 }
 
-fn describe_content(
+/// Writes what `node` presents into `out`: its name, then a preview of its
+/// text, its inline byte count or the media it references.
+fn describe_node(
     doc: &Document,
     node: NodeId,
     resolver: &dyn DescriptorResolver,
-) -> Result<String> {
+    out: &mut String,
+) -> Result<()> {
     let n = doc.node(node)?;
-    let name = n.name().unwrap_or("(unnamed)");
+    out.push_str(n.name().unwrap_or("(unnamed)"));
     match &n.kind {
-        cmif_core::node::NodeKind::Imm(data) => match data.as_text() {
+        NodeKind::Imm(data) => match data.as_text() {
             Some(text) => {
-                let preview: String = text.chars().take(32).collect();
-                Ok(format!("{name} \u{201c}{preview}\u{201d}"))
+                // A preview of the first 32 characters.
+                let end = text.char_indices().nth(32).map_or(text.len(), |(at, _)| at);
+                out.push_str(" \u{201c}");
+                out.push_str(&text[..end]);
+                out.push('\u{201d}');
             }
-            None => Ok(format!("{name} ({} inline bytes)", data.len())),
+            None => {
+                let _ = write!(out, " ({} inline bytes)", data.len());
+            }
         },
-        cmif_core::node::NodeKind::Ext => {
+        NodeKind::Ext => {
             let key = doc.file_of(node)?.unwrap_or_else(|| Symbol::intern("?"));
-            match resolver.resolve_symbol(key) {
-                Some(descriptor) => Ok(format!(
-                    "{name} <{key}: {} {}>",
-                    descriptor.format,
-                    human_size(descriptor.size_bytes)
-                )),
-                None => Ok(format!("{name} <{key}>")),
+            out.push_str(" <");
+            out.push_str(key.as_str());
+            if let Some(descriptor) = resolver.resolve_symbol(key) {
+                out.push_str(": ");
+                out.push_str(&descriptor.format);
+                out.push(' ');
+                write_size(out, descriptor.size_bytes);
             }
+            out.push('>');
         }
-        _ => Ok(name.to_string()),
+        NodeKind::Seq | NodeKind::Par => {}
     }
+    Ok(())
 }
 
-fn human_size(bytes: u64) -> String {
-    if bytes >= 1_000_000 {
-        format!("{:.1} MB", bytes as f64 / 1_000_000.0)
+/// Writes a byte count in B, kB or MB, to one decimal above a kilobyte.
+fn write_size(out: &mut String, bytes: u64) {
+    let _ = if bytes >= 1_000_000 {
+        write!(out, "{:.1} MB", bytes as f64 / 1_000_000.0)
     } else if bytes >= 1_000 {
-        format!("{:.1} kB", bytes as f64 / 1_000.0)
+        write!(out, "{:.1} kB", bytes as f64 / 1_000.0)
     } else {
-        format!("{bytes} B")
-    }
+        write!(out, "{bytes} B")
+    };
 }
 
 #[cfg(test)]
@@ -246,7 +281,7 @@ mod tests {
     use super::*;
     use crate::presentation::map_presentation;
     use cmif_core::prelude::*;
-    use cmif_scheduler::{ConstraintGraph, ScheduleOptions};
+    use cmif_scheduler::{ConstraintGraph, ScheduleOptions, TimelineEntry};
 
     fn doc() -> Document {
         DocumentBuilder::new("news")
@@ -341,11 +376,167 @@ mod tests {
         assert!(text.contains("t = 0s"));
     }
 
+    /// The `format!`-based describer the storyboard's one-buffer writer
+    /// replaced; the reference every description is checked against.
+    fn describe_content(
+        doc: &Document,
+        node: NodeId,
+        resolver: &dyn DescriptorResolver,
+    ) -> crate::error::Result<String> {
+        let n = doc.node(node)?;
+        let name = n.name().unwrap_or("(unnamed)");
+        match &n.kind {
+            NodeKind::Imm(data) => match data.as_text() {
+                Some(text) => {
+                    let preview: String = text.chars().take(32).collect();
+                    Ok(format!("{name} \u{201c}{preview}\u{201d}"))
+                }
+                None => Ok(format!("{name} ({} inline bytes)", data.len())),
+            },
+            NodeKind::Ext => {
+                let key = doc.file_of(node)?.unwrap_or_else(|| Symbol::intern("?"));
+                match resolver.resolve_symbol(key) {
+                    Some(descriptor) => Ok(format!(
+                        "{name} <{key}: {} {}>",
+                        descriptor.format,
+                        human_size(descriptor.size_bytes)
+                    )),
+                    None => Ok(format!("{name} <{key}>")),
+                }
+            }
+            _ => Ok(name.to_string()),
+        }
+    }
+
+    fn human_size(bytes: u64) -> String {
+        if bytes >= 1_000_000 {
+            format!("{:.1} MB", bytes as f64 / 1_000_000.0)
+        } else if bytes >= 1_000 {
+            format!("{:.1} kB", bytes as f64 / 1_000.0)
+        } else {
+            format!("{bytes} B")
+        }
+    }
+
+    /// The `format!`-based table of contents the direct writer replaced.
+    fn table_of_contents_reference(
+        doc: &Document,
+        schedule: &Schedule,
+    ) -> crate::error::Result<String> {
+        let mut out = String::new();
+        render_toc(doc, schedule, doc.root()?, 0, &mut out)?;
+        Ok(out)
+    }
+
+    fn render_toc(
+        doc: &Document,
+        schedule: &Schedule,
+        node: NodeId,
+        depth: usize,
+        out: &mut String,
+    ) -> crate::error::Result<()> {
+        let n = doc.node(node)?;
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
+        let name = n.name().unwrap_or("(unnamed)");
+        let _ = write!(out, "{} {:<24} [", n.kind.keyword(), name);
+        match schedule.node_times.get(&node) {
+            Some((begin, end)) => {
+                let _ = write!(out, "{begin} .. {end}");
+            }
+            None => out.push_str("unscheduled"),
+        }
+        out.push_str("]\n");
+        for &child in &n.children {
+            render_toc(doc, schedule, child, depth + 1, out)?;
+        }
+        Ok(())
+    }
+
+    fn size(bytes: u64) -> String {
+        let mut out = String::new();
+        write_size(&mut out, bytes);
+        out
+    }
+
     #[test]
     fn human_size_formats() {
-        assert_eq!(human_size(12), "12 B");
-        assert_eq!(human_size(2_300), "2.3 kB");
-        assert_eq!(human_size(5_500_000), "5.5 MB");
+        assert_eq!(size(12), "12 B");
+        assert_eq!(size(2_300), "2.3 kB");
+        assert_eq!(size(5_500_000), "5.5 MB");
+        // Every unit boundary, the rounding ties around it, and the ends.
+        let mut sizes = vec![0, 1, 999, u64::MAX];
+        for unit in [1_000, 1_000_000, 1_000_000_000] {
+            for bytes in [unit - 51, unit - 50, unit - 49, unit, unit + 49, unit + 50] {
+                sizes.push(bytes);
+            }
+            sizes.extend((0..2_000).map(|i| unit / 20 * i + i % 7));
+        }
+        for bytes in sizes {
+            assert_eq!(size(bytes), human_size(bytes), "{bytes} bytes");
+        }
+    }
+
+    #[test]
+    fn table_of_contents_matches_the_reference() {
+        let mut d = doc();
+        let root = d.root().unwrap();
+        let names = [
+            Some("ünïcödé — “quoted”"),
+            Some("exactly-twenty-four-char"),
+            Some("a name that runs well past twenty-four characters"),
+            Some("漢字のなまえ"),
+            None,
+        ];
+        let mut leaves = Vec::new();
+        for name in names {
+            let leaf = d.add_imm_text(root, "x").unwrap();
+            if let Some(name) = name {
+                d.set_attr(leaf, AttrName::Name, AttrValue::Str(name.into()))
+                    .unwrap();
+            }
+            leaves.push(leaf);
+        }
+        assert_eq!(names[1].unwrap().chars().count(), 24);
+        let result = ConstraintGraph::derive(&d, &d.catalog, &ScheduleOptions::default())
+            .unwrap()
+            .solve(&d, &d.catalog)
+            .unwrap();
+        let mut schedule = result.schedule;
+        let toc = table_of_contents(&d, &schedule).unwrap();
+        assert_eq!(toc, table_of_contents_reference(&d, &schedule).unwrap());
+        // Times with a millisecond remainder or a sign, and one node the
+        // schedule does not know.
+        let times = [
+            (1, 999),
+            (-1_500, 250),
+            (-2_000, 1_999),
+            (i64::MIN, i64::MAX),
+        ];
+        for (&leaf, (begin, end)) in leaves.iter().zip(times) {
+            schedule
+                .node_times
+                .insert(leaf, (TimeMs::from_millis(begin), TimeMs::from_millis(end)));
+        }
+        schedule.node_times.remove(&leaves[4]);
+        schedule.node_times.remove(&root);
+        let toc = table_of_contents(&d, &schedule).unwrap();
+        assert_eq!(toc, table_of_contents_reference(&d, &schedule).unwrap());
+        assert!(toc.contains("(unnamed)"), "{toc}");
+        assert!(toc.contains("unscheduled"), "{toc}");
+        assert!(toc.contains("-1500ms .. 250ms"), "{toc}");
+        assert!(toc.contains("-2s .. 1999ms"), "{toc}");
+        // A node the document lacks fails the same way in both.
+        d.node_mut(root)
+            .unwrap()
+            .children
+            .push(NodeId::from_index(99));
+        assert!(table_of_contents(&d, &schedule).is_err());
+        assert_eq!(
+            table_of_contents(&d, &schedule),
+            table_of_contents_reference(&d, &schedule)
+        );
     }
 
     /// The per-instant definition the sweep must reproduce: every sampled
@@ -384,7 +575,10 @@ mod tests {
                 lines.push((entry.channel, Arc::<str>::from(description)));
             }
             lines.sort_by(|a, b| (a.0.as_str(), &a.1).cmp(&(b.0.as_str(), &b.1)));
-            frames.push(StoryboardFrame { at: instant, lines });
+            frames.push(StoryboardFrame {
+                at: instant,
+                lines: lines.into(),
+            });
             at += step;
             if total == 0 {
                 break;
@@ -506,7 +700,7 @@ mod tests {
         let d = varied_doc();
         let map = map_presentation(&d).unwrap();
         let nodes = d.preorder();
-        let (mut described, mut refused) = (0, 0);
+        let (mut described, mut refused, mut shared, mut built) = (0, 0, 0, 0);
         for seed in 0..400 {
             let mut rng = Rng(seed);
             let (schedule, step, filter) = random_case(&mut rng, &nodes);
@@ -521,15 +715,41 @@ mod tests {
                         render_storyboard(&expected),
                         "seed {seed}"
                     );
+                    // A frame shares its predecessor's list exactly when the
+                    // same entries play at both instants; every frame equals
+                    // its reference, so a shared list holds equal content.
+                    for pair in actual.windows(2) {
+                        let is_shared = Arc::ptr_eq(&pair[0].lines, &pair[1].lines);
+                        assert_eq!(
+                            is_shared,
+                            same_entries_play(&schedule, pair[0].at, pair[1].at),
+                            "seed {seed} at {}",
+                            pair[1].at
+                        );
+                        if is_shared {
+                            shared += 1;
+                        } else {
+                            built += 1;
+                        }
+                    }
                     described += 1;
                 }
                 _ => refused += 1,
             }
         }
         assert!(
-            described > 300 && refused > 0,
-            "{described} described, {refused} refused"
+            described > 300 && refused > 0 && shared > 0 && built > 0,
+            "{described} described, {refused} refused; {shared} shared, {built} built"
         );
+    }
+
+    /// True when the same entries play at both instants.
+    fn same_entries_play(schedule: &Schedule, a: TimeMs, b: TimeMs) -> bool {
+        let plays = |entry: &TimelineEntry, at| entry.begin <= at && at < entry.end;
+        schedule
+            .entries
+            .iter()
+            .all(|entry| plays(entry, a) == plays(entry, b))
     }
 
     #[test]
